@@ -13,6 +13,7 @@ from .core import (
     EdgeRec,
     Face,
     FaceClass,
+    FaceMerge,
     FaceSet,
     OnePlaneGraph,
     OperationError,
@@ -23,8 +24,6 @@ from .core import (
     Violation,
     c_of,
     check,
-    crossing_count,
-    degree,
     faces,
     underlying,
     validate,
@@ -32,11 +31,9 @@ from .core import (
 from .build import DrawingBuilder, plane_graph
 from .transform import (
     DualMap,
-    Planarization,
     RemovalStrategy,
     Skeleton,
     dual,
-    planarization,
     skeleton,
 )
 from .analyze import (
@@ -77,7 +74,6 @@ from .maximality import (
     saturate,
 )
 from .generators import (
-    FamilySpec,
     expected_stats,
     fixture_path,
     gen_H,
@@ -91,7 +87,6 @@ from .generators import (
     generate,
     k1_triangulate,
     k2_triangulate,
-    load_fixture,
     tx_triangulate,
 )
 from .interchange import dump, load, parse, serialize, to_dot

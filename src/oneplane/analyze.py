@@ -14,6 +14,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import maximality
+from .build import delete_edges
 from .core import (
     DrawingError,
     FaceClass,
@@ -24,7 +25,7 @@ from .core import (
     c_of,
     underlying,
 )
-from .transform import DualMap, Skeleton, dual, planarization, skeleton
+from .transform import DualMap, Skeleton, dual, skeleton
 
 
 # ---------------------------------------------------------------------------
@@ -258,62 +259,34 @@ def is_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
     (i) every face triangular or quadrangular, (ii) every quadrangular face
     holds exactly the crossing of its two diagonals, (iii) no edge shared
     by two distinct triangular faces."""
-    from .build import DrawingBuilder
-
     bad: list[str] = []
     crossed = [e for e, r in enumerate(g.edges) if r.crossing is not None]
 
-    # containment of each crossing: merge planarization faces across every
-    # segment of a crossed edge; each merge class is one face of H
-    src = g.face_set
-    parent = list(range(len(src)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in crossed:
-        for d in g.edge_darts[e]:
-            a, b = src.face_of_dart[d], src.face_of_dart[g.map.opposite[d]]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-    b = DrawingBuilder.from_graph(g)
-    for e in crossed:
-        b.delete_edge(e)
-    if not b.is_connected():
+    # each face of H is one merge class of planarization faces
+    cut = delete_edges(g, crossed)
+    if cut is None:
         return NearOptimalReport(False, ("non-crossing subgraph is disconnected",))
-    res = b.finish()
-    h = res.graph
-    inv_dart = {new: old for old, new in res.dart_map.items()}
-    inv_vertex = {new: old for old, new in res.vertex_map.items()}
+    h = cut.result.graph
+    inv_vertex = {new: old for old, new in cut.result.vertex_map.items()}
 
-    class_of_face: dict[int, int] = {}
-    for i, walk in enumerate(h.map.face_walks):
-        reps = {find(src.face_of_dart[inv_dart[d]]) for d in walk}
-        assert len(reps) == 1
-        class_of_face[i] = reps.pop()
-
+    # both edges through a crossing are deleted, so the four faces around it
+    # share one class
     crossing_home: dict[int, list[int]] = {}
     for c in g.map.fake_vertices:
-        reps = {find(src.face_of_dart[d]) for d in g.map.rotations[c]}
-        assert len(reps) == 1
-        crossing_home.setdefault(reps.pop(), []).append(c)
+        home = cut.merge.find(g.map.face_of_dart[g.map.rotations[c][0]])
+        crossing_home.setdefault(home, []).append(c)
 
     hf = h.face_set
     for f in hf:
         orig = tuple(inv_vertex[v] for v in f.vertices)
         if f.is_triangle():
-            if crossing_home.get(class_of_face[f.index]):
+            if crossing_home.get(cut.face_class[f.index]):
                 bad.append(f"triangular face {orig} contains a crossing")
             continue
         if not f.is_quadrangle():
             bad.append(f"face {orig} is neither triangular nor quadrangular")
             continue
-        inside = crossing_home.get(class_of_face[f.index], [])
+        inside = crossing_home.get(cut.face_class[f.index], [])
         if len(inside) != 1:
             bad.append(f"quadrangular face {orig} holds {len(inside)} crossings")
             continue
@@ -500,7 +473,7 @@ def check_color_identities(g: OnePlaneGraph, sk: Skeleton | None = None) -> list
 
     n = g.n
     cr = g.crossing_count
-    if planarization(g).is_triangulation:
+    if is_triangulation(g.map):
         if not is_triangulation(sk.map):
             bad.append("skeleton of a triangulated planarization is not a triangulation")
         if sk.graph.size != 3 * n - 6:
@@ -568,7 +541,7 @@ def verify_bounds(g: OnePlaneGraph) -> BoundReport:
     m = Fraction(g.size)
     kappa = vertex_connectivity(underlying(g))
     immovable = maximality.is_immovable(g).is_immovable
-    tri = planarization(g).is_triangulation
+    tri = is_triangulation(g.map)
     prof = degree_profile(underlying(g))
 
     in_g3 = kappa >= 3 and immovable and g.n >= 5
@@ -617,7 +590,7 @@ def property_suite(g: OnePlaneGraph) -> list[str]:
     cr = g.crossing_count
     ug = underlying(g)
     kappa = vertex_connectivity(ug)
-    tri = planarization(g).is_triangulation
+    tri = is_triangulation(g.map)
 
     if n >= 5 and g.size < -(-7 * n // 3) - 3:
         bad.append(f"TC bound violated: |E|={g.size} < ceil(7n/3)-3 for n={n}")

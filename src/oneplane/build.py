@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    DrawingError,
     EdgeRec,
+    FaceMerge,
     OnePlaneGraph,
     OperationError,
     VertexKind,
@@ -321,7 +323,9 @@ class DrawingBuilder:
     def _smooth(self, c: int) -> None:
         """Remove a degree-2 fake vertex, merging its two segments."""
         rot = self.rotations[c]
-        assert len(rot) == 2, f"cannot smooth vertex of degree {len(rot)}"
+        if len(rot) != 2:
+            raise OperationError("BAD_CROSSING",
+                                 f"cannot smooth vertex {c} of degree {len(rot)}")
         t1, t2 = rot
         e = self.dart_edge[t1]
         far1 = self.opposite[t1]
@@ -384,3 +388,41 @@ class DrawingBuilder:
 def plane_graph(neighbors) -> OnePlaneGraph:
     """Validated crossing-free drawing from rotation-ordered neighbor lists."""
     return DrawingBuilder.from_neighbors(neighbors).graph()
+
+
+@dataclass(frozen=True)
+class Deletion:
+    """A drawing minus some edges: the finished result with its id maps, the
+    face merge on the source drawing, and the merge class of each face of
+    ``result.graph``."""
+
+    result: BuildResult
+    merge: FaceMerge
+    face_class: tuple[int, ...]
+
+
+def delete_edges(g: OnePlaneGraph, edges) -> Deletion | None:
+    """Delete the edges from ``g``, smoothing their crossings, and map each
+    face of the result to its merge class.  None when the deletion
+    disconnects the drawing."""
+    edges = tuple(edges)
+    b = DrawingBuilder.from_graph(g)
+    for e in edges:
+        b.delete_edge(e)
+    if not b.is_connected():
+        return None
+    res = b.finish()
+    merge = FaceMerge(g, edges)
+    # deletion keeps every surviving dart, so its face in the result is the
+    # merge class of its face in g
+    g_face, h_face = g.map.face_of_dart, res.graph.map.face_of_dart
+    face_class: list[int | None] = [None] * len(res.graph.map.face_walks)
+    for old, new in res.dart_map.items():
+        f, cls = h_face[new], merge.find(g_face[old])
+        if face_class[f] is None:
+            face_class[f] = cls
+        elif face_class[f] != cls:
+            raise DrawingError(
+                f"face {f} left by the deletion spans merge classes "
+                f"{face_class[f]} and {cls}")
+    return Deletion(res, merge, tuple(face_class))

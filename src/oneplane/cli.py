@@ -12,8 +12,7 @@ import sys
 from pathlib import Path
 
 from . import analyze, generators, interchange, maximality
-from .core import DrawingError, ValidationError, crossing_count, underlying
-from .transform import planarization
+from .core import DrawingError, ValidationError, underlying
 
 CHECK_FAILED = 1
 BAD_INPUT = 2
@@ -78,7 +77,7 @@ def cmd_generate(args) -> int:
         if not args.path:
             print("error: family=fixture needs --path", file=sys.stderr)
             return BAD_INPUT
-        g = generators.load_fixture(args.path)
+        g = interchange.load(args.path)
     elif args.family == "random":
         g = generators.gen_random_seed(args.n, args.seed)
     else:
@@ -90,10 +89,10 @@ def cmd_generate(args) -> int:
     text = interchange.serialize(g)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        print(f"n={g.n} cr={crossing_count(g)} E={g.size} -> {args.out}")
+        print(f"n={g.n} cr={g.crossing_count} E={g.size} -> {args.out}")
     else:
         sys.stdout.write(text)
-        print(f"# n={g.n} cr={crossing_count(g)} E={g.size}", file=sys.stderr)
+        print(f"# n={g.n} cr={g.crossing_count} E={g.size}", file=sys.stderr)
     return 0
 
 
@@ -101,13 +100,14 @@ def cmd_check(args) -> int:
     g = interchange.load(args.path)
     fs = g.face_set
     kappa = analyze.vertex_connectivity(underlying(g))
-    tri = planarization(g).is_triangulation
-    print(f"valid n={g.n} cr={crossing_count(g)} E={g.size} faces={len(fs)} "
+    tri = analyze.is_triangulation(g.map)
+    print(f"valid n={g.n} cr={g.crossing_count} E={g.size} faces={len(fs)} "
           f"kappa={kappa} triangulated={tri}")
     failed = False
 
-    mx = maximality.is_maximal(g)
+    mx = None
     if args.maximal or args.immovable or args.bounds:
+        mx = maximality.is_maximal(g)
         print(f"maximal {'PASS' if mx.is_maximal else 'FAIL'}")
         if not mx.is_maximal:
             w = mx.witness
@@ -194,11 +194,11 @@ def cmd_stats(args) -> int:
     prof = analyze.degree_profile(ug)
     kappa = analyze.vertex_connectivity(ug)
     print(f"n {g.n}")
-    print(f"crossings {crossing_count(g)}")
+    print(f"crossings {g.crossing_count}")
     print(f"edges {g.size}")
     print(f"kappa {kappa}")
     print(f"faces {len(fs)}")
-    print(f"triangulated {planarization(g).is_triangulation}")
+    print(f"triangulated {analyze.is_triangulation(g.map)}")
     hist = " ".join(f"{k}:{v}" for k, v in prof.histogram.items())
     print(f"degrees {hist}")
     print(f"lambda {prof.lambda1} {prof.lambda2} {prof.lambda3}")

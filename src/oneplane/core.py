@@ -353,17 +353,6 @@ def faces(g: OnePlaneGraph) -> FaceSet:
     return FaceSet(tuple(out), pmap.face_of_dart)
 
 
-def crossing_count(g: OnePlaneGraph) -> int:
-    """cr_x of the drawing: the number of fake vertices."""
-    return g.crossing_count
-
-
-def degree(g: OnePlaneGraph, v: int) -> int:
-    """Degree of a true vertex in the underlying graph."""
-    _require_true_vertex(g, v)
-    return g.map.degree(v)
-
-
 def c_of(g: OnePlaneGraph, v: int) -> int:
     """Number of crossing (crossed) edges incident with ``v``."""
     _require_true_vertex(g, v)
@@ -376,6 +365,48 @@ def c_of(g: OnePlaneGraph, v: int) -> int:
             if g.edges[e].crossing is not None:
                 count += 1
     return count
+
+
+class FaceMerge:
+    """Union-find over the faces of ``g``, merged across every segment of
+    the given edges.  Deleting those edges leaves one face per merge class
+    (while the drawing stays connected); a class is named by one of its
+    faces of ``g``.  Only faces touched by a merge are stored, so merging
+    one edge costs time in its segments, not in the drawing."""
+
+    def __init__(self, g: OnePlaneGraph, edges):
+        self.g = g
+        self.edges = frozenset(edges)
+        self._parent: dict[int, int] = {}
+        fod, opposite = g.map.face_of_dart, g.map.opposite
+        for e in self.edges:
+            for d in g.edge_darts[e]:
+                a, b = self.find(fod[d]), self.find(fod[opposite[d]])
+                if a != b:
+                    self._parent[max(a, b)] = min(a, b)
+
+    def find(self, face: int) -> int:
+        """The merge class of a face of ``g``."""
+        parent = self._parent
+        while face in parent:
+            up = parent[face]
+            parent[face] = parent.get(up, up)     # path splitting
+            face = up
+        return face
+
+    def at(self, v: int) -> set[int]:
+        """Merge classes of the faces around ``v`` once the edges are gone:
+        the classes of v's remaining darts."""
+        g = self.g
+        return {self.find(g.map.face_of_dart[d]) for d in g.map.rotations[v]
+                if g.dart_edge[d] not in self.edges}
+
+    def share_face(self, u: int, v: int) -> bool:
+        """True iff ``u`` and ``v`` lie on one face once the edges are gone.
+        A vertex left with no dart is a component of its own, which can be
+        placed in any face."""
+        at_u, at_v = self.at(u), self.at(v)
+        return not at_u or not at_v or not at_u.isdisjoint(at_v)
 
 
 def _require_true_vertex(g: OnePlaneGraph, v: int) -> None:

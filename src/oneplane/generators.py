@@ -1,6 +1,6 @@
 """Deterministic constructions of the extremal drawing families, the three
-face-triangulation operations, seeded random bases for fuzzing, and fixture
-ingestion.
+face-triangulation operations, seeded random bases for fuzzing, and the
+paths of the bundled fixtures.
 
 Ring constructions: H(k) stacks concentric cycles C4, C8, ..., C(2^(k+1))
 with two radial edges per inner vertex; consecutive inner vertices share an
@@ -14,7 +14,6 @@ used by the crossing-number identities.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .build import DrawingBuilder
 from .core import (
@@ -368,19 +367,6 @@ _GENERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    k: int
-
-    @property
-    def expected(self) -> dict:
-        return expected_stats(self.family, self.k)
-
-    def build(self) -> OnePlaneGraph:
-        return generate(self.family, self.k)
-
-
 def generate(family: str, k: int) -> OnePlaneGraph:
     if family not in _GENERATORS:
         raise OperationError("BAD_PARAMETER", f"unknown family {family!r}")
@@ -470,12 +456,6 @@ def _crossable_quad(b: DrawingBuilder, walk) -> bool:
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
-
-def load_fixture(path) -> OnePlaneGraph:
-    """Parse and validate a drawing from an interchange file."""
-    from .interchange import load
-    return load(path)
-
 
 def fixture_path(name: str):
     """Path of a bundled fixture drawing (``t1`` or ``t2``), or None if the

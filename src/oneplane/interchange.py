@@ -71,15 +71,18 @@ def parse(text: str) -> OnePlaneGraph:
     edges: list[EdgeRec] = []
     rot_tokens: dict[int, list[str]] = {}
     n_vertices = n_edges = None
+    header_seen = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if lineno == 1 or not kinds and n_vertices is None and parts[0] == "1pg":
+        if not header_seen:
             if line != FORMAT_HEADER:
-                raise ParseError(f"unsupported header {line!r}", lineno)
+                raise ParseError(f"expected header {FORMAT_HEADER!r}, got {line!r}",
+                                 lineno)
+            header_seen = True
             continue
         try:
             if parts[0] == "vertices":
@@ -102,7 +105,10 @@ def parse(text: str) -> OnePlaneGraph:
                     crossing = int(parts[5])
                 edges.append(EdgeRec(int(parts[2]), int(parts[3]), crossing))
             elif parts[0] == "rot":
-                rot_tokens[int(parts[1])] = parts[2:]
+                vid = int(parts[1])
+                if vid in rot_tokens:
+                    raise ParseError(f"second rot record for vertex {vid}", lineno)
+                rot_tokens[vid] = parts[2:]
             else:
                 raise ParseError(f"unknown record {parts[0]!r}", lineno)
         except (ValueError, IndexError) as exc:
@@ -112,6 +118,9 @@ def parse(text: str) -> OnePlaneGraph:
         raise ParseError("vertex count mismatch")
     if n_edges is None or n_edges != len(edges):
         raise ParseError("edge count mismatch")
+    for v in rot_tokens:
+        if not 0 <= v < len(kinds):
+            raise ParseError(f"rot record for unknown vertex {v}")
 
     # Allocate one dart per rotation slot; pair the two slots that carry the
     # same segment token (whole edges pair endpoint-endpoint, halves pair

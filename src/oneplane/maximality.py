@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .build import DrawingBuilder
-from .core import OnePlaneGraph, OperationError
+from .build import DrawingBuilder, delete_edges
+from .core import FaceMerge, OnePlaneGraph, OperationError
 
 
 class RouteKind(Enum):
@@ -128,11 +128,13 @@ def apply_insertion(g: OnePlaneGraph, cand: InsertionCandidate) -> OnePlaneGraph
         j = _corner_of(g, walk, cand.v)
         b.insert_edge_one_face(walk, i, j)
     else:
+        if cand.cross_edge is None:
+            raise OperationError("BAD_PARAMETER",
+                                 "a two-face insertion needs the edge it crosses")
         walk1 = list(fs[cand.faces[0]].darts)
         walk2 = list(fs[cand.faces[1]].darts)
         i = _corner_of(g, walk1, cand.u)
         j = _corner_of(g, walk2, cand.v)
-        assert cand.cross_edge is not None
         b.insert_edge_crossing(walk1, i, walk2, j, cand.cross_edge)
     return b.graph()
 
@@ -181,33 +183,29 @@ def min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
     if not (0 <= e < len(g.edges)):
         raise OperationError("UNKNOWN_EDGE", f"no edge {e}")
     rec = g.edges[e]
-    partner = g.crossing_partner(e)
-
-    b = DrawingBuilder.from_graph(g)
-    b.delete_edge(e)
-    if not b.is_connected():
+    cut = delete_edges(g, (e,))
+    if cut is None:
         return RedrawResult(0, None, None)
-    res = b.finish()
+    res = cut.result
     h = res.graph
     u, v = res.vertex_map[rec.u], res.vertex_map[rec.v]
 
-    fs = h.face_set
-    for f in fs:
-        if u in f.boundary and v in f.boundary:
-            route = InsertionCandidate(min(u, v), max(u, v),
-                                       RouteKind.ONE_FACE, (f.index,))
-            return RedrawResult(0, route, h)
+    at_u = cut.merge.at(rec.u)
+    common = at_u & cut.merge.at(rec.v)
+    if common:
+        f = next(i for i, c in enumerate(cut.face_class) if c in common)
+        route = InsertionCandidate(min(u, v), max(u, v), RouteKind.ONE_FACE, (f,))
+        return RedrawResult(0, route, h)
 
-    # No common face: e was crossed, and re-crossing its old partner is
+    # No common face: e was crossed (deleting an uncrossed edge merges the
+    # two faces at both its endpoints), and re-crossing its old partner is
     # always available (the partner's two sides now hold u and v).
-    assert partner is not None
-    p = res.edge_map[partner]
+    p = res.edge_map[g.crossing_partner(e)]
     d = h.edge_darts[p][0]
-    f1 = fs.face_of_dart[d]
-    f2 = fs.face_of_dart[h.map.opposite[d]]
-    if u not in fs[f1].boundary:
+    f1 = h.map.face_of_dart[d]
+    f2 = h.map.face_of_dart[h.map.opposite[d]]
+    if cut.face_class[f1] not in at_u:
         f1, f2 = f2, f1
-    assert u in fs[f1].boundary and v in fs[f2].boundary
     if u < v:
         route = InsertionCandidate(u, v, RouteKind.TWO_FACES, (f1, f2), p)
     else:
@@ -219,15 +217,14 @@ def is_immovable(g: OnePlaneGraph) -> ImmovabilityResult:
     """True iff no crossed edge admits a crossing-free redraw.
 
     Redrawing an uncrossed edge cannot lower the crossing count, so only
-    crossed edges are examined.  Requires a maximal drawing.
+    crossed edges are examined, each by merging the faces on both sides of
+    its segments; the witness is the first redrawable edge in id order.
+    Requires a maximal drawing.
     """
     if not is_maximal(g).is_maximal:
         raise OperationError("NOT_MAXIMAL",
                              "immovability is defined for maximal drawings")
     for e, rec in enumerate(g.edges):
-        if rec.crossing is None:
-            continue
-        r = min_redraw_crossings(g, e)
-        if r.crossings == 0:
-            return ImmovabilityResult(False, (e, r))
+        if rec.crossing is not None and FaceMerge(g, (e,)).share_face(rec.u, rec.v):
+            return ImmovabilityResult(False, (e, min_redraw_crossings(g, e)))
     return ImmovabilityResult(True, None)

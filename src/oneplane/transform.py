@@ -1,6 +1,5 @@
-"""Derived objects of a drawing: the plain planarization, the skeleton
-obtained by removing one edge from each crossing pair, and the colored dual
-of the skeleton."""
+"""Derived objects of a drawing: the skeleton obtained by removing one edge
+from each crossing pair, and the colored dual of the skeleton."""
 
 from __future__ import annotations
 
@@ -8,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .build import DrawingBuilder
+from .build import delete_edges
 from .core import (
     Face,
     FaceClass,
@@ -17,22 +16,6 @@ from .core import (
     OperationError,
     PlanarMap,
 )
-
-
-@dataclass(frozen=True)
-class Planarization:
-    """The plane graph G-cross: the drawing's own map, with a triangulation
-    flag (every face a triangle on three distinct vertices)."""
-
-    map: PlanarMap
-    faces: FaceSet
-    is_triangulation: bool
-
-
-def planarization(g: OnePlaneGraph) -> Planarization:
-    fs = g.face_set
-    flag = all(f.is_triangle() for f in fs)
-    return Planarization(map=g.map, faces=fs, is_triangulation=flag)
 
 
 class RemovalStrategy(Enum):
@@ -69,55 +52,25 @@ def skeleton(g: OnePlaneGraph, strategy: RemovalStrategy = RemovalStrategy.LEX_M
     when they coincide with a true face of the planarization and RED when
     they merge at least two adjacent fake faces.
     """
-    removed_edges = _select_removals(g, strategy, explicit)
-
-    # Merge planarization faces across every removed segment.
-    src_faces = g.face_set
-    parent = list(range(len(src_faces)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for e in removed_edges:
-        for d in g.edge_darts[e]:
-            union(src_faces.face_of_dart[d], src_faces.face_of_dart[g.map.opposite[d]])
-
-    b = DrawingBuilder.from_graph(g)
-    for e in removed_edges:
-        b.delete_edge(e)
-    res = b.finish()
+    pairs = _select_removals(g, strategy, explicit)
+    # one kept partner per crossing pair keeps the drawing connected
+    cut = delete_edges(g, (e for e, _ in pairs))
+    res, merge = cut.result, cut.merge
     sk = res.graph
 
-    inv_dart = {new: old for old, new in res.dart_map.items()}
-    members: list[set[int]] = [set() for _ in sk.map.face_walks]
-    for new_face, walk in enumerate(sk.map.face_walks):
-        for d in walk:
-            members[new_face].add(find(src_faces.face_of_dart[inv_dart[d]]))
-    # every merge class is hit by a surviving dart, so classes and skeleton
-    # faces correspond one to one
-    full_members = []
+    src_faces = g.face_set
     class_faces: dict[int, set[int]] = {}
     for i in range(len(src_faces)):
-        class_faces.setdefault(find(i), set()).add(i)
-    classified = []
-    for new_face, reps in enumerate(members):
-        assert len(reps) == 1, "skeleton face maps to several merge classes"
-        ids = frozenset(class_faces[next(iter(reps))])
-        full_members.append(ids)
-        if len(ids) == 1 and src_faces[next(iter(ids))].classification is FaceClass.TRUE:
-            classified.append(FaceClass.BLUE)
-        else:
-            assert len(ids) >= 2, "red face must merge at least two fake faces"
-            assert all(src_faces[i].classification is FaceClass.FAKE for i in ids)
-            classified.append(FaceClass.RED)
+        class_faces.setdefault(merge.find(i), set()).add(i)
+    members = tuple(frozenset(class_faces[c]) for c in cut.face_class)
+    # a removed segment ends at a crossing, so the faces on its two sides
+    # are distinct fake faces: a class holding a true face holds only it
+    classified = [
+        FaceClass.BLUE if len(ids) == 1
+        and src_faces[next(iter(ids))].classification is FaceClass.TRUE
+        else FaceClass.RED
+        for ids in members
+    ]
 
     base = sk.face_set
     colored = FaceSet(
@@ -130,31 +83,23 @@ def skeleton(g: OnePlaneGraph, strategy: RemovalStrategy = RemovalStrategy.LEX_M
 
     inv_vertex = {new: old for old, new in res.vertex_map.items()}
     inv_edge = {new: old for old, new in res.edge_map.items()}
-    removed_pairs = tuple(sorted(
-        (e, _partner(g, e)) for e in removed_edges
-    ))
     return Skeleton(
         graph=sk,
         vertex_ids=tuple(inv_vertex[v] for v in range(sk.map.n_vertices)),
         edge_ids=tuple(inv_edge[e] for e in range(sk.size)),
-        removed=removed_pairs,
+        removed=tuple(sorted(pairs)),
         faces=colored,
-        face_members=tuple(full_members),
+        face_members=members,
     )
 
 
-def _partner(g: OnePlaneGraph, e: int) -> int:
-    p = g.crossing_partner(e)
-    assert p is not None
-    return p
-
-
 def _select_removals(g: OnePlaneGraph, strategy: RemovalStrategy, explicit):
+    """(removed edge, kept partner) per crossing pair."""
     pairs = [(a, b) for _, a, b in g.crossing_pairs]
     if strategy is RemovalStrategy.LEX_MAX:
-        return [max(p) for p in pairs]
+        return [(b, a) for a, b in pairs]
     if strategy is RemovalStrategy.LEX_MIN:
-        return [min(p) for p in pairs]
+        return pairs
     if strategy is not RemovalStrategy.EXPLICIT:
         raise OperationError("BAD_PARAMETER", f"unknown strategy {strategy}")
     chosen = set(explicit or ())
@@ -165,11 +110,12 @@ def _select_removals(g: OnePlaneGraph, strategy: RemovalStrategy, explicit):
             raise OperationError(
                 "BAD_EXPLICIT_SELECTION",
                 f"crossing pair ({a},{b}) needs exactly one removed edge")
-        out.append(hit.pop())
-    if chosen - {e for e in out}:
+        out.append((a, b) if a in hit else (b, a))
+    stray = chosen - {e for e, _ in out}
+    if stray:
         raise OperationError(
             "BAD_EXPLICIT_SELECTION",
-            f"edges {sorted(chosen - set(out))} are not part of any crossing pair")
+            f"edges {sorted(stray)} are not part of any crossing pair")
     return out
 
 
@@ -224,6 +170,4 @@ def dual(s: Skeleton) -> DualMap:
         if d < o:
             edges.append((fod[d], fod[o]))
     colors = tuple(f.classification for f in s.faces)
-    dm = DualMap(colors=colors, edges=tuple(sorted(edges)))
-    assert dm.degrees == tuple(f.size for f in s.faces)
-    return dm
+    return DualMap(colors=colors, edges=tuple(sorted(edges)))

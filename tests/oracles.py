@@ -3,7 +3,9 @@ library's own algorithms."""
 
 from itertools import combinations
 
+from oneplane.build import DrawingBuilder
 from oneplane.core import OnePlaneGraph, SimpleGraph
+from oneplane.maximality import InsertionCandidate, RedrawResult, RouteKind
 
 
 def brute_force_connectivity(sg: SimpleGraph) -> int:
@@ -51,3 +53,51 @@ def brute_force_is_maximal(g: OnePlaneGraph) -> bool:
             if (u in b1 - b2 and v in b2 - b1) or (v in b1 - b2 and u in b2 - b1):
                 return False
     return True
+
+
+def rebuild_min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
+    """Minimum crossings of a redraw of edge ``e``, by building g - e and
+    scanning each of its faces for both endpoints; on no common face, the
+    route re-crosses e's old partner."""
+    rec = g.edges[e]
+    partner = g.crossing_partner(e)
+
+    b = DrawingBuilder.from_graph(g)
+    b.delete_edge(e)
+    if not b.is_connected():
+        return RedrawResult(0, None, None)
+    res = b.finish()
+    h = res.graph
+    u, v = res.vertex_map[rec.u], res.vertex_map[rec.v]
+
+    fs = h.face_set
+    for f in fs:
+        if u in f.boundary and v in f.boundary:
+            route = InsertionCandidate(min(u, v), max(u, v),
+                                       RouteKind.ONE_FACE, (f.index,))
+            return RedrawResult(0, route, h)
+
+    assert partner is not None
+    p = res.edge_map[partner]
+    d = h.edge_darts[p][0]
+    f1 = fs.face_of_dart[d]
+    f2 = fs.face_of_dart[h.map.opposite[d]]
+    if u not in fs[f1].boundary:
+        f1, f2 = f2, f1
+    assert u in fs[f1].boundary and v in fs[f2].boundary
+    if u < v:
+        route = InsertionCandidate(u, v, RouteKind.TWO_FACES, (f1, f2), p)
+    else:
+        route = InsertionCandidate(v, u, RouteKind.TWO_FACES, (f2, f1), p)
+    return RedrawResult(1, route, h)
+
+
+def rebuild_first_redrawable(g: OnePlaneGraph):
+    """(edge id, redraw) for the first crossed edge, in id order, that the
+    rebuild finds redrawable without crossings; None if there is none."""
+    for e, rec in enumerate(g.edges):
+        if rec.crossing is not None:
+            r = rebuild_min_redraw_crossings(g, e)
+            if r.crossings == 0:
+                return (e, r)
+    return None

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from oneplane.core import crossing_count, c_of, degree, underlying
+from oneplane.core import c_of, underlying
 from oneplane.analyze import (
     property_suite,
     regularity_checks,
@@ -32,8 +32,8 @@ from oneplane.generators import (
     gen_XM,
     gen_YH,
     gen_random_seed,
-    load_fixture,
 )
+from oneplane.interchange import load
 from .oracles import brute_force_connectivity, brute_force_is_maximal
 
 
@@ -55,22 +55,22 @@ def test_criterion_1_family_counts():
     for family, k, g in _families():
         want = expected_stats(family, k)
         assert g.n == want["n"], (family, k)
-        assert crossing_count(g) == want["crossings"], (family, k)
-        assert g.size == 3 * g.n - 6 + crossing_count(g), (family, k)
+        assert g.crossing_count == want["crossings"], (family, k)
+        assert g.size == 3 * g.n - 6 + g.crossing_count, (family, k)
     report(1, "exact n / cr / |E| for xh,yh k=1..5 and xm k=1..6")
 
 
 def test_criterion_2_tightness():
     for k in range(1, 6):
         g = gen_YH(k)
-        assert Fraction(crossing_count(g)) == Fraction(g.n - 2, 3)
+        assert Fraction(g.crossing_count) == Fraction(g.n - 2, 3)
         assert Fraction(g.size) == Fraction(10, 3) * (g.n - 2)
         g = gen_XH(k)
-        assert Fraction(crossing_count(g)) == Fraction(3, 5) * (g.n - 2)
+        assert Fraction(g.crossing_count) == Fraction(3, 5) * (g.n - 2)
         assert Fraction(g.size) == Fraction(18, 5) * (g.n - 2)
     for k in range(1, 7):
         g = gen_XM(k)
-        assert Fraction(crossing_count(g)) == Fraction(g.n - 2, 2)
+        assert Fraction(g.crossing_count) == Fraction(g.n - 2, 2)
         assert Fraction(g.size) == Fraction(7, 2) * (g.n - 2)
     report(2, "cr and |E| meet the tight k=3/4/6 rows exactly")
 
@@ -146,7 +146,7 @@ def test_no_maximal_six_vertex_instance_exists():
                     g2 = apply_insertion(g1, c2)
                 except (ValidationError, OperationError):
                     continue
-                if g2.size == 14 and crossing_count(g2) == 2:
+                if g2.size == 14 and g2.crossing_count == 2:
                     tried += 1
                     assert not is_maximal(g2).is_maximal
     assert tried > 0
@@ -176,11 +176,11 @@ def test_criterion_6_fixtures(name, n, cr):
     if path is None:
         print(f"ACCEPTANCE 6: SKIPPED  fixture {name} absent")
         pytest.skip(f"fixture {name} not transcribed")
-    g = load_fixture(path)
-    assert (g.n, crossing_count(g)) == (n, cr)
+    g = load(path)
+    assert (g.n, g.crossing_count) == (n, cr)
     assert vertex_connectivity(underlying(g)) == 7
     assert is_maximal(g).is_maximal
-    assert Fraction(crossing_count(g)) == Fraction(3 * g.n, 4)
+    assert Fraction(g.crossing_count) == Fraction(3 * g.n, 4)
     assert Fraction(g.size) == Fraction(15, 4) * (g.n - 2) + Fraction(3, 2)
     report(6, f"{name}: n={n} cr={cr} kappa=7 maximal, k=7 rows tight")
 
@@ -202,7 +202,7 @@ def test_criterion_7_property_suite():
         # this instance set as the criterion states it
         prof = degree_profile(underlying(m))
         slack = Fraction(2 * prof.lambda1 + 2 * prof.lambda2 + prof.lambda3, 6)
-        if Fraction(crossing_count(m)) > m.n - 2 - slack:
+        if Fraction(m.crossing_count) > m.n - 2 - slack:
             violations.append("degree-slack crossing bound exceeded")
         if violations:
             bad.append((seed, violations))
@@ -218,7 +218,7 @@ def test_criterion_8_oracle_equivalence():
         instances.append(m)
     max_checked = conn_checked = 0
     for g in instances:
-        if g.n + crossing_count(g) <= 10:
+        if g.n + g.crossing_count <= 10:
             assert is_maximal(g).is_maximal == brute_force_is_maximal(g)
             max_checked += 1
         if g.n <= 12:
@@ -235,7 +235,7 @@ def test_criterion_9_crossing_edge_counts():
         g = gen_XH(k)
         assert check_crossing_share(g).passed
     g = gen_XH(1)
-    assert all(degree(g, v) == 6 and c_of(g, v) == 2
+    assert all(g.map.degree(v) == 6 and c_of(g, v) == 2
                for v in g.map.true_vertices)
     report(9, "ceil(d/3) <= c(v) <= floor(d/2) on XH k<=3; c=2 on 6-regular XH^1")
 

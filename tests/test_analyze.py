@@ -24,6 +24,7 @@ from oneplane.analyze import (
 )
 from oneplane.transform import dual, skeleton
 from oneplane.maximality import saturate
+from oneplane.interchange import load
 from oneplane.generators import (
     gen_HH,
     gen_M,
@@ -32,7 +33,6 @@ from oneplane.generators import (
     gen_XM,
     gen_YH,
     gen_random_seed,
-    load_fixture,
     fixture_path,
 )
 from .oracles import brute_force_connectivity
@@ -165,7 +165,7 @@ def test_verify_bounds_tight_rows():
     k4 = next(e for e in rep.entries if e.bound_id == "cr-k4")
     assert k4.applicable and k4.lhs == k4.rhs == 10
 
-    t1 = load_fixture(fixture_path("t1"))
+    t1 = load(fixture_path("t1"))
     rep = verify_bounds(t1)
     assert rep.all_pass and rep.kappa == 7
     k7 = next(e for e in rep.entries if e.bound_id == "cr-k7")

@@ -1,6 +1,6 @@
 from oneplane.cli import main
-from oneplane.generators import generate
-from oneplane import interchange
+from oneplane.generators import fixture_path, generate
+from oneplane import interchange, maximality
 
 
 def write(tmp_path, family, k):
@@ -69,6 +69,15 @@ def test_check_near_optimal(tmp_path, capsys):
     assert main(["check", xh1, "--near-optimal"]) == 0
     hh1 = write(tmp_path, "hh", 1)
     assert main(["check", hh1, "--near-optimal"]) == 1
+
+
+def test_check_enumerates_candidates_only_when_asked(monkeypatch, capsys):
+    def enumerated(g):
+        raise AssertionError("insertion candidates enumerated")
+    monkeypatch.setattr(maximality, "insertion_candidates", enumerated)
+    t1 = str(fixture_path("t1"))
+    assert main(["check", t1]) == 0
+    assert main(["check", t1, "--near-optimal"]) == 0
 
 
 def test_export_dot(tmp_path, capsys):

@@ -10,8 +10,6 @@ from oneplane.core import (
     VertexKind,
     c_of,
     check,
-    crossing_count,
-    degree,
     faces,
     underlying,
     validate,
@@ -147,13 +145,13 @@ def test_faces_euler_and_classification():
 
 def test_counts():
     xh1 = gen_XH(1)
-    assert crossing_count(xh1) == 6
-    assert crossing_count(gen_HH(1)) == 0
+    assert xh1.crossing_count == 6
+    assert gen_HH(1).crossing_count == 0
     for v in xh1.map.true_vertices:
-        assert degree(xh1, v) == 6
+        assert xh1.map.degree(v) == 6
         assert c_of(xh1, v) == 2
     with pytest.raises(OperationError) as exc:
-        degree(xh1, 99)
+        c_of(xh1, 99)
     assert exc.value.code == "UNKNOWN_VERTEX"
     with pytest.raises(OperationError):
         c_of(xh1, xh1.map.fake_vertices[0])
@@ -173,7 +171,7 @@ def test_underlying_counts():
 
 def test_planarization_count_identities():
     for g in (gen_XH(1), gen_YH(1), gen_XM(2), gen_XM(3)):
-        cr = crossing_count(g)
+        cr = g.crossing_count
         assert g.map.n_vertices == g.n + cr
         assert g.map.n_segments == g.size + 2 * cr
         assert g.map.euler_characteristic() == 2

@@ -2,11 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneplane.core import FaceClass, OperationError, crossing_count, faces
+from oneplane.core import FaceClass, OperationError, faces
 from oneplane.build import plane_graph
-from oneplane.interchange import serialize
+from oneplane.interchange import load, serialize
 from oneplane.generators import (
-    FamilySpec,
     expected_stats,
     gen_H,
     gen_HH,
@@ -17,7 +16,6 @@ from oneplane.generators import (
     generate,
     k1_triangulate,
     k2_triangulate,
-    load_fixture,
     fixture_path,
     tx_triangulate,
 )
@@ -32,13 +30,13 @@ def test_closed_form_counts(family, kmax):
         g = generate(family, k)
         st_ = expected_stats(family, k)
         assert g.n == st_["n"]
-        assert crossing_count(g) == st_["crossings"]
+        assert g.crossing_count == st_["crossings"]
         assert g.size == st_["size"]
 
 
 def test_h1_is_c4():
     g = gen_H(1)
-    assert g.n == 4 and g.size == 4 and crossing_count(g) == 0
+    assert g.n == 4 and g.size == 4 and g.crossing_count == 0
     assert all(g.map.degree(v) == 2 for v in range(4))
 
 
@@ -76,9 +74,8 @@ def test_generators_byte_identical():
 
 
 def test_family_spec():
-    spec = FamilySpec("xh", 2)
-    g = spec.build()
-    assert g.n == spec.expected["n"]
+    g = generate("xh", 2)
+    assert g.n == expected_stats("xh", 2)["n"]
     with pytest.raises(OperationError) as exc:
         generate("nope", 1)
     assert exc.value.code == "BAD_PARAMETER"
@@ -89,7 +86,7 @@ def test_family_spec():
 def test_tx_triangulate_c4():
     g = plane_graph([[3, 1], [0, 2], [1, 3], [2, 0]])
     out = tx_triangulate(g, 0)
-    assert crossing_count(out) == 1
+    assert out.crossing_count == 1
     fs = out.face_set
     fake_faces = fs.of_class(FaceClass.FAKE)
     assert len(fake_faces) == 4
@@ -107,7 +104,7 @@ def test_k2_triangulate_quad():
     g = plane_graph([[3, 1], [0, 2], [1, 3], [2, 0]])
     out = k2_triangulate(g, 0)
     assert out.n == 6 and out.size == 4 + 7
-    assert crossing_count(out) == 0
+    assert out.crossing_count == 0
     # the quad became six triangles
     tris = [f for f in out.face_set if f.size == 3]
     assert len(tris) == 6
@@ -119,7 +116,7 @@ def test_applying_tx_to_all_hh1_quads_gives_xh1():
     assert len(quads) == 6
     # single-face op API: apply one and check the count moves as expected
     out = tx_triangulate(g, quads[0])
-    assert crossing_count(out) == 1 and out.size == g.size + 2
+    assert out.crossing_count == 1 and out.size == g.size + 2
 
 
 def test_face_op_errors():
@@ -159,26 +156,26 @@ def test_m_triangulated_degrees():
 
 
 def test_fixture_t1():
-    g = load_fixture(fixture_path("t1"))
-    assert (g.n, crossing_count(g), g.size) == (24, 18, 84)
+    g = load(fixture_path("t1"))
+    assert (g.n, g.crossing_count, g.size) == (24, 18, 84)
 
 
 def test_fixture_t2():
-    g = load_fixture(fixture_path("t2"))
-    assert (g.n, crossing_count(g), g.size) == (56, 42, 204)
+    g = load(fixture_path("t2"))
+    assert (g.n, g.crossing_count, g.size) == (56, 42, 204)
 
 
 def test_fixture_parse_error(tmp_path):
     p = tmp_path / "broken.1pg"
     p.write_text("1pg 1\nvertices 1\nnonsense\n", encoding="utf-8")
     with pytest.raises(OperationError) as exc:
-        load_fixture(p)
+        load(p)
     assert exc.value.code == "PARSE_ERROR"
 
 
 def test_fixture_validation_failure(tmp_path):
     from oneplane.core import ValidationError
-    from oneplane.interchange import serialize
+    from oneplane.interchange import load, serialize
     g = gen_XH(1)
     lines = serialize(g).splitlines()
     # claim the wrong crossing vertex on one edge: parses, fails validation
@@ -190,7 +187,7 @@ def test_fixture_validation_failure(tmp_path):
     p = tmp_path / "tampered.1pg"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValidationError) as exc:
-        load_fixture(p)
+        load(p)
     assert exc.value.code == "VALIDATION_FAILED"
 
 

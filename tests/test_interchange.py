@@ -44,6 +44,19 @@ def test_header_required():
         parse("nonsense 9\n")
 
 
+XM2 = serialize(gen_XM(2))
+
+
+@pytest.mark.parametrize("doc", [
+    "# no header follows\n" + XM2.split("\n", 1)[1],
+    XM2 + "rot 999 0\n",
+    XM2 + next(ln for ln in XM2.splitlines(keepends=True) if ln.startswith("rot 0 ")),
+], ids=["comment-then-no-header", "rot-unknown-vertex", "duplicate-rot"])
+def test_malformed_document_rejected(doc):
+    with pytest.raises(ParseError):
+        parse(doc)
+
+
 def test_labels_accepted():
     g = gen_M(1)
     text = serialize(g, labels={0: "origin"})

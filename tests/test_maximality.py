@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
-from oneplane.core import OperationError, crossing_count
+from oneplane.core import FaceMerge, OperationError
 from oneplane.build import DrawingBuilder, plane_graph
+from oneplane.interchange import load
 from oneplane.maximality import (
+    InsertionCandidate,
+    RedrawResult,
     RouteKind,
     SaturationPolicy,
     apply_insertion,
@@ -18,9 +23,15 @@ from oneplane.generators import (
     gen_XH,
     gen_XM,
     gen_YH,
+    fixture_path,
     gen_random_seed,
+    generate,
 )
-from .oracles import brute_force_is_maximal
+from .oracles import (
+    brute_force_is_maximal,
+    rebuild_first_redrawable,
+    rebuild_min_redraw_crossings,
+)
 
 
 def test_candidates_hh_quads():
@@ -63,7 +74,7 @@ def test_candidate_soundness():
         for cand in insertion_candidates(g)[:12]:
             h = apply_insertion(g, cand)
             assert h.size == g.size + 1
-            assert crossing_count(h) == crossing_count(g) + cand.delta
+            assert h.crossing_count == g.crossing_count + cand.delta
             assert h.has_edge(*(
                 (cand.u, cand.v)))
 
@@ -72,14 +83,14 @@ def test_maximality_agrees_with_brute_force_oracle():
     instances = [gen_M(1), gen_M(2), gen_XM(1), gen_HH(1)]
     for seed in range(25):
         g = gen_random_seed(4 + seed % 6, seed)
-        if g.n + crossing_count(g) <= 10:
+        if g.n + g.crossing_count <= 10:
             instances.append(g)
             m = saturate(g, SaturationPolicy.SEEDED, seed=seed)
-            if m.n + crossing_count(m) <= 10:
+            if m.n + m.crossing_count <= 10:
                 instances.append(m)
     checked = 0
     for g in instances:
-        if g.n + crossing_count(g) <= 10:
+        if g.n + g.crossing_count <= 10:
             assert is_maximal(g).is_maximal == brute_force_is_maximal(g)
             checked += 1
     assert checked >= 10
@@ -124,7 +135,7 @@ def test_min_redraw_crossed_diagonals():
             assert res.crossings == 1
             # the returned route reproduces a single-crossing insertion
             h = apply_insertion(res.without, res.route)
-            assert crossing_count(h) == crossing_count(res.without) + 1
+            assert h.crossing_count == res.without.crossing_count + 1
     g2 = gen_XM(2)
     diag = max(e for e, r in enumerate(g2.edges) if r.crossing is not None)
     assert min_redraw_crossings(g2, diag).crossings == 1
@@ -155,7 +166,7 @@ def test_fuzzer_finds_movable_drawings():
     assert m.edges[e].crossing is not None
     assert redraw.crossings == 0
     h = apply_insertion(redraw.without, redraw.route)
-    assert crossing_count(h) == crossing_count(m) - 1
+    assert h.crossing_count == m.crossing_count - 1
     assert h.size == m.size
 
 
@@ -166,3 +177,57 @@ def test_min_redraw_never_exceeds_current_crossings():
             r = min_redraw_crossings(m, e)
             current = 0 if rec.crossing is None else 1
             assert r.crossings <= current
+
+
+def test_two_face_candidate_needs_cross_edge():
+    g = gen_HH(1)
+    cand = next(c for c in insertion_candidates(g) if c.kind is RouteKind.TWO_FACES)
+    bare = InsertionCandidate(cand.u, cand.v, cand.kind, cand.faces)
+    with pytest.raises(OperationError) as exc:
+        apply_insertion(g, bare)
+    assert exc.value.code == "BAD_PARAMETER"
+
+
+def _saturation_path(n, seed):
+    """Every drawing a seeded saturation of gen_random_seed(n, seed) passes
+    through, the saturated one last."""
+    g = gen_random_seed(n, seed)
+    rng = random.Random(seed)
+    path = [g]
+    while cands := insertion_candidates(g):
+        g = apply_insertion(g, rng.choice(cands))
+        path.append(g)
+    assert g == saturate(path[0], SaturationPolicy.SEEDED, seed=seed)
+    return path
+
+
+def _assert_redraw_agrees(g):
+    for e, rec in enumerate(g.edges):
+        want = rebuild_min_redraw_crossings(g, e)
+        assert min_redraw_crossings(g, e) == want, e
+        assert FaceMerge(g, (e,)).share_face(rec.u, rec.v) == (want.crossings == 0), e
+    if is_maximal(g).is_maximal:
+        res = is_immovable(g)
+        assert res.witness == rebuild_first_redrawable(g)
+        assert res.is_immovable == (res.witness is None)
+
+
+@pytest.mark.parametrize("family, k", [("yh", 1), ("yh", 2), ("xh", 1), ("xh", 2),
+                                       ("xm", 1), ("xm", 2), ("xm", 3), ("xm", 4),
+                                       ("t", 1)])
+def test_redraw_agrees_with_rebuild_oracle_on_families(family, k):
+    _assert_redraw_agrees(load(fixture_path("t1")) if family == "t" else generate(family, k))
+
+
+# (10, 17) saturates to a drawing with a redrawable crossed edge
+@pytest.mark.parametrize("n, seed", [(10, 17), (8, 3), (9, 38), (12, 5)])
+def test_redraw_agrees_with_rebuild_oracle_along_saturations(n, seed):
+    for g in _saturation_path(n, seed):
+        _assert_redraw_agrees(g)
+
+
+def test_redraw_of_a_bridge_agrees_with_rebuild_oracle():
+    # deleting either edge of a path isolates an endpoint
+    path = plane_graph([[1], [0, 2], [1]])
+    _assert_redraw_agrees(path)
+    assert min_redraw_crossings(path, 0) == RedrawResult(0, None, None)

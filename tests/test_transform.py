@@ -2,18 +2,18 @@ import pytest
 
 from oneplane.core import FaceClass, OperationError
 from oneplane.build import plane_graph
-from oneplane.transform import RemovalStrategy, dual, planarization, skeleton
+from oneplane.transform import RemovalStrategy, dual, skeleton
 from oneplane.analyze import is_triangulation
 from oneplane.generators import gen_HH, gen_M, gen_XH, gen_XM, gen_YH
 
 
 def test_planarization_flags():
-    assert planarization(gen_YH(1)).is_triangulation
-    assert not planarization(gen_HH(1)).is_triangulation
-    assert planarization(gen_XM(2)).is_triangulation
-    p = planarization(gen_YH(1))
+    assert is_triangulation(gen_YH(1).map)
+    assert not is_triangulation(gen_HH(1).map)
+    assert is_triangulation(gen_XM(2).map)
+    p = gen_YH(1)
     # V=26, E=72 forces F=48 triangles
-    assert len(p.faces) == 48
+    assert len(p.face_set) == 48
 
 
 def test_skeleton_counts_xh1():
@@ -38,19 +38,23 @@ def test_skeleton_of_crossing_free_drawing_is_identity():
 
 
 def test_dual_xh1():
-    dm = dual(skeleton(gen_XH(1)))
+    sk = skeleton(gen_XH(1))
+    dm = dual(sk)
     assert dm.n == 20
     assert len(dm.vertices_of_color(FaceClass.RED)) == 12
     assert len(dm.vertices_of_color(FaceClass.BLUE)) == 8
     assert dm.is_regular(3)
     assert len(dm.edges) == 30
+    assert dm.degrees == tuple(f.size for f in sk.faces)
 
 
 def test_dual_yh1():
-    dm = dual(skeleton(gen_YH(1)))
+    sk = skeleton(gen_YH(1))
+    dm = dual(sk)
     assert dm.n == 36
     assert len(dm.vertices_of_color(FaceClass.RED)) == 12
     assert len(dm.vertices_of_color(FaceClass.BLUE)) == 24
+    assert dm.degrees == tuple(f.size for f in sk.faces)
 
 
 @pytest.mark.parametrize("gen,k", [(gen_XH, 1), (gen_XH, 2), (gen_YH, 1), (gen_XM, 2)])

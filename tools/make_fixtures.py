@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from oneplane.build import DrawingBuilder
-from oneplane.core import crossing_count, underlying
+from oneplane.core import underlying
 from oneplane.maximality import is_maximal
 from oneplane.analyze import vertex_connectivity
 from oneplane.generators import _quad_first_diagonal
@@ -120,12 +120,12 @@ def main():
     for name, maker, want_n, want_cr in (("t1", make_t1, 24, 18),
                                          ("t2", make_t2, 56, 42)):
         g = maker()
-        assert g.n == want_n and crossing_count(g) == want_cr
+        assert g.n == want_n and g.crossing_count == want_cr
         assert is_maximal(g).is_maximal
         assert vertex_connectivity(underlying(g)) == 7
         path = outdir / f"{name}.1pg"
         interchange.dump(g, path)
-        print(f"{path}: n={g.n} cr={crossing_count(g)} E={g.size} kappa=7 maximal")
+        print(f"{path}: n={g.n} cr={g.crossing_count} E={g.size} kappa=7 maximal")
 
 
 if __name__ == "__main__":
