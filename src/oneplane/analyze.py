@@ -23,6 +23,7 @@ from .core import (
     PlanarMap,
     SimpleGraph,
     c_of,
+    once,
     underlying,
 )
 from .transform import DualMap, Skeleton, dual, skeleton
@@ -32,6 +33,7 @@ from .transform import DualMap, Skeleton, dual, skeleton
 # Vertex connectivity (exact, Menger via unit-capacity max-flow)
 # ---------------------------------------------------------------------------
 
+@once
 def vertex_connectivity(sg: SimpleGraph) -> int:
     """Exact vertex connectivity; n-1 for complete graphs.
 
@@ -145,10 +147,12 @@ def degree_profile(sg: SimpleGraph) -> DegreeProfile:
     hist: dict[int, int] = {}
     for v in sg.vertices:
         hist[sg.degree(v)] = hist.get(sg.degree(v), 0) + 1
+    # kappa >= 3 makes every G-w 2-connected
     lam3 = 0
     for w in sg.vertices:
         d = sg.degree(w)
-        if d % 2 == 1 and (d <= 9 or connectivity_at_least(sg.without([w]), 2)):
+        if d % 2 == 1 and (d <= 9 or connectivity_at_least(sg, 3)
+                           or connectivity_at_least(sg.without([w]), 2)):
             lam3 += 1
     return DegreeProfile(
         histogram=dict(sorted(hist.items())),
@@ -224,13 +228,9 @@ def regularity_checks(pmap: PlanarMap) -> RegularityReport:
         raise OperationError("NOT_TRIANGULATION",
                              "regularity criteria need a triangulation")
     sg = map_graph(pmap)
-    degs = [sg.degree(v) for v in sg.vertices]
-    prof_hist: dict[int, int] = {}
-    for d in degs:
-        prof_hist[d] = prof_hist.get(d, 0) + 1
-    dp = min(degs)
-    w4, w5 = prof_hist.get(4, 0), prof_hist.get(5, 0)
-    is56 = all(d in (5, 6) for d in degs)
+    prof = degree_profile(sg)
+    dp, w4, w5 = prof.min_degree, prof.omega(4), prof.omega(5)
+    is56 = set(prof.histogram) <= {5, 6}
     hakimi = dp >= 4 and (7 * w4) // 3 + w5 < 14
     implied = 0
     if is56:
@@ -371,11 +371,11 @@ def check_crossing_cliques(g: OnePlaneGraph) -> CheckResult:
     return CheckResult(name, CheckStatus.PASS)
 
 
-def check_true_face_neighbors(g: OnePlaneGraph, k: int, *, kappa: int | None = None) -> CheckResult:
+def check_true_face_neighbors(g: OnePlaneGraph, k: int) -> CheckResult:
     """True faces of G-cross are adjacent to at most 5-k true faces,
     for k-connected maximal drawings (immovable when k=3)."""
     name = f"true-face-neighbors(k={k})"
-    na = _g_k_applicability(g, k, kappa)
+    na = _g_k_applicability(g, k)
     if na:
         return CheckResult(name, CheckStatus.NOT_APPLICABLE, na)
     fs = g.face_set
@@ -410,13 +410,12 @@ def check_blue_neighbors(dm: DualMap, k: int) -> CheckResult:
     return CheckResult(name, CheckStatus.PASS)
 
 
-def check_crossing_share(g: OnePlaneGraph, *, kappa: int | None = None) -> CheckResult:
+def check_crossing_share(g: OnePlaneGraph) -> CheckResult:
     """ceil(deg/3) <= c(v) <= floor(deg/2) for 5-connected maximal drawings."""
     name = "crossing-share"
     if not maximality.is_maximal(g).is_maximal:
         return CheckResult(name, CheckStatus.NOT_APPLICABLE, "drawing not maximal")
-    if kappa is None:
-        kappa = vertex_connectivity(underlying(g))
+    kappa = vertex_connectivity(underlying(g))
     if kappa < 5:
         return CheckResult(name, CheckStatus.NOT_APPLICABLE, f"kappa={kappa} < 5")
     for v in g.map.true_vertices:
@@ -428,7 +427,7 @@ def check_crossing_share(g: OnePlaneGraph, *, kappa: int | None = None) -> Check
     return CheckResult(name, CheckStatus.PASS)
 
 
-def _g_k_applicability(g: OnePlaneGraph, k: int, kappa: int | None) -> str:
+def _g_k_applicability(g: OnePlaneGraph, k: int) -> str:
     """Empty string when g qualifies for the G_k statements at level k."""
     if not 3 <= k <= 5:
         return f"k={k} out of range [3,5]"
@@ -436,8 +435,7 @@ def _g_k_applicability(g: OnePlaneGraph, k: int, kappa: int | None) -> str:
         return f"n={g.n} below threshold"
     if not maximality.is_maximal(g).is_maximal:
         return "drawing not maximal"
-    if kappa is None:
-        kappa = vertex_connectivity(underlying(g))
+    kappa = vertex_connectivity(underlying(g))
     if kappa < k:
         return f"kappa={kappa} < {k}"
     if k == 3 and not maximality.is_immovable(g).is_immovable:
@@ -602,23 +600,25 @@ def property_suite(g: OnePlaneGraph) -> list[str]:
     if kappa == 3 and immovable and not tri:
         bad.append("kappa=3 immovable drawing without triangulated planarization")
 
+    # r9 passes only on a triangulated planarization
+    sk = skeleton(g) if tri else None
     if 3 <= kappa:
         k = min(kappa, 5)
-        r9 = check_true_face_neighbors(g, k, kappa=kappa)
+        r9 = check_true_face_neighbors(g, k)
         if r9.failed:
             bad.append(f"{r9.name}: {r9.detail}")
         if r9.passed:
-            r10 = check_blue_neighbors(dual(skeleton(g)), k)
+            r10 = check_blue_neighbors(dual(sk), k)
             if r10.failed:
                 bad.append(f"{r10.name}: {r10.detail}")
 
     for res in (check_face_adjacency(g), check_crossing_cliques(g),
-                check_crossing_share(g, kappa=kappa)):
+                check_crossing_share(g)):
         if res.failed:
             bad.append(f"{res.name}: {res.detail}")
 
     if tri:
-        bad.extend(check_color_identities(g))
+        bad.extend(check_color_identities(g, sk))
 
     if n >= 3:
         if cr > n - 2:

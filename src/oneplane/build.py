@@ -308,8 +308,9 @@ class DrawingBuilder:
         if rec is None:
             raise OperationError("UNKNOWN_EDGE", f"no edge {e}")
         crossing = rec[2]
-        darts = [d for d, de in enumerate(self.dart_edge)
-                 if de == e and self.opposite[d] != DEAD]
+        # e's darts sit at its endpoints and, when crossed, at its crossing
+        ends = rec if crossing is not None else rec[:2]
+        darts = [d for w in ends for d in self.rotations[w] if self.dart_edge[d] == e]
         for d in darts:
             self._kill_dart(d)
         self.edges[e] = None

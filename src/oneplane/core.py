@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
 
 
 class VertexKind(Enum):
@@ -285,13 +285,7 @@ class OnePlaneGraph:
     @cached_property
     def crossing_pairs(self) -> tuple[tuple[int, int, int], ...]:
         """(fake vertex, edge a, edge b) per crossing, with a < b."""
-        by_fake: dict[int, list[int]] = {}
-        for e, rec in enumerate(self.edges):
-            if rec.crossing is not None:
-                by_fake.setdefault(rec.crossing, []).append(e)
-        return tuple(
-            (c, min(pair), max(pair)) for c, pair in sorted(by_fake.items())
-        )
+        return tuple((c, *self.edges_at_crossing(c)) for c in self.map.fake_vertices)
 
     def crossing_partner(self, e: int) -> int | None:
         c = self.edges[e].crossing
@@ -301,10 +295,11 @@ class OnePlaneGraph:
         return b if e == a else a
 
     def edges_at_crossing(self, fake: int) -> tuple[int, int]:
-        for c, a, b in self.crossing_pairs:
-            if c == fake:
-                return (a, b)
-        raise OperationError("UNKNOWN_VERTEX", f"no crossing at vertex {fake}")
+        """The two edges crossing at ``fake``, smaller id first: validation
+        makes the four darts there alternate between them."""
+        if not (0 <= fake < self.map.n_vertices) or not self.map.is_fake(fake):
+            raise OperationError("UNKNOWN_VERTEX", f"no crossing at vertex {fake}")
+        return tuple(sorted(self.dart_edge[d] for d in self.map.rotations[fake][:2]))
 
     @cached_property
     def adjacency(self) -> dict[int, frozenset[int]]:
@@ -477,6 +472,20 @@ class SimpleGraph:
         return len(seen) == self.order
 
 
+def once(fn):
+    """Compute ``fn(x)`` once per immutable ``x`` and keep it in ``x.__dict__``,
+    as ``cached_property`` does; concurrent first calls may compute it twice."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memo(x):
+        if key not in x.__dict__:
+            x.__dict__[key] = fn(x)
+        return x.__dict__[key]
+    return memo
+
+
+@once
 def underlying(g: OnePlaneGraph) -> SimpleGraph:
     """The abstract simple graph of the drawing (true vertices only)."""
     edges = tuple(

@@ -17,7 +17,7 @@ from enum import Enum
 from itertools import combinations
 
 from .build import DrawingBuilder, delete_edges
-from .core import FaceMerge, OnePlaneGraph, OperationError
+from .core import FaceMerge, OnePlaneGraph, OperationError, once
 
 
 class RouteKind(Enum):
@@ -112,6 +112,7 @@ def insertion_candidates(g: OnePlaneGraph) -> tuple[InsertionCandidate, ...]:
     return tuple(sorted(out, key=lambda c: c.sort_key))
 
 
+@once
 def is_maximal(g: OnePlaneGraph) -> MaximalityResult:
     """True iff no edge can be added to the drawing."""
     cands = insertion_candidates(g)
@@ -213,6 +214,7 @@ def min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
     return RedrawResult(1, route, h)
 
 
+@once
 def is_immovable(g: OnePlaneGraph) -> ImmovabilityResult:
     """True iff no crossed edge admits a crossing-free redraw.
 

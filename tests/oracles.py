@@ -3,7 +3,8 @@ library's own algorithms."""
 
 from itertools import combinations
 
-from oneplane.build import DrawingBuilder
+from oneplane.analyze import connectivity_at_least
+from oneplane.build import DEAD, DrawingBuilder
 from oneplane.core import OnePlaneGraph, SimpleGraph
 from oneplane.maximality import InsertionCandidate, RedrawResult, RouteKind
 
@@ -101,3 +102,22 @@ def rebuild_first_redrawable(g: OnePlaneGraph):
             if r.crossings == 0:
                 return (e, r)
     return None
+
+
+def per_vertex_lambda3(sg: SimpleGraph) -> int:
+    """Odd-degree vertices w with deg(w) <= 9 or G-w 2-connected, each G-w
+    decided by its own max-flow."""
+    return sum(1 for w in sg.vertices
+               if sg.degree(w) % 2 == 1
+               and (sg.degree(w) <= 9 or connectivity_at_least(sg.without([w]), 2)))
+
+
+def scan_delete_edge(b: DrawingBuilder, e: int) -> None:
+    """DrawingBuilder.delete_edge finding the edge's live darts by scanning
+    every dart of the builder."""
+    crossing = b.edges[e][2]
+    for d in [d for d, de in enumerate(b.dart_edge) if de == e and b.opposite[d] != DEAD]:
+        b._kill_dart(d)
+    b.edges[e] = None
+    if crossing is not None:
+        b._smooth(crossing)

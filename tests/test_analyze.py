@@ -23,7 +23,7 @@ from oneplane.analyze import (
     vertex_connectivity,
 )
 from oneplane.transform import dual, skeleton
-from oneplane.maximality import saturate
+from oneplane.maximality import SaturationPolicy, saturate
 from oneplane.interchange import load
 from oneplane.generators import (
     gen_HH,
@@ -34,8 +34,9 @@ from oneplane.generators import (
     gen_YH,
     gen_random_seed,
     fixture_path,
+    generate,
 )
-from .oracles import brute_force_connectivity
+from .oracles import brute_force_connectivity, per_vertex_lambda3
 
 
 
@@ -75,6 +76,46 @@ def test_degree_profile():
     assert prof.lambda1 == 0 and prof.lambda2 == 0
     # degree-3 vertices are odd and small; they all count toward lambda3
     assert prof.lambda3 == 8
+
+
+def _wheel_edges(hub, rim):
+    """Spokes from ``hub`` and the cycle through ``rim``."""
+    return [(hub, r) for r in rim] + list(zip(rim, rim[1:] + rim[:1]))
+
+
+def _graph(edges):
+    edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    return SimpleGraph(tuple(sorted({v for e in edges for v in e})), tuple(edges))
+
+
+# odd-degree vertices above 9 with kappa < 3, which no family member or
+# saturation has: a hub of degree 11 with a pendant rim vertex (kappa 1),
+# the same wheel with an ear (kappa 2, G-hub 2-connected), and a hub of
+# degree 15 over an 11-cycle and a 4-cycle joined by one edge (kappa 2,
+# G-hub has a cut vertex)
+RIM = list(range(1, 12))
+LOW_KAPPA = [
+    (_graph(_wheel_edges(0, RIM) + [(1, 12)]), 1),
+    (_graph(_wheel_edges(0, RIM) + [(1, 12), (6, 12)]), 2),
+    (_graph(_wheel_edges(0, RIM) + _wheel_edges(0, [12, 13, 14, 15]) + [(1, 12)]), 2),
+]
+
+
+def test_lambda3_agrees_with_per_vertex_oracle():
+    graphs = [underlying(generate(f, k)) for f, k in
+              [("yh", 1), ("yh", 2), ("xh", 1), ("xh", 2),
+               ("xm", 1), ("xm", 2), ("xm", 3), ("xm", 4)]]
+    graphs += [underlying(saturate(gen_random_seed(n, seed), SaturationPolicy.SEEDED, seed))
+               for n, seed in [(10, 17), (8, 3), (9, 38), (12, 5)]]
+    graphs.append(_graph(_wheel_edges(0, RIM)))          # kappa 3, hub degree 11
+    for sg in graphs:
+        assert degree_profile(sg).lambda3 == per_vertex_lambda3(sg)
+    for sg, kappa in LOW_KAPPA:
+        assert vertex_connectivity(sg) == kappa
+        assert any(sg.degree(v) > 9 and sg.degree(v) % 2 for v in sg.vertices)
+        assert degree_profile(sg).lambda3 == per_vertex_lambda3(sg)
+    # the hub counts only where G-hub is 2-connected
+    assert [degree_profile(sg).lambda3 for sg, _ in LOW_KAPPA] == [11, 10, 13]
 
 
 def test_is_triangulation_and_separating_cycle():
@@ -132,7 +173,7 @@ def test_face_adjacency_and_crossing_cliques():
 
 def test_true_face_and_blue_neighbor_bounds():
     assert check_true_face_neighbors(gen_YH(1), 3).passed
-    assert check_true_face_neighbors(gen_XH(1), 5, kappa=6).passed
+    assert check_true_face_neighbors(gen_XH(1), 5).passed
     r = check_true_face_neighbors(gen_YH(1), 4)     # kappa=3 < 4
     assert r.status is CheckStatus.NOT_APPLICABLE
     r = check_true_face_neighbors(gen_XM(1), 4)     # n=6 but not maximal

@@ -1,6 +1,7 @@
 from oneplane.cli import main
 from oneplane.generators import fixture_path, generate
-from oneplane import interchange, maximality
+from oneplane import analyze, interchange, maximality
+from oneplane.core import underlying
 
 
 def write(tmp_path, family, k):
@@ -78,6 +79,29 @@ def test_check_enumerates_candidates_only_when_asked(monkeypatch, capsys):
     t1 = str(fixture_path("t1"))
     assert main(["check", t1]) == 0
     assert main(["check", t1, "--near-optimal"]) == 0
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_check_computes_each_fact_once(tmp_path, monkeypatch, capsys):
+    yh2 = write(tmp_path, "yh", 2)
+    cands = _count_calls(monkeypatch, maximality, "insertion_candidates")
+    flows = _count_calls(monkeypatch, analyze, "_local_connectivity")
+    assert main(["check", yh2, "--maximal", "--immovable", "--bounds"]) == 0
+    assert len(cands) == 1
+    in_check = len(flows)
+    flows.clear()
+    assert analyze.vertex_connectivity(underlying(generate("yh", 2))) == 3
+    assert in_check == len(flows) > 0
 
 
 def test_export_dot(tmp_path, capsys):

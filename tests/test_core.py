@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,14 @@ from oneplane.core import (
     validate,
 )
 from oneplane.build import DrawingBuilder, plane_graph
-from oneplane.generators import gen_H, gen_HH, gen_XH, gen_XM, gen_YH, gen_random_seed
+from oneplane.generators import (
+    fixture_path, gen_H, gen_HH, gen_XH, gen_XM, gen_YH, gen_random_seed,
+)
+from oneplane.analyze import vertex_connectivity
+from oneplane.interchange import load
+from oneplane.maximality import is_immovable, is_maximal
+from oneplane.transform import skeleton
+from .oracles import scan_delete_edge
 
 T, F = VertexKind.TRUE, VertexKind.FAKE
 
@@ -155,6 +165,55 @@ def test_counts():
     assert exc.value.code == "UNKNOWN_VERTEX"
     with pytest.raises(OperationError):
         c_of(xh1, xh1.map.fake_vertices[0])
+
+
+@pytest.mark.parametrize("pick", [lambda g: g.map.true_vertices[0],
+                                  lambda g: -1,
+                                  lambda g: g.map.n_vertices],
+                         ids=["true-vertex", "minus-one", "n-vertices"])
+def test_edges_at_crossing_rejects_a_vertex_that_is_no_crossing(pick):
+    g = gen_XH(1)
+    with pytest.raises(OperationError) as exc:
+        g.edges_at_crossing(pick(g))
+    assert exc.value.code == "UNKNOWN_VERTEX"
+
+
+@pytest.mark.parametrize("make", [lambda: gen_YH(1), lambda: gen_XM(2),
+                                  lambda: load(fixture_path("t1"))],
+                         ids=["yh1", "xm2", "t1"])
+def test_delete_edge_agrees_with_scan_oracle(make):
+    g = make()
+    # each edge alone, then the LEX_MAX skeleton's removal set
+    removals = [(e,) for e in range(g.size)]
+    removals.append(tuple(e for e, _ in skeleton(g).removed))
+    for edges in removals:
+        fast, slow = DrawingBuilder.from_graph(g), DrawingBuilder.from_graph(g)
+        for e in edges:
+            fast.delete_edge(e)
+            scan_delete_edge(slow, e)
+        assert fast.finish() == slow.finish(), edges
+
+
+def test_facts_computed_once_are_safe_to_share_between_threads():
+    def facts(g):
+        return (is_maximal(g), is_immovable(g), vertex_connectivity(underlying(g)))
+
+    want = facts(gen_XM(2))
+    g = gen_XM(2)
+    got = []
+    workers = [threading.Thread(target=lambda: got.append(facts(g))) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert got == [want] * 4
+    assert facts(g) == want and underlying(g) is underlying(g)
 
 
 def test_underlying_counts():

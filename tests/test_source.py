@@ -1,0 +1,16 @@
+"""Rules the library source keeps."""
+
+import ast
+from pathlib import Path
+
+import oneplane
+
+
+def test_library_has_no_assert():
+    # python -O strips asserts, so no library invariant may rest on one
+    found = []
+    for path in sorted(Path(oneplane.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
