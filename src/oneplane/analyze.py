@@ -8,7 +8,6 @@ instead of silently passing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -40,7 +39,8 @@ def vertex_connectivity(sg: SimpleGraph) -> int:
     Standard scheme: fix a minimum-degree vertex s, take the minimum local
     connectivity from s to every non-neighbor and between non-adjacent
     pairs of neighbors of s.  Any minimum cut either misses s (first batch
-    finds it) or contains s (second batch does).
+    finds it) or contains s (second batch does).  Every pair runs its flow
+    on one split-vertex network built once per call.
     """
     n = sg.order
     if n < 2:
@@ -48,17 +48,18 @@ def vertex_connectivity(sg: SimpleGraph) -> int:
     if not sg.is_connected():
         raise OperationError("DISCONNECTED", "graph is not connected")
 
+    net = _split_network(sg)
     s = min(sg.vertices, key=lambda v: (sg.degree(v), v))
     best = n - 1
     nb = sg.neighbors(s)
     for t in sg.vertices:
         if t != s and t not in nb:
-            best = min(best, _local_connectivity(sg, s, t, best))
+            best = min(best, _local_connectivity(net, s, t, best))
     nbl = sorted(nb)
     for i, x in enumerate(nbl):
         for y in nbl[i + 1:]:
             if not sg.has_edge(x, y):
-                best = min(best, _local_connectivity(sg, x, y, best))
+                best = min(best, _local_connectivity(net, x, y, best))
     return best
 
 
@@ -70,48 +71,71 @@ def connectivity_at_least(sg: SimpleGraph, k: int) -> bool:
     return vertex_connectivity(sg) >= k
 
 
-def _local_connectivity(sg: SimpleGraph, s: int, t: int, cap: int) -> int:
-    """Max number of internally disjoint s-t paths (s,t non-adjacent),
-    computed by augmenting unit flows in the vertex-split digraph.  Stops
-    early once the running minimum ``cap`` is matched."""
-    idx = {v: i for i, v in enumerate(sg.vertices)}
-    n = sg.order
-    # node 2i = v_in, 2i+1 = v_out
-    graph: list[list[list[int]]] = [[] for _ in range(2 * n)]   # [to, cap, rev]
+@dataclass(frozen=True)
+class _SplitNetwork:
+    """Residual network of a graph with every vertex split in two: node 2i
+    is the in-copy of ``vertices[i]`` and 2i+1 its out-copy, joined by a
+    unit arc; each edge uv gives unit arcs u_out->v_in and v_out->u_in
+    (an inner vertex passes one unit, so no edge arc needs more).
+    Arc ``a`` runs to ``head[a]``, its reverse is ``a ^ 1``, and
+    ``arcs[x]`` lists the arcs leaving node x."""
 
-    def arc(a, b, c):
-        graph[a].append([b, c, len(graph[b])])
-        graph[b].append([a, 0, len(graph[a]) - 1])
+    index: dict[int, int]
+    head: list[int]
+    cap0: list[int]
+    arcs: tuple[tuple[int, ...], ...]
 
-    big = n
-    for v in sg.vertices:
-        i = idx[v]
-        arc(2 * i, 2 * i + 1, 1 if v not in (s, t) else big)
+
+def _split_network(sg: SimpleGraph) -> _SplitNetwork:
+    index = {v: i for i, v in enumerate(sg.vertices)}
+    head: list[int] = []
+    arcs: list[list[int]] = [[] for _ in range(2 * sg.order)]
+
+    def arc(x, y):
+        arcs[x].append(len(head))
+        head.append(y)
+        arcs[y].append(len(head))
+        head.append(x)
+
+    for i in range(sg.order):
+        arc(2 * i, 2 * i + 1)
     for u, v in sg.edges:
-        arc(2 * idx[u] + 1, 2 * idx[v], big)
-        arc(2 * idx[v] + 1, 2 * idx[u], big)
+        arc(2 * index[u] + 1, 2 * index[v])
+        arc(2 * index[v] + 1, 2 * index[u])
+    return _SplitNetwork(index, head, [1, 0] * (len(head) // 2),
+                        tuple(tuple(a) for a in arcs))
 
-    src, dst = 2 * idx[s] + 1, 2 * idx[t]
+
+def _local_connectivity(net: _SplitNetwork, s: int, t: int, cap: int) -> int:
+    """Max number of internally disjoint s-t paths (s,t non-adjacent),
+    computed by augmenting unit flows from s_out to t_in on a fresh copy of
+    the network's capacities.  Stops early once the running minimum ``cap``
+    is matched.  The unit arcs of s and t need no change: an augmenting
+    path ends at t_in and never returns to s_out, so it passes through
+    neither s_in nor t_out."""
+    head, arcs = net.head, net.arcs
+    res = net.cap0[:]
+    src, dst = 2 * net.index[s] + 1, 2 * net.index[t]
     flow = 0
     while flow < cap:
-        parent: list[tuple[int, int] | None] = [None] * (2 * n)
-        parent[src] = (src, -1)
-        q = deque([src])
-        while q and parent[dst] is None:
-            a = q.popleft()
-            for j, (b, c, _r) in enumerate(graph[a]):
-                if c > 0 and parent[b] is None:
-                    parent[b] = (a, j)
-                    q.append(b)
-        if parent[dst] is None:
+        via = [-1] * len(arcs)          # arc that first reached each node
+        via[src] = -2
+        stack = [src]
+        while stack and via[dst] == -1:
+            for a in arcs[stack.pop()]:
+                if res[a]:
+                    y = head[a]
+                    if via[y] == -1:
+                        via[y] = a
+                        stack.append(y)
+        if via[dst] == -1:
             break
-        b = dst
-        while b != src:
-            a, j = parent[b]
-            graph[a][j][1] -= 1
-            rev = graph[a][j][2]
-            graph[b][rev][1] += 1
-            b = a
+        x = dst
+        while x != src:
+            a = via[x]
+            res[a] -= 1
+            res[a ^ 1] += 1
+            x = head[a ^ 1]
         flow += 1
     return flow
 

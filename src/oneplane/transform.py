@@ -15,6 +15,7 @@ from .core import (
     OnePlaneGraph,
     OperationError,
     PlanarMap,
+    once,
 )
 
 
@@ -159,6 +160,7 @@ class DualMap:
         return all(d == k for d in self.degrees)
 
 
+@once
 def dual(s: Skeleton) -> DualMap:
     """The colored dual of a skeleton; dual degrees equal face boundary
     lengths by construction (one dual edge per primal segment)."""

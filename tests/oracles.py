@@ -1,6 +1,7 @@
 """Independent brute-force oracles, kept deliberately separate from the
 library's own algorithms."""
 
+from collections import deque
 from itertools import combinations
 
 from oneplane.analyze import connectivity_at_least
@@ -20,6 +21,52 @@ def brute_force_connectivity(sg: SimpleGraph) -> int:
             if rest.order >= 2 and not rest.is_connected():
                 return size
     return n - 1
+
+
+def rebuild_local_connectivity(sg: SimpleGraph, s: int, t: int, cap: int) -> int:
+    """Max number of internally disjoint s-t paths (s,t non-adjacent), by
+    augmenting unit flows in a split-vertex digraph built for this pair
+    alone; stops early once ``cap`` is matched."""
+    idx = {v: i for i, v in enumerate(sg.vertices)}
+    n = sg.order
+    # node 2i = v_in, 2i+1 = v_out
+    graph: list[list[list[int]]] = [[] for _ in range(2 * n)]   # [to, cap, rev]
+
+    def arc(a, b, c):
+        graph[a].append([b, c, len(graph[b])])
+        graph[b].append([a, 0, len(graph[a]) - 1])
+
+    big = n
+    for v in sg.vertices:
+        i = idx[v]
+        arc(2 * i, 2 * i + 1, 1 if v not in (s, t) else big)
+    for u, v in sg.edges:
+        arc(2 * idx[u] + 1, 2 * idx[v], big)
+        arc(2 * idx[v] + 1, 2 * idx[u], big)
+
+    src, dst = 2 * idx[s] + 1, 2 * idx[t]
+    flow = 0
+    while flow < cap:
+        parent: list[tuple[int, int] | None] = [None] * (2 * n)
+        parent[src] = (src, -1)
+        q = deque([src])
+        while q and parent[dst] is None:
+            a = q.popleft()
+            for j, (b, c, _r) in enumerate(graph[a]):
+                if c > 0 and parent[b] is None:
+                    parent[b] = (a, j)
+                    q.append(b)
+        if parent[dst] is None:
+            break
+        b = dst
+        while b != src:
+            a, j = parent[b]
+            graph[a][j][1] -= 1
+            rev = graph[a][j][2]
+            graph[b][rev][1] += 1
+            b = a
+        flow += 1
+    return flow
 
 
 def brute_force_is_maximal(g: OnePlaneGraph) -> bool:

@@ -1,9 +1,13 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oneplane.core import SimpleGraph, OperationError, underlying
 from oneplane.build import plane_graph
+from oneplane import analyze, transform
 from oneplane.analyze import (
     CheckStatus,
     check_blue_neighbors,
@@ -18,6 +22,7 @@ from oneplane.analyze import (
     is_separating_cycle,
     is_triangulation,
     map_graph,
+    property_suite,
     regularity_checks,
     verify_bounds,
     vertex_connectivity,
@@ -36,7 +41,11 @@ from oneplane.generators import (
     fixture_path,
     generate,
 )
-from .oracles import brute_force_connectivity, per_vertex_lambda3
+from .oracles import (
+    brute_force_connectivity,
+    per_vertex_lambda3,
+    rebuild_local_connectivity,
+)
 
 
 
@@ -118,6 +127,49 @@ def test_lambda3_agrees_with_per_vertex_oracle():
     assert [degree_profile(sg).lambda3 for sg, _ in LOW_KAPPA] == [11, 10, 13]
 
 
+def test_shared_network_flows_agree_with_rebuild_oracle():
+    """Every non-adjacent pair in sequence on one network, with and without
+    an early stop, against a network rebuilt for that pair alone: flow left
+    over from one pair would change a later pair's count."""
+    graphs = [underlying(generate(f, k)) for f, k in
+              [("xm", 1), ("xm", 2), ("xm", 3), ("xm", 4), ("yh", 1), ("xh", 1)]]
+    graphs.append(underlying(load(fixture_path("t1"))))
+    graphs += [underlying(saturate(gen_random_seed(n, seed), SaturationPolicy.SEEDED, seed))
+               for n, seed in [(10, 17), (12, 5)]]
+    graphs += [sg for sg, _ in LOW_KAPPA]
+    for sg in graphs:
+        net = analyze._split_network(sg)
+        cap0 = list(net.cap0)
+        pairs = [(s, t) for s, t in combinations(sg.vertices, 2) if not sg.has_edge(s, t)]
+        assert pairs
+        for s, t in pairs:
+            for cap in (sg.order, 2):
+                assert (analyze._local_connectivity(net, s, t, cap)
+                        == rebuild_local_connectivity(sg, s, t, cap))
+        assert net.cap0 == cap0
+
+
+@st.composite
+def relabelled_connected_graphs(draw):
+    """A connected graph on at most 9 vertices whose ids are neither
+    contiguous nor in the order the structure was drawn in."""
+    n = draw(st.integers(2, 9))
+    parent = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    extra = draw(st.sets(st.sampled_from(list(combinations(range(n), 2))), max_size=20))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    assume(max(ids) - min(ids) >= n)
+    edges = {(ids[i], ids[p]) for i, p in enumerate(parent, start=1)}
+    edges |= {(ids[a], ids[b]) for a, b in extra}
+    return SimpleGraph(tuple(sorted(ids)),
+                       tuple(sorted((min(e), max(e)) for e in edges)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_connected_graphs())
+def test_connectivity_matches_brute_force_on_relabelled_graphs(sg):
+    assert vertex_connectivity(sg) == brute_force_connectivity(sg)
+
+
 def test_is_triangulation_and_separating_cycle():
     sk = skeleton(gen_XM(1))
     assert is_triangulation(sk.map)
@@ -182,6 +234,20 @@ def test_true_face_and_blue_neighbor_bounds():
     assert check_blue_neighbors(dual(skeleton(gen_YH(1))), 3).passed
     assert check_blue_neighbors(dual(skeleton(gen_XH(1))), 5).passed
     assert check_blue_neighbors(dual(skeleton(gen_YH(1))), 6).status is CheckStatus.NOT_APPLICABLE
+
+
+def test_property_suite_builds_one_dual(monkeypatch):
+    built = []
+    original = transform.DualMap
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(transform, "DualMap", counted)
+    g = gen_XH(1)
+    assert is_triangulation(g.map)
+    assert property_suite(g) == []
+    assert len(built) == 1
 
 
 def test_crossing_share():

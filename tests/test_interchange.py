@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneplane.core import ValidationError
+from oneplane.core import DrawingError, ValidationError
 from oneplane.interchange import ParseError, dump, load, parse, serialize, to_dot
 from oneplane.generators import (
     gen_HH,
@@ -55,6 +55,48 @@ XM2 = serialize(gen_XM(2))
 def test_malformed_document_rejected(doc):
     with pytest.raises(ParseError):
         parse(doc)
+
+
+XM2_LINES = XM2.splitlines()
+XM2_TOKENS = sorted({tok for ln in XM2_LINES for tok in ln.split()})
+
+
+@st.composite
+def xm2_mutants(draw):
+    """XM(2)'s document with one line deleted, duplicated or swapped with
+    another, or one token replaced."""
+    lines = list(XM2_LINES)
+    i = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["delete", "duplicate", "swap", "token"]))
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    elif op == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        toks = lines[i].split()
+        toks[draw(st.integers(0, len(toks) - 1))] = draw(st.one_of(
+            st.sampled_from(XM2_TOKENS),
+            st.integers(-3, 60).map(str),
+            st.text("0123456789.uvx-#", max_size=4)))
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(xm2_mutants())
+def test_mutated_document_round_trips_or_raises_drawing_error(doc):
+    """A mutant either fails with a DrawingError, or parses to a drawing
+    whose serialization round-trips byte for byte."""
+    try:
+        g = parse(doc)
+    except DrawingError:
+        return
+    text = serialize(g)
+    assert parse(text) == g
+    assert serialize(parse(text)) == text
 
 
 def test_labels_accepted():
