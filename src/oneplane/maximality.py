@@ -17,7 +17,7 @@ from enum import Enum
 from itertools import combinations
 
 from .build import DrawingBuilder, delete_edges
-from .core import FaceMerge, OnePlaneGraph, OperationError, once
+from .core import FaceMerge, OnePlaneGraph, OperationError, VertexKind, once
 
 
 class RouteKind(Enum):
@@ -45,7 +45,10 @@ class InsertionCandidate:
 
     @property
     def sort_key(self):
-        return (self.u, self.v, self.kind.value, self.faces,
+        return self._key(self.faces)
+
+    def _key(self, faces):
+        return (self.u, self.v, self.kind.value, faces,
                 -1 if self.cross_edge is None else self.cross_edge)
 
 
@@ -75,41 +78,44 @@ def insertion_candidates(g: OnePlaneGraph) -> tuple[InsertionCandidate, ...]:
     """
     fs = g.face_set
     pmap = g.map
+    on = [frozenset(v for v in f.boundary if not pmap.is_fake(v)) for f in fs]
     out = []
-
     for f in fs:
-        true_boundary = sorted(
-            {v for v in f.boundary if not pmap.is_fake(v)}
-        )
-        for u, v in combinations(true_boundary, 2):
-            if not g.has_edge(u, v):
-                out.append(InsertionCandidate(u, v, RouteKind.ONE_FACE, (f.index,)))
-
+        out += _in_face(f.index, on[f.index], g.has_edge)
     for e, rec in enumerate(g.edges):
-        if rec.crossing is not None:
-            continue
-        d = g.edge_darts[e][0]
-        o = pmap.opposite[d]
-        f1, f2 = fs.face_of_dart[d], fs.face_of_dart[o]
-        if f1 == f2:
-            continue
-        b1, b2 = fs[f1].boundary, fs[f2].boundary
-        # e's endpoints lie on both boundaries, so the set differences below
-        # already exclude them (no candidate crosses an incident edge)
-        only1 = sorted(v for v in b1 - b2 if not pmap.is_fake(v))
-        only2 = sorted(v for v in b2 - b1 if not pmap.is_fake(v))
-        for u in only1:
-            for v in only2:
-                if g.has_edge(u, v):
-                    continue
-                if u < v:
-                    out.append(InsertionCandidate(
-                        u, v, RouteKind.TWO_FACES, (f1, f2), e))
-                else:
-                    out.append(InsertionCandidate(
-                        v, u, RouteKind.TWO_FACES, (f2, f1), e))
-
+        if rec.crossing is None:
+            d = g.edge_darts[e][0]
+            f1, f2 = fs.face_of_dart[d], fs.face_of_dart[pmap.opposite[d]]
+            out += _across(e, f1, on[f1], f2, on[f2], g.has_edge)
     return tuple(sorted(out, key=lambda c: c.sort_key))
+
+
+def _in_face(f: int, on: frozenset, has_edge) -> list[InsertionCandidate]:
+    """The one-face insertions of face ``f``: every non-adjacent pair of the
+    true vertices ``on`` its boundary."""
+    return [InsertionCandidate(u, v, RouteKind.ONE_FACE, (f,))
+            for u, v in combinations(sorted(on), 2) if not has_edge(u, v)]
+
+
+def _across(e: int, f1: int, on1: frozenset, f2: int, on2: frozenset,
+            has_edge) -> list[InsertionCandidate]:
+    """The two-face insertions crossing the uncrossed edge ``e`` between
+    faces ``f1`` and ``f2``, whose true boundary vertices are ``on1`` and
+    ``on2``.  None when both sides of ``e`` are one face."""
+    if f1 == f2:
+        return []
+    out = []
+    # e's endpoints lie on both boundaries, so the set differences below
+    # already exclude them (no candidate crosses an incident edge)
+    for u in sorted(on1 - on2):
+        for v in sorted(on2 - on1):
+            if has_edge(u, v):
+                continue
+            if u < v:
+                out.append(InsertionCandidate(u, v, RouteKind.TWO_FACES, (f1, f2), e))
+            else:
+                out.append(InsertionCandidate(v, u, RouteKind.TWO_FACES, (f2, f1), e))
+    return out
 
 
 @once
@@ -122,37 +128,137 @@ def is_maximal(g: OnePlaneGraph) -> MaximalityResult:
 def apply_insertion(g: OnePlaneGraph, cand: InsertionCandidate) -> OnePlaneGraph:
     """Insert the candidate edge, returning a new validated drawing."""
     b = DrawingBuilder.from_graph(g)
-    fs = g.face_set
-    if cand.kind is RouteKind.ONE_FACE:
-        walk = list(fs[cand.faces[0]].darts)
-        i = _corner_of(g, walk, cand.u)
-        j = _corner_of(g, walk, cand.v)
-        b.insert_edge_one_face(walk, i, j)
-    else:
-        if cand.cross_edge is None:
-            raise OperationError("BAD_PARAMETER",
-                                 "a two-face insertion needs the edge it crosses")
-        walk1 = list(fs[cand.faces[0]].darts)
-        walk2 = list(fs[cand.faces[1]].darts)
-        i = _corner_of(g, walk1, cand.u)
-        j = _corner_of(g, walk2, cand.v)
-        b.insert_edge_crossing(walk1, i, walk2, j, cand.cross_edge)
+    _insert(b, cand, g.map.face_walks, g.map.face_of_dart)
     return b.graph()
 
 
-def _corner_of(g: OnePlaneGraph, walk, v: int) -> int:
-    """Walk position of v's corner; for several corners of v on one face,
-    the first in v's rotation order (a pure tie-break)."""
-    rot = g.map.rotations[v]
-    best = None
-    for pos, d in enumerate(walk):
-        if g.map.dart_vertex[d] == v:
-            key = rot.index(d)
-            if best is None or key < best[0]:
-                best = (key, pos)
-    if best is None:
+def _insert(b: DrawingBuilder, cand: InsertionCandidate, walks, face_of) -> None:
+    """Insert the candidate into the builder, whose faces are ``walks[f]``,
+    with ``face_of[d]`` the face of dart ``d``."""
+    if cand.kind is RouteKind.ONE_FACE:
+        (f,) = cand.faces
+        walk = walks[f]
+        b.insert_edge_one_face(walk, _corner_of(b, walk, face_of, f, cand.u),
+                               _corner_of(b, walk, face_of, f, cand.v))
+        return
+    if cand.cross_edge is None:
+        raise OperationError("BAD_PARAMETER",
+                             "a two-face insertion needs the edge it crosses")
+    f1, f2 = cand.faces
+    walk1, walk2 = walks[f1], walks[f2]
+    b.insert_edge_crossing(walk1, _corner_of(b, walk1, face_of, f1, cand.u),
+                           walk2, _corner_of(b, walk2, face_of, f2, cand.v),
+                           cand.cross_edge)
+
+
+def _corner_of(b: DrawingBuilder, walk, face_of, f: int, v: int) -> int:
+    """Walk position of v's corner on face ``f``; for several corners of v on
+    one face, the first in v's rotation order (a pure tie-break)."""
+    d = next((d for d in b.rotations[v] if face_of[d] == f), None)
+    if d is None:
         raise OperationError("BAD_PARAMETER", f"vertex {v} not on the face")
-    return best[1]
+    return walk.index(d)
+
+
+class _Closure:
+    """One saturation in progress: a builder, its faces and the live
+    insertion candidates, kept up to date locally after each insertion.
+
+    Faces are named by ids that are never reused; ``walks``, ``on`` (true
+    boundary vertices) and ``first`` (minimum dart by vertex and rotation
+    position) are kept per live face.  Candidates are indexed by face and by
+    vertex pair so an insertion drops exactly those it invalidates; an index
+    list may still hold a candidate dropped through the other index, and
+    dropping it again is harmless.
+    """
+
+    def __init__(self, g: OnePlaneGraph):
+        self.b = DrawingBuilder.from_graph(g)
+        self.adj = {v: set(ws) for v, ws in g.adjacency.items()}
+        self.face_of = [-1] * g.map.n_darts
+        self.walks: dict[int, list[int]] = {}
+        self.on: dict[int, frozenset] = {}
+        self.first: dict[int, int] = {}
+        self.live: set[InsertionCandidate] = set()
+        self.by_face: dict[int, list[InsertionCandidate]] = {}
+        self.by_pair: dict[tuple[int, int], list[InsertionCandidate]] = {}
+        for f, walk in enumerate(g.map.face_walks):
+            self._add_face(f, list(walk))
+        self.next_face = len(self.walks)
+        self.inserted = 0
+        self._add_candidates(range(self.next_face))
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adj[u]
+
+    def rank(self, f: int):
+        """Sort rank of face ``f``, ordering faces as their indices in the
+        drawing the step-by-step closure holds.  That is the input until the
+        first insertion, numbered by its own dart ids; after it, a finished
+        drawing, whose dart ids follow (vertex, rotation position), so the
+        rank is that pair for the face's minimum dart."""
+        if not self.inserted:
+            return f
+        d = self.first[f]
+        v = self.b.dart_vertex[d]
+        return (v, self.b.rotations[v].index(d))
+
+    def _add_face(self, f: int, walk: list[int]) -> None:
+        dv, kinds = self.b.dart_vertex, self.b.kinds
+        for d in walk:
+            self.face_of[d] = f
+        low = min(dv[d] for d in walk)
+        self.walks[f] = walk
+        self.on[f] = frozenset(dv[d] for d in walk if kinds[dv[d]] is VertexKind.TRUE)
+        self.first[f] = min((d for d in walk if dv[d] == low),
+                            key=self.b.rotations[low].index)
+        self.by_face[f] = []
+
+    def _add_candidates(self, faces) -> None:
+        """Candidates inside the given faces and across every uncrossed edge
+        on their boundaries."""
+        b, on, face_of = self.b, self.on, self.face_of
+        new = []
+        done = set()
+        for f in faces:
+            new += _in_face(f, on[f], self.has_edge)
+            for d in self.walks[f]:
+                e = b.dart_edge[d]
+                if b.edges[e][2] is None and e not in done:
+                    done.add(e)
+                    f2 = face_of[b.opposite[d]]
+                    new += _across(e, f, on[f], f2, on[f2], self.has_edge)
+        for c in new:
+            self.live.add(c)
+            for f in c.faces:
+                self.by_face[f].append(c)
+            self.by_pair.setdefault((c.u, c.v), []).append(c)
+
+    def insert(self, cand: InsertionCandidate) -> None:
+        """Apply the candidate, replace the faces it splits by the new ones
+        and update the candidates."""
+        b = self.b
+        n0 = len(b.opposite)
+        _insert(b, cand, self.walks, self.face_of)
+        self.adj[cand.u].add(cand.v)
+        self.adj[cand.v].add(cand.u)
+        # every candidate across the crossed edge refers to one of its two
+        # faces, so dropping the split faces' candidates drops them too
+        gone = [c for f in cand.faces for c in self.by_face.pop(f)]
+        gone += self.by_pair.pop((cand.u, cand.v), ())
+        self.live.difference_update(gone)
+        for f in cand.faces:
+            del self.walks[f], self.on[f], self.first[f]
+        # each new face contains a new dart: one of the new edge's at a
+        # corner, or one of the four at a new crossing
+        self.face_of += [-1] * (len(b.opposite) - n0)
+        born = self.next_face
+        for d in range(n0, len(b.opposite)):
+            if self.face_of[d] < born:
+                self._add_face(self.next_face, b.face_walk_from(d))
+                self.next_face += 1
+        self._add_candidates(range(born, self.next_face))
+        self.inserted += 1
 
 
 def saturate(g: OnePlaneGraph,
@@ -161,16 +267,32 @@ def saturate(g: OnePlaneGraph,
     """Greedy closure: apply insertion candidates until none remain.
 
     DETERMINISTIC takes the lexicographically first candidate each round;
-    SEEDED draws uniformly with the given seed.  The vertex set never
-    changes, so the result is a maximal drawing on the same vertices.
+    SEEDED draws uniformly with the given seed from the candidates in
+    ``sort_key`` order.  The vertex set never changes, so the result is a
+    maximal drawing on the same vertices.
+
+    The closure runs on one builder: after each insertion only the
+    candidates of the faces it split and of the new vertex pair are dropped,
+    and those of the new faces added, so a step costs time in the faces it
+    touches.  ``finish()`` validates once, at the end, and that is as strong
+    as validating every step: saturation only adds (each step an edge, and
+    perhaps a crossing that splits one segment) and deletes or renumbers
+    nothing, so a violation made at any step persists to the end.  Splitting
+    a face with a chord always gives two distinct faces, so the four faces
+    at a new crossing are distinct.  The result equals, byte for byte, that
+    of the closure that rebuilds and revalidates the drawing after every
+    insertion.
     """
     rng = random.Random(seed) if policy is SaturationPolicy.SEEDED else None
-    while True:
-        cands = insertion_candidates(g)
-        if not cands:
-            return g
-        cand = cands[0] if rng is None else rng.choice(cands)
-        g = apply_insertion(g, cand)
+    s = _Closure(g)
+    while s.live:
+        rank = {f: s.rank(f) for f in {f for c in s.live for f in c.faces}}
+
+        def key(c):
+            return c._key(tuple(rank[f] for f in c.faces))
+        s.insert(min(s.live, key=key) if rng is None
+                 else rng.choice(sorted(s.live, key=key)))
+    return s.b.graph() if s.inserted else g
 
 
 def min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:

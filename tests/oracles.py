@@ -1,13 +1,21 @@
 """Independent brute-force oracles, kept deliberately separate from the
 library's own algorithms."""
 
+import random
 from collections import deque
 from itertools import combinations
 
 from oneplane.analyze import connectivity_at_least
 from oneplane.build import DEAD, DrawingBuilder
 from oneplane.core import OnePlaneGraph, SimpleGraph
-from oneplane.maximality import InsertionCandidate, RedrawResult, RouteKind
+from oneplane.maximality import (
+    InsertionCandidate,
+    RedrawResult,
+    RouteKind,
+    SaturationPolicy,
+    apply_insertion,
+    insertion_candidates,
+)
 
 
 def brute_force_connectivity(sg: SimpleGraph) -> int:
@@ -168,3 +176,18 @@ def scan_delete_edge(b: DrawingBuilder, e: int) -> None:
     b.edges[e] = None
     if crossing is not None:
         b._smooth(crossing)
+
+
+def stepwise_saturation(g: OnePlaneGraph,
+                        policy: SaturationPolicy = SaturationPolicy.DETERMINISTIC,
+                        seed: int | None = None) -> list[OnePlaneGraph]:
+    """Every drawing a greedy closure passes through, the saturated one last:
+    each step enumerates the candidates of the whole drawing and rebuilds
+    and validates it after the insertion (first candidate, or a seeded
+    draw from the sorted list)."""
+    rng = random.Random(seed) if policy is SaturationPolicy.SEEDED else None
+    path = [g]
+    while cands := insertion_candidates(g):
+        g = apply_insertion(g, cands[0] if rng is None else rng.choice(cands))
+        path.append(g)
+    return path

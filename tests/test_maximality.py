@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oneplane.core import FaceMerge, OperationError
+from oneplane.core import FaceMerge, OperationError, validate
 from oneplane.build import DrawingBuilder, plane_graph
-from oneplane.interchange import load
+from oneplane.interchange import load, serialize
+from oneplane import maximality
 from oneplane.maximality import (
     InsertionCandidate,
     RedrawResult,
@@ -31,7 +34,9 @@ from .oracles import (
     brute_force_is_maximal,
     rebuild_first_redrawable,
     rebuild_min_redraw_crossings,
+    stepwise_saturation,
 )
+from .test_cli import _count_calls
 
 
 def test_candidates_hh_quads():
@@ -191,13 +196,8 @@ def test_two_face_candidate_needs_cross_edge():
 def _saturation_path(n, seed):
     """Every drawing a seeded saturation of gen_random_seed(n, seed) passes
     through, the saturated one last."""
-    g = gen_random_seed(n, seed)
-    rng = random.Random(seed)
-    path = [g]
-    while cands := insertion_candidates(g):
-        g = apply_insertion(g, rng.choice(cands))
-        path.append(g)
-    assert g == saturate(path[0], SaturationPolicy.SEEDED, seed=seed)
+    path = stepwise_saturation(gen_random_seed(n, seed), SaturationPolicy.SEEDED, seed)
+    assert path[-1] == saturate(path[0], SaturationPolicy.SEEDED, seed=seed)
     return path
 
 
@@ -231,3 +231,62 @@ def test_redraw_of_a_bridge_agrees_with_rebuild_oracle():
     path = plane_graph([[1], [0, 2], [1]])
     _assert_redraw_agrees(path)
     assert min_redraw_crossings(path, 0) == RedrawResult(0, None, None)
+
+
+def _shuffle_darts(g, seed):
+    """The same drawing with its dart ids permuted at random, so they no
+    longer follow rotation order."""
+    perm = list(range(g.map.n_darts))
+    random.Random(seed).shuffle(perm)
+    back = {new: old for old, new in enumerate(perm)}
+    return validate(g.map.kinds,
+                    [[perm[d] for d in rot] for rot in g.map.rotations],
+                    [perm[g.map.opposite[back[d]]] for d in range(len(perm))],
+                    g.edges,
+                    [g.dart_edge[back[d]] for d in range(len(perm))])
+
+
+def _assert_saturates_as_stepwise(g, seed):
+    for policy in SaturationPolicy:
+        want = serialize(stepwise_saturation(g, policy, seed)[-1])
+        assert serialize(saturate(g, policy, seed)) == want, policy
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(4, 40), st.integers(0, 10 ** 6), st.booleans())
+def test_saturate_matches_stepwise_oracle(n, seed, shuffled):
+    g = gen_random_seed(n, seed)
+    _assert_saturates_as_stepwise(_shuffle_darts(g, seed) if shuffled else g, seed)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_M(2),
+    lambda: gen_HH(1),
+    lambda: plane_graph([[4, 1], [0, 2], [1, 3], [2, 4], [3, 0]]),
+    lambda: gen_XH(1),                      # already maximal
+    lambda: _shuffle_darts(gen_HH(1), 7),
+], ids=["m2", "hh1", "c5", "xh1", "hh1-shuffled"])
+def test_saturate_matches_stepwise_oracle_on_fixed_inputs(make):
+    _assert_saturates_as_stepwise(make(), 5)
+
+
+def test_saturate_finishes_once_and_never_rebuilds(monkeypatch):
+    g = gen_random_seed(40, 3)
+    finish = _count_calls(monkeypatch, DrawingBuilder, "finish")
+    enumerations = _count_calls(monkeypatch, maximality, "insertion_candidates")
+    rebuilds = _count_calls(monkeypatch, maximality, "apply_insertion")
+    m = saturate(g, SaturationPolicy.SEEDED, 3)
+    assert (len(finish), len(enumerations), len(rebuilds)) == (1, 0, 0)
+    assert m.size > g.size
+    assert "oneplane.maximality.is_maximal" not in m.__dict__
+
+
+def test_corner_tie_break_is_first_in_rotation():
+    # on a path every inner vertex has two corners on the one face; the new
+    # edge 1-3 enters 1's corner before its first dart, 1->0
+    g = plane_graph([[1], [0, 2], [1, 3], [2]])
+    cand = next(c for c in insertion_candidates(g) if (c.u, c.v) == (1, 3))
+    h = apply_insertion(g, cand)
+    around = [h.map.dart_vertex[h.map.opposite[d]] for d in h.map.rotations[1]]
+    assert around == [3, 0, 2]
+    assert saturate(g) == stepwise_saturation(g)[-1]
