@@ -54,6 +54,7 @@ from .analyze import (
     is_near_optimal,
     is_separating_cycle,
     is_triangulation,
+    min_vertex_separator,
     property_suite,
     regularity_checks,
     verify_bounds,

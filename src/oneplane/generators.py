@@ -14,6 +14,8 @@ used by the crossing-number identities.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
+from operator import itemgetter
 
 from .build import DrawingBuilder
 from .core import (
@@ -420,28 +422,31 @@ def gen_random_seed(n: int, seed: int) -> OnePlaneGraph:
         base = [[(i - 1) % m, (i + 1) % m] for i in range(m)]
         start = m
     b = DrawingBuilder.from_neighbors(base)
+    # face walks in ascending order of their minimum dart, each starting
+    # there; filling a face (cone or crossing pair) makes each of its darts
+    # start a triangle whose other darts are new
+    walks, seen = [], set()
+    for d in range(len(b.opposite)):
+        if d not in seen and b.opposite[d] >= 0:
+            walks.append(b.face_walk_from(d))
+            seen.update(walks[-1])
+    first = itemgetter(0)
+
+    def fill(w, op):
+        op(w)
+        walks[bisect_left(walks, w[0], key=first)] = b.face_walk_from(w[0])
+        for d in w[1:]:
+            insort(walks, b.face_walk_from(d), key=first)
+
     for _ in range(start, n):
-        walks = _all_walks(b)
-        b.cone(rng.choice(walks))
+        fill(rng.choice(walks), b.cone)
     if rng.random() < 0.6:
         for _ in range(rng.randint(1, 3)):
-            quads = [w for w in _all_walks(b) if _crossable_quad(b, w)]
+            quads = [w for w in walks if _crossable_quad(b, w)]
             if not quads:
                 break
-            b.cross_quad(rng.choice(quads))
+            fill(rng.choice(quads), b.cross_quad)
     return b.graph()
-
-
-def _all_walks(b: DrawingBuilder):
-    seen = set()
-    walks = []
-    for d in range(len(b.opposite)):
-        if d in seen or b.opposite[d] < 0:
-            continue
-        w = b.face_walk_from(d)
-        seen.update(w)
-        walks.append(w)
-    return walks
 
 
 def _crossable_quad(b: DrawingBuilder, walk) -> bool:

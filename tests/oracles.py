@@ -7,7 +7,8 @@ from itertools import combinations
 
 from oneplane.analyze import connectivity_at_least
 from oneplane.build import DEAD, DrawingBuilder
-from oneplane.core import OnePlaneGraph, SimpleGraph
+from oneplane.core import OnePlaneGraph, OperationError, SimpleGraph
+from oneplane.generators import _crossable_quad
 from oneplane.maximality import (
     InsertionCandidate,
     RedrawResult,
@@ -75,6 +76,42 @@ def rebuild_local_connectivity(sg: SimpleGraph, s: int, t: int, cap: int) -> int
             b = a
         flow += 1
     return flow
+
+
+def all_pairs_connectivity(sg: SimpleGraph) -> int:
+    """Vertex connectivity by a flow from a minimum-degree vertex s to every
+    non-neighbor and between every non-adjacent pair of neighbors of s,
+    each flow capped at the running minimum (n-1 at the start)."""
+    s = min(sg.vertices, key=lambda v: (sg.degree(v), v))
+    nb = sg.neighbors(s)
+    best = sg.order - 1
+    for t in sg.vertices:
+        if t != s and t not in nb:
+            best = min(best, rebuild_local_connectivity(sg, s, t, best))
+    for x, y in combinations(sorted(nb), 2):
+        if not sg.has_edge(x, y):
+            best = min(best, rebuild_local_connectivity(sg, x, y, best))
+    return best
+
+
+def separates(sg: SimpleGraph, cut) -> bool:
+    """True iff removing ``cut`` leaves at least two vertices that no path
+    joins, by one breadth-first search of the rest."""
+    rest = [v for v in sg.vertices if v not in cut]
+    if len(rest) < 2:
+        return False
+    adj = {v: set() for v in rest}
+    for u, v in sg.edges:
+        if u in adj and v in adj:
+            adj[u].add(v)
+            adj[v].add(u)
+    seen = {rest[0]}
+    queue = deque([rest[0]])
+    while queue:
+        for w in adj[queue.popleft()] - seen:
+            seen.add(w)
+            queue.append(w)
+    return len(seen) < len(rest)
 
 
 def brute_force_is_maximal(g: OnePlaneGraph) -> bool:
@@ -191,3 +228,40 @@ def stepwise_saturation(g: OnePlaneGraph,
         g = apply_insertion(g, cands[0] if rng is None else rng.choice(cands))
         path.append(g)
     return path
+
+
+def rescan_random_seed(n: int, seed: int) -> OnePlaneGraph:
+    """gen_random_seed walking every face of the builder again before each
+    cone and each crossing pair."""
+    if n < 4:
+        raise OperationError("BAD_PARAMETER", f"need n >= 4, got {n}")
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        base = [[2, 1], [0, 2], [1, 0]]
+        start = 3
+    else:
+        m = rng.randint(4, min(6, n))
+        base = [[(i - 1) % m, (i + 1) % m] for i in range(m)]
+        start = m
+    b = DrawingBuilder.from_neighbors(base)
+    for _ in range(start, n):
+        b.cone(rng.choice(_all_walks(b)))
+    if rng.random() < 0.6:
+        for _ in range(rng.randint(1, 3)):
+            quads = [w for w in _all_walks(b) if _crossable_quad(b, w)]
+            if not quads:
+                break
+            b.cross_quad(rng.choice(quads))
+    return b.graph()
+
+
+def _all_walks(b: DrawingBuilder):
+    seen = set()
+    walks = []
+    for d in range(len(b.opposite)):
+        if d in seen or b.opposite[d] < 0:
+            continue
+        w = b.face_walk_from(d)
+        seen.update(w)
+        walks.append(w)
+    return walks

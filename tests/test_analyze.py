@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from oneplane.analyze import (
     is_separating_cycle,
     is_triangulation,
     map_graph,
+    min_vertex_separator,
     property_suite,
     regularity_checks,
     verify_bounds,
@@ -42,9 +44,11 @@ from oneplane.generators import (
     generate,
 )
 from .oracles import (
+    all_pairs_connectivity,
     brute_force_connectivity,
     per_vertex_lambda3,
     rebuild_local_connectivity,
+    separates,
 )
 
 
@@ -99,14 +103,16 @@ def _graph(edges):
 
 # odd-degree vertices above 9 with kappa < 3, which no family member or
 # saturation has: a hub of degree 11 with a pendant rim vertex (kappa 1),
-# the same wheel with an ear (kappa 2, G-hub 2-connected), and a hub of
+# the same wheel with an ear (kappa 2, G-hub 2-connected), a hub of
 # degree 15 over an 11-cycle and a 4-cycle joined by one edge (kappa 2,
-# G-hub has a cut vertex)
+# G-hub has a cut vertex), and a hub of degree 11 over two hexagons that
+# share vertex 6 (kappa 2, G-hub has a cut vertex that ends no bridge)
 RIM = list(range(1, 12))
 LOW_KAPPA = [
     (_graph(_wheel_edges(0, RIM) + [(1, 12)]), 1),
     (_graph(_wheel_edges(0, RIM) + [(1, 12), (6, 12)]), 2),
     (_graph(_wheel_edges(0, RIM) + _wheel_edges(0, [12, 13, 14, 15]) + [(1, 12)]), 2),
+    (_graph(_wheel_edges(0, RIM[:6]) + _wheel_edges(0, RIM[5:])), 2),
 ]
 
 
@@ -124,7 +130,7 @@ def test_lambda3_agrees_with_per_vertex_oracle():
         assert any(sg.degree(v) > 9 and sg.degree(v) % 2 for v in sg.vertices)
         assert degree_profile(sg).lambda3 == per_vertex_lambda3(sg)
     # the hub counts only where G-hub is 2-connected
-    assert [degree_profile(sg).lambda3 for sg, _ in LOW_KAPPA] == [11, 10, 13]
+    assert [degree_profile(sg).lambda3 for sg, _ in LOW_KAPPA] == [11, 10, 13, 11]
 
 
 def test_shared_network_flows_agree_with_rebuild_oracle():
@@ -143,10 +149,66 @@ def test_shared_network_flows_agree_with_rebuild_oracle():
         pairs = [(s, t) for s, t in combinations(sg.vertices, 2) if not sg.has_edge(s, t)]
         assert pairs
         for s, t in pairs:
+            src, dst = 2 * net.index[s] + 1, 2 * net.index[t]
             for cap in (sg.order, 2):
-                assert (analyze._local_connectivity(net, s, t, cap)
+                assert (analyze._augment(net, net.cap0[:], src, dst, cap)
                         == rebuild_local_connectivity(sg, s, t, cap))
         assert net.cap0 == cap0
+
+
+def _kappa_graphs():
+    """Families, fixtures, seeded saturations and LOW_KAPPA, each as is
+    and with its first 1-4 vertices or 1-4 seeded random vertices removed
+    (where the rest stays connected): removals give κ below the minimum
+    degree."""
+    base = [underlying(generate(f, k)) for f, ks in
+            [("yh", (1, 2, 3)), ("xh", (1, 2, 3)), ("xm", range(1, 7))] for k in ks]
+    base += [underlying(load(fixture_path(t))) for t in ("t1", "t2")]
+    base += [underlying(saturate(gen_random_seed(n, seed), SaturationPolicy.SEEDED, seed))
+             for n, seed in [(10, 17), (8, 3), (12, 5), (20, 1), (30, 2), (40, 3)]]
+    base += [sg for sg, _ in LOW_KAPPA]
+    rng = random.Random(7)
+    for sg in base:
+        yield sg
+        for r in range(1, 5):
+            for gone in (sg.vertices[:r], rng.sample(sg.vertices, r)):
+                h = sg.without(gone)
+                if h.order >= 2 and h.is_connected():
+                    yield h
+
+
+def test_connectivity_and_separator_agree_with_oracles():
+    """κ equals the flow-to-every-pair oracle; the separator has κ
+    vertices and a breadth-first search of G - S finds two components."""
+    for sg in _kappa_graphs():
+        kappa = vertex_connectivity(sg)
+        assert kappa == all_pairs_connectivity(sg)
+        if kappa == sg.order - 1:
+            with pytest.raises(OperationError):
+                min_vertex_separator(sg)
+        else:
+            cut = min_vertex_separator(sg)
+            assert len(cut) == kappa and separates(sg, cut)
+
+
+def test_connectivity_work_count(monkeypatch):
+    """Fans settle every non-neighbor of YH(4) (268 flows without them);
+    where κ is below the minimum degree the fan of the vertex that sets κ
+    falls short and its s-t flow runs."""
+    calls = []
+    augment = analyze._augment
+
+    def counted(net, res, src, dst, cap):
+        found = augment(net, res, src, dst, cap)
+        calls.append((dst == net.sink, found, cap))
+        return found
+    monkeypatch.setattr(analyze, "_augment", counted)
+    assert vertex_connectivity(underlying(gen_YH(4))) == 3
+    assert 0 < len(calls) <= 30
+    calls.clear()
+    sg = underlying(saturate(gen_random_seed(20, 1), SaturationPolicy.SEEDED, 1))
+    assert vertex_connectivity(sg) == 3 < min(sg.degree(v) for v in sg.vertices)
+    assert (True, 3, 4) in calls and (False, 3, 4) in calls
 
 
 @st.composite

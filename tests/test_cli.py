@@ -95,7 +95,7 @@ def _count_calls(monkeypatch, module, name):
 def test_check_computes_each_fact_once(tmp_path, monkeypatch, capsys):
     yh2 = write(tmp_path, "yh", 2)
     cands = _count_calls(monkeypatch, maximality, "insertion_candidates")
-    flows = _count_calls(monkeypatch, analyze, "_local_connectivity")
+    flows = _count_calls(monkeypatch, analyze, "_augment")
     assert main(["check", yh2, "--maximal", "--immovable", "--bounds"]) == 0
     assert len(cands) == 1
     in_check = len(flows)

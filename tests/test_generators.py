@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneplane.core import FaceClass, OperationError, faces
-from oneplane.build import plane_graph
+from oneplane.build import DrawingBuilder, plane_graph
 from oneplane.interchange import load, serialize
 from oneplane.generators import (
     expected_stats,
@@ -20,6 +20,7 @@ from oneplane.generators import (
     tx_triangulate,
 )
 
+from .oracles import rescan_random_seed
 
 
 
@@ -208,3 +209,27 @@ def test_random_seed_always_validates(n, seed):
     g = gen_random_seed(n, seed)
     assert g.n == n
     assert g == gen_random_seed(n, seed)
+
+
+def test_random_seed_matches_rescan_oracle():
+    """Face walks kept across cone steps give the drawing that walking
+    every face again before each step gives, byte for byte."""
+    for n in [*range(4, 120, 7), 200]:
+        for seed in range(6):
+            assert serialize(gen_random_seed(n, seed)) == serialize(rescan_random_seed(n, seed))
+
+
+def test_random_seed_walks_each_new_face_once(monkeypatch):
+    """Each cone walks only the triangles it makes: about 3n face walks in
+    all, against about n^2 when every face is walked again per step."""
+    walks = []
+    walk_from = DrawingBuilder.face_walk_from
+
+    def counted(b, d):
+        walks.append(d)
+        return walk_from(b, d)
+    monkeypatch.setattr(DrawingBuilder, "face_walk_from", counted)
+    for seed in range(4):
+        walks.clear()
+        assert gen_random_seed(200, seed).n == 200
+        assert len(walks) <= 3 * 200
