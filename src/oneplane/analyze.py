@@ -478,13 +478,15 @@ def check_true_face_neighbors(g: OnePlaneGraph, k: int) -> CheckResult:
     """True faces of G-cross are adjacent to at most 5-k true faces,
     for k-connected maximal drawings (immovable when k=3)."""
     name = f"true-face-neighbors(k={k})"
+    if not 3 <= k <= 5:
+        return CheckResult(name, CheckStatus.NOT_APPLICABLE, f"k={k} out of range [3,5]")
     na = _g_k_applicability(g, k)
     if na:
         return CheckResult(name, CheckStatus.NOT_APPLICABLE, na)
-    fs = g.face_set
-    if not all(f.is_triangle() for f in fs):
+    if not is_triangulation(g.map):
         return CheckResult(name, CheckStatus.FAIL,
                            "planarization is not a triangulation")
+    fs = g.face_set
     for f in fs:
         if f.classification is not FaceClass.TRUE:
             continue
@@ -516,11 +518,9 @@ def check_blue_neighbors(dm: DualMap, k: int) -> CheckResult:
 def check_crossing_share(g: OnePlaneGraph) -> CheckResult:
     """ceil(deg/3) <= c(v) <= floor(deg/2) for 5-connected maximal drawings."""
     name = "crossing-share"
-    if not maximality.is_maximal(g).is_maximal:
-        return CheckResult(name, CheckStatus.NOT_APPLICABLE, "drawing not maximal")
-    kappa = vertex_connectivity(underlying(g))
-    if kappa < 5:
-        return CheckResult(name, CheckStatus.NOT_APPLICABLE, f"kappa={kappa} < 5")
+    na = _g_k_applicability(g, 5)
+    if na:
+        return CheckResult(name, CheckStatus.NOT_APPLICABLE, na)
     for v in g.map.true_vertices:
         d = g.map.degree(v)
         c = c_of(g, v)
@@ -531,9 +531,9 @@ def check_crossing_share(g: OnePlaneGraph) -> CheckResult:
 
 
 def _g_k_applicability(g: OnePlaneGraph, k: int) -> str:
-    """Empty string when g qualifies for the G_k statements at level k."""
-    if not 3 <= k <= 5:
-        return f"k={k} out of range [3,5]"
+    """Empty string when g is in G_k: a k-connected maximal drawing on
+    n >= 5 vertices (n >= 6 for k >= 4), immovable when k = 3; otherwise
+    the reason it is not."""
     if g.n < 5 or (k >= 4 and g.n < 6):
         return f"n={g.n} below threshold"
     if not maximality.is_maximal(g).is_maximal:
@@ -632,8 +632,9 @@ class BoundReport:
 
 def verify_bounds(g: OnePlaneGraph) -> BoundReport:
     """Evaluate every applicable crossing-number and size inequality for a
-    maximal drawing.  A FAIL marks an implementation bug: every inequality
-    is proven on its applicability domain."""
+    maximal drawing.  The one table of the bound rows and their domains
+    (the k rows on G_k, see ``_g_k_applicability``).  A FAIL marks an
+    implementation bug: every inequality is proven on its domain."""
     if not maximality.is_maximal(g).is_maximal:
         raise OperationError("NOT_MAXIMAL", "bound certification needs a maximal drawing")
 
@@ -645,19 +646,24 @@ def verify_bounds(g: OnePlaneGraph) -> BoundReport:
     tri = is_triangulation(g.map)
     prof = degree_profile(underlying(g))
 
-    in_g3 = kappa >= 3 and immovable and g.n >= 5
+    g3, g4, g5, g7 = (not _g_k_applicability(g, k) for k in (3, 4, 5, 7))
     entries = [
-        _entry("cr-k3", in_g3, cr, ">=", (n - 2) / 3),
-        _entry("cr-k4", kappa >= 4 and g.n >= 6, cr, ">=", (n - 2) / 2),
-        _entry("cr-k56", kappa >= 5, cr, ">=", (3 * n - 6) / 5),
-        _entry("cr-k7", kappa >= 7, cr, ">=", 3 * n / 4),
-        _entry("size-k3", in_g3, m, ">=", Fraction(10, 3) * (n - 2)),
-        _entry("size-k4", kappa >= 4 and g.n >= 6, m, ">=", Fraction(7, 2) * (n - 2)),
-        _entry("size-k56", kappa >= 5, m, ">=", Fraction(18, 5) * (n - 2)),
-        _entry("size-k7", kappa >= 7, m, ">=", Fraction(15, 4) * (n - 2) + Fraction(3, 2)),
+        _entry("cr-k3", g3, cr, ">=", (n - 2) / 3),
+        _entry("cr-k4", g4, cr, ">=", (n - 2) / 2),
+        _entry("cr-k56", g5, cr, ">=", (3 * n - 6) / 5),
+        _entry("cr-k7", g7, cr, ">=", 3 * n / 4),
+        _entry("size-k3", g3, m, ">=", Fraction(10, 3) * (n - 2)),
+        _entry("size-k4", g4, m, ">=", Fraction(7, 2) * (n - 2)),
+        _entry("size-k56", g5, m, ">=", Fraction(18, 5) * (n - 2)),
+        _entry("size-k7", g7, m, ">=", Fraction(15, 4) * (n - 2) + Fraction(3, 2)),
         _entry("size-min", g.n >= 5, m, ">=", Fraction(-(-7 * g.n // 3) - 3)),
         _entry("cr-max", g.n >= 3, cr, "<=", n - 2),
-        _entry("cr-max-slack", g.n >= 3, cr, "<=",
+        # The degree-slack bound limits the minimum crossing number of a
+        # maximal graph; it constrains this drawing's own count only when
+        # the two coincide, i.e. when the planarization is a triangulation.
+        # A maximal drawing of a non-maximal graph can exceed it otherwise:
+        # K5 - e (n=5) drawn with two crossings has cr = 2 > 5/3.
+        _entry("cr-max-slack", g.n >= 3 and tri, cr, "<=",
                n - 2 - Fraction(2 * prof.lambda1 + 2 * prof.lambda2 + prof.lambda3, 6)),
     ]
     return BoundReport(
@@ -687,20 +693,13 @@ def property_suite(g: OnePlaneGraph) -> list[str]:
         bad.append("saturated drawing is not maximal")
         return bad
 
-    n = g.n
-    cr = g.crossing_count
-    ug = underlying(g)
-    kappa = vertex_connectivity(ug)
-    tri = is_triangulation(g.map)
-
-    if n >= 5 and g.size < -(-7 * n // 3) - 3:
-        bad.append(f"TC bound violated: |E|={g.size} < ceil(7n/3)-3 for n={n}")
+    rep = verify_bounds(g)
+    kappa, tri = rep.kappa, rep.triangulated
 
     if kappa >= 4 and not tri:
         bad.append(f"kappa={kappa} >= 4 but planarization is not a triangulation")
 
-    immovable = maximality.is_immovable(g).is_immovable
-    if kappa == 3 and immovable and not tri:
+    if kappa == 3 and rep.immovable and not tri:
         bad.append("kappa=3 immovable drawing without triangulated planarization")
 
     # r9 passes only on a triangulated planarization
@@ -723,16 +722,5 @@ def property_suite(g: OnePlaneGraph) -> list[str]:
     if tri:
         bad.extend(check_color_identities(g, sk))
 
-    if n >= 3:
-        if cr > n - 2:
-            bad.append(f"cr={cr} exceeds n-2")
-        # The degree-slack bound limits the minimum crossing number of a
-        # maximal graph; it constrains this drawing's own count only when
-        # the two coincide, i.e. when the planarization is a triangulation.
-        # (Maximal drawings of non-maximal graphs can exceed it otherwise.)
-        if tri:
-            prof = degree_profile(ug)
-            slack = Fraction(2 * prof.lambda1 + 2 * prof.lambda2 + prof.lambda3, 6)
-            if Fraction(cr) > n - 2 - slack:
-                bad.append(f"cr={cr} exceeds n-2-(2l1+2l2+l3)/6 = {n - 2 - slack}")
+    bad.extend(e.line() for e in rep.entries if e.applicable and not e.passed)
     return bad

@@ -8,6 +8,7 @@ and seeds so reports can be diffed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -19,8 +20,7 @@ BAD_INPUT = 2
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:
@@ -32,7 +32,9 @@ def main(argv=None) -> int:
         return BAD_INPUT
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="oneplane",
         description="combinatorial 1-plane drawings: generate, verify, export")

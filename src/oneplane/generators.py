@@ -273,12 +273,9 @@ def gen_XM(k: int) -> OnePlaneGraph:
     # off from the two boundary edges at that corner blocks, over all
     # quads, every insertion between neighboring cone vertices.
     for cone_res, quad in cone_centers:
-        center = cone_res.center
-        inner = [v for v in quad if v // 4 == min(w // 4 for w in quad)]
-        first = inner[0] if (inner[0] % 4 + 1) % 4 == inner[1] % 4 else inner[1]
-        pos = quad.index(first)
+        pos = _first_inner_corner(quad)
         u, v = quad[(pos - 1) % 4], quad[(pos + 1) % 4]
-        g = _insert_crossing_diagonal(g, u, v, (center, first))
+        g = _insert_crossing_diagonal(g, u, v, (cone_res.center, quad[pos]))
     return g
 
 
@@ -319,11 +316,17 @@ def gen_M_triangulated(k: int) -> OnePlaneGraph:
             a = _lowest_diagonal_anchor(quad)
             b.insert_edge_one_face(walk, a, (a + 2) % 4)
         else:
-            inner = [v for v in quad if v // 4 == min(w // 4 for w in quad)]
-            first = inner[0] if (inner[0] % 4 + 1) % 4 == inner[1] % 4 else inner[1]
-            pos = quad.index(first)
+            pos = _first_inner_corner(quad)
             b.insert_edge_one_face(walk, (pos - 1) % 4, (pos + 1) % 4)
     return b.graph()
+
+
+def _first_inner_corner(quad) -> int:
+    """Position, in an intermediate prism quadrangle's vertex cycle, of its
+    cyclically-first inner-ring corner."""
+    inner = [v for v in quad if v // 4 == min(w // 4 for w in quad)]
+    first = inner[0] if (inner[0] % 4 + 1) % 4 == inner[1] % 4 else inner[1]
+    return quad.index(first)
 
 
 def _xm1_base() -> OnePlaneGraph:

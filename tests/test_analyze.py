@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -345,6 +346,29 @@ def test_verify_bounds_tight_rows():
     with pytest.raises(OperationError) as exc:
         verify_bounds(gen_HH(1))
     assert exc.value.code == "NOT_MAXIMAL"
+
+
+# K5 - e on n=5 drawn maximally with two crossings: its planarization is
+# not triangulated, so the degree-slack row (cr <= 5/3 here) does not apply
+@pytest.mark.parametrize("seed", [300, 380, 1460])
+def test_slack_row_needs_triangulated_planarization(seed):
+    m = saturate(gen_random_seed(5, seed), SaturationPolicy.SEEDED, seed)
+    assert (m.n, m.crossing_count, m.size) == (5, 2, 9)
+    assert not is_triangulation(m.map)
+    rep = verify_bounds(m)
+    assert rep.all_pass
+    slack = next(e for e in rep.entries if e.bound_id == "cr-max-slack")
+    assert not slack.applicable and slack.line() == "cr-max-slack 2 <= 5/3 NOT_APPLICABLE"
+
+
+def test_property_suite_reports_failing_bound_rows(monkeypatch):
+    g = gen_XH(1)
+    failing = analyze.BoundEntry("cr-max", True, Fraction(5), "<=", Fraction(4), False)
+    skipped = analyze.BoundEntry("cr-k7", False, Fraction(6), ">=", Fraction(9), None)
+    real = verify_bounds(g)
+    monkeypatch.setattr(analyze, "verify_bounds", lambda _: dataclasses.replace(
+        real, entries=real.entries + (failing, skipped)))
+    assert property_suite(g) == ["cr-max 5 <= 4 FAIL"]
 
 
 def test_bounds_report_lines_are_exact():

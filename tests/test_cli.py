@@ -1,6 +1,10 @@
+import argparse
+
+import pytest
+
 from oneplane.cli import main
-from oneplane.generators import fixture_path, generate
-from oneplane import analyze, interchange, maximality
+from oneplane.generators import fixture_path, gen_random_seed, generate
+from oneplane import analyze, cli, interchange, maximality
 from oneplane.core import underlying
 
 
@@ -48,6 +52,16 @@ def test_check_pass_and_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "maximal FAIL" in out
     assert "insertable:" in out
+
+
+@pytest.mark.parametrize("seed", [300, 380, 1460])
+def test_check_bounds_on_non_triangulated_maximal_drawing(tmp_path, capsys, seed):
+    m = maximality.saturate(gen_random_seed(5, seed),
+                            maximality.SaturationPolicy.SEEDED, seed)
+    path = tmp_path / "m.1pg"
+    interchange.dump(m, path)
+    assert main(["check", str(path), "--bounds"]) == 0
+    assert "cr-max-slack 2 <= 5/3 NOT_APPLICABLE" in capsys.readouterr().out
 
 
 def test_check_parse_error(tmp_path, capsys):
@@ -102,6 +116,24 @@ def test_check_computes_each_fact_once(tmp_path, monkeypatch, capsys):
     flows.clear()
     assert analyze.vertex_connectivity(underlying(generate("yh", 2))) == 3
     assert in_check == len(flows) > 0
+
+
+def test_main_builds_one_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    try:
+        yh1 = write(tmp_path, "yh", 1)
+        assert main(["stats", yh1]) == 0
+        assert main(["stats", yh1]) == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert built.count("oneplane") == 1
 
 
 def test_export_dot(tmp_path, capsys):
