@@ -141,6 +141,17 @@ class DrawingBuilder:
             d = self.rotation_successor(self.opposite[d])
         return walk
 
+    def face_walks(self) -> list[list[int]]:
+        """The faces of ``graph()``, in its order: each walk starts at its
+        first dart in (vertex, rotation position) order, as ``finish()``."""
+        walks, seen = [], set()
+        for rot in self.rotations:
+            for d in rot:
+                if d not in seen:
+                    walks.append(self.face_walk_from(d))
+                    seen.update(walks[-1])
+        return walks
+
     def is_connected(self) -> bool:
         # smoothed-away fakes (empty rotation) no longer exist; an isolated
         # true vertex, however, is a real component of its own
@@ -276,7 +287,7 @@ class DrawingBuilder:
             raise OperationError("BOUNDARY_NOT_SIMPLE",
                                  f"need 4 distinct true boundary vertices, got {vs}")
         for p, r in ((0, 2), (1, 3)):
-            if self.edges_between(vs[p], vs[r]):
+            if self.adjacent(vs[p], vs[r]):
                 raise OperationError("DIAGONAL_EXISTS",
                                      f"vertices {vs[p]},{vs[r]} already adjacent")
         res = self.cone(walk, kind=VertexKind.FAKE)
@@ -295,9 +306,9 @@ class DrawingBuilder:
             self.dart_edge[t] = e
         return e1, e2, c
 
-    def edges_between(self, u: int, v: int):
-        return [e for e, rec in enumerate(self.edges)
-                if rec is not None and {rec[0], rec[1]} == {u, v}]
+    def adjacent(self, u: int, v: int) -> bool:
+        """Whether an edge joins true vertices u and v (it has a dart at u)."""
+        return any(v in self.edges[self.dart_edge[d]][:2] for d in self.rotations[u])
 
     # -- edge deletion -----------------------------------------------------------
 

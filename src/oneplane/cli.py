@@ -88,14 +88,24 @@ def cmd_generate(args) -> int:
                   file=sys.stderr)
             return BAD_INPUT
         g = generators.generate(args.family, args.k)
-    text = interchange.serialize(g)
+    _write_out(interchange.serialize(g), args.out)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
         print(f"n={g.n} cr={g.crossing_count} E={g.size} -> {args.out}")
     else:
-        sys.stdout.write(text)
         print(f"# n={g.n} cr={g.crossing_count} E={g.size}", file=sys.stderr)
     return 0
+
+
+def _write_out(text: str, out) -> None:
+    """Write the text to the file ``out``, or to stdout when none is given;
+    a file that cannot be written is a DrawingError, so exit code 2."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DrawingError(f"cannot write {out}: {exc}") from exc
 
 
 def cmd_check(args) -> int:
@@ -153,16 +163,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    g = interchange.load(args.path)
-    text = interchange.to_dot(g)
-    if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return BAD_INPUT
-    else:
-        sys.stdout.write(text)
+    _write_out(interchange.to_dot(interchange.load(args.path)), args.out)
     return 0
 
 

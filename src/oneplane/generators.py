@@ -23,7 +23,6 @@ from .core import (
     OperationError,
     VertexKind,
 )
-from .maximality import InsertionCandidate, RouteKind, apply_insertion
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +137,10 @@ def gen_H(k: int) -> OnePlaneGraph:
 def gen_HH(k: int) -> OnePlaneGraph:
     """Two mirrored copies of H(k) glued along a ring of new vertices, each
     joined to the two nearest periphery vertices of both copies."""
+    return _hh(k).graph()
+
+
+def _hh(k: int) -> DrawingBuilder:
     _require_k(k)
     table_a, rings = _h_neighbor_table(k)
     n_h = len(table_a)
@@ -164,7 +167,7 @@ def gen_HH(k: int) -> OnePlaneGraph:
     for i in range(size):
         table[z_of(i)] = [per[i], b_of(per[i]),
                           b_of(per[(i + 1) % size]), per[(i + 1) % size]]
-    return DrawingBuilder.from_neighbors(table).graph()
+    return DrawingBuilder.from_neighbors(table)
 
 
 def _require_k(k: int) -> None:
@@ -176,41 +179,40 @@ def _require_k(k: int) -> None:
 # XH(k) and YH(k)
 # ---------------------------------------------------------------------------
 
-def _quad_first_diagonal(g: OnePlaneGraph, face) -> int:
+def _quad_first_diagonal(vs, deg) -> int:
     """Canonical diagonal orientation for a batch of crossing insertions:
     the first-inserted (hence skeleton-kept, under the default LEX_MAX
-    removal) diagonal is the one whose endpoint degrees in the base drawing
-    are smallest.  This realizes the low-degree spanning triangulation the
-    connectivity criteria need."""
-    vs = face.vertices
-    deg = [g.map.degree(v) for v in vs]
-    key0 = (deg[0] + deg[2], min(vs[0], vs[2]))
-    key1 = (deg[1] + deg[3], min(vs[1], vs[3]))
+    removal) diagonal is the one whose endpoint degrees ``deg`` in the base
+    drawing are smallest.  This realizes the low-degree spanning
+    triangulation the connectivity criteria need."""
+    key0 = (deg[vs[0]] + deg[vs[2]], min(vs[0], vs[2]))
+    key1 = (deg[vs[1]] + deg[vs[3]], min(vs[1], vs[3]))
     return 0 if key0 <= key1 else 1
 
 
-def _triangulate_all(g: OnePlaneGraph, quads: bool, triangles: bool) -> OnePlaneGraph:
-    fs = g.face_set
-    b = DrawingBuilder.from_graph(g)
+def _triangulate_all(b: DrawingBuilder, triangles: bool) -> DrawingBuilder:
+    """Cross every quadrangle, and cone every triangle if ``triangles``."""
+    deg = [len(rot) for rot in b.rotations]
     # recorded walks stay valid: each operation only touches corners of its
     # own face
-    for f in fs:
-        if quads and f.is_quadrangle():
-            b.cross_quad(list(f.darts), first_diagonal=_quad_first_diagonal(g, f))
-        elif triangles and f.is_triangle():
-            b.cone(list(f.darts))
-    return b.graph()
+    for walk in b.face_walks():
+        vs = [b.dart_vertex[d] for d in walk]
+        if len(vs) == 4:
+            b.cross_quad(walk, first_diagonal=_quad_first_diagonal(vs, deg))
+        elif triangles and len(vs) == 3:
+            b.cone(walk)
+    return b
 
 
 def gen_XH(k: int) -> OnePlaneGraph:
     """Crossing diagonals in every quadrangle of HH(k)."""
-    return _triangulate_all(gen_HH(k), quads=True, triangles=False)
+    return _triangulate_all(_hh(k), triangles=False).graph()
 
 
 def gen_YH(k: int) -> OnePlaneGraph:
     """Crossing diagonals in every quadrangle and a cone vertex in every
     triangle of HH(k)."""
-    return _triangulate_all(gen_HH(k), quads=True, triangles=True)
+    return _triangulate_all(_hh(k), triangles=True).graph()
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +221,10 @@ def gen_YH(k: int) -> OnePlaneGraph:
 
 def gen_M(k: int) -> OnePlaneGraph:
     """The prism C4 x P_k drawn as k concentric quadrangles."""
+    return _m(k).graph()
+
+
+def _m(k: int) -> DrawingBuilder:
     _require_k(k)
     table = []
     for r in range(k):
@@ -233,7 +239,7 @@ def gen_M(k: int) -> OnePlaneGraph:
                 rot.append(4 * (r - 1) + i)
             rot.append(prv)
             table.append(rot)
-    return DrawingBuilder.from_neighbors(table).graph()
+    return DrawingBuilder.from_neighbors(table)
 
 
 def gen_XM(k: int) -> OnePlaneGraph:
@@ -244,30 +250,22 @@ def gen_XM(k: int) -> OnePlaneGraph:
     _require_k(k)
     if k == 1:
         return _xm1()
-    g = gen_M(k)
-    fs = g.face_set
-    ring0 = frozenset(range(4))
-    ring_last = frozenset(range(4 * (k - 1), 4 * k))
-
-    b = DrawingBuilder.from_graph(g)
-    k2_pair = None
+    b = _m(k)
     cone_centers = []
-    for f in fs:
-        # for k=1 the two faces share the ring vertex set: the first is the
-        # innermost quadrangle, the second the outermost
-        if f.boundary == ring0 and k2_pair is None:
-            a = _lowest_diagonal_anchor(f.vertices)
-            k2_pair = (_k2_on_builder(b, list(f.darts), a), f.vertices, a)
-        elif f.boundary == ring_last:
-            b.cross_quad(list(f.darts),
-                         first_diagonal=_lowest_diagonal_anchor(f.vertices))
+    for walk in b.face_walks():
+        quad = [b.dart_vertex[d] for d in walk]
+        rings = {v // 4 for v in quad}
+        if rings == {0}:
+            a = _lowest_diagonal_anchor(quad)
+            k2_pair = (_k2_on_builder(b, walk, a), quad, a)
+        elif rings == {k - 1}:
+            b.cross_quad(walk, first_diagonal=_lowest_diagonal_anchor(quad))
         else:
-            cone_centers.append((b.cone(list(f.darts)), f.vertices))
+            cone_centers.append((b.cone(walk), quad))
 
-    g = b.graph()
     # diagonal across the adjacent pair of the innermost quadrangle
     (x, y), quad, a = k2_pair
-    g = _insert_crossing_diagonal(g, quad[a], quad[(a + 2) % 4], (x, y))
+    _insert_crossing_diagonal(b, quad[a], quad[(a + 2) % 4], (x, y))
     # One diagonal per intermediate quadrangle, crossing the spoke at the
     # quad's cyclically-first inner-ring corner.  Cutting the cone vertex
     # off from the two boundary edges at that corner blocks, over all
@@ -275,8 +273,8 @@ def gen_XM(k: int) -> OnePlaneGraph:
     for cone_res, quad in cone_centers:
         pos = _first_inner_corner(quad)
         u, v = quad[(pos - 1) % 4], quad[(pos + 1) % 4]
-        g = _insert_crossing_diagonal(g, u, v, (cone_res.center, quad[pos]))
-    return g
+        _insert_crossing_diagonal(b, u, v, (cone_res.center, quad[pos]))
+    return b.graph()
 
 
 def _xm1() -> OnePlaneGraph:
@@ -284,17 +282,12 @@ def _xm1() -> OnePlaneGraph:
     ring, so the generic inner/outer treatments would collide on diagonals.
     Instead, cone one face of the plane K4 on each side and reconnect each
     new vertex across the opposite diagonal, giving the same counts."""
-    g = _xm1_base()
-
-    def cone_and_cross(g, tri, far, crossed):
-        fs = g.face_set
-        fi = next(f.index for f in fs if f.boundary == frozenset(tri))
-        g = k1_triangulate(g, fi)
-        return _insert_crossing_diagonal(g, g.map.n_vertices - 1, far, crossed)
-
-    g = cone_and_cross(g, (0, 1, 2), 3, (0, 2))
-    g = cone_and_cross(g, (0, 1, 3), 2, (1, 3))
-    return g
+    b = _xm1_base()
+    for tri, far, crossed in (({0, 1, 2}, 3, (0, 2)), ({0, 1, 3}, 2, (1, 3))):
+        walk = next(w for w in b.face_walks()
+                    if {b.dart_vertex[d] for d in w} == tri)
+        _insert_crossing_diagonal(b, b.cone(walk).center, far, crossed)
+    return b.graph()
 
 
 def gen_M_triangulated(k: int) -> OnePlaneGraph:
@@ -303,16 +296,12 @@ def gen_M_triangulated(k: int) -> OnePlaneGraph:
     the diagonals matches gen_XM, so for k >= 2 the degree sequence is
     6^(4k-8) 5^4 4^4."""
     _require_k(k)
-    g = gen_M(k)
     if k == 1:
-        return _xm1_base()
-    fs = g.face_set
-    ring0 = frozenset(range(4))
-    ring_last = frozenset(range(4 * (k - 1), 4 * k))
-    b = DrawingBuilder.from_graph(g)
-    for f in fs:
-        walk, quad = list(f.darts), list(f.vertices)
-        if f.boundary == ring0 or f.boundary == ring_last:
+        return _xm1_base().graph()
+    b = _m(k)
+    for walk in b.face_walks():
+        quad = [b.dart_vertex[d] for d in walk]
+        if len({v // 4 for v in quad}) == 1:       # innermost or outermost
             a = _lowest_diagonal_anchor(quad)
             b.insert_edge_one_face(walk, a, (a + 2) % 4)
         else:
@@ -329,7 +318,7 @@ def _first_inner_corner(quad) -> int:
     return quad.index(first)
 
 
-def _xm1_base() -> OnePlaneGraph:
+def _xm1_base() -> DrawingBuilder:
     b = DrawingBuilder.from_neighbors([[3, 1], [0, 2], [1, 3], [2, 0]])
     w1 = b.face_walk_from(0)
     vs1 = [b.dart_vertex[d] for d in w1]
@@ -337,27 +326,28 @@ def _xm1_base() -> OnePlaneGraph:
     w2 = b.face_walk_from(b.opposite[0])
     vs2 = [b.dart_vertex[d] for d in w2]
     b.insert_edge_one_face(w2, vs2.index(1), vs2.index(3))
-    return b.graph()
+    return b
 
 
 def _lowest_diagonal_anchor(vs) -> int:
     return 0 if min(vs[0], vs[2]) < min(vs[1], vs[3]) else 1
 
 
-def _insert_crossing_diagonal(g: OnePlaneGraph, u: int, v: int,
-                              crossed: tuple[int, int]) -> OnePlaneGraph:
-    """Insert edge u-v crossing the edge with the given endpoints."""
-    e = next(i for i, r in enumerate(g.edges)
-             if {r.u, r.v} == set(crossed) and r.crossing is None)
-    fs = g.face_set
-    d = g.edge_darts[e][0]
-    f1, f2 = fs.face_of_dart[d], fs.face_of_dart[g.map.opposite[d]]
-    if u not in fs[f1].boundary:
-        f1, f2 = f2, f1
-    if u > v:
-        u, v, f1, f2 = v, u, f2, f1
-    cand = InsertionCandidate(u, v, RouteKind.TWO_FACES, (f1, f2), e)
-    return apply_insertion(g, cand)
+def _insert_crossing_diagonal(b: DrawingBuilder, u: int, v: int,
+                              crossed: tuple[int, int]) -> None:
+    """Insert edge u-v across the uncrossed edge ``crossed``, starting from
+    the face through the smaller endpoint; each endpoint takes its first
+    corner on its face in rotation order."""
+    x, y = crossed
+    d = next(d for d in b.rotations[x]
+             if b.edges[b.dart_edge[d]] in ([x, y, None], [y, x, None]))
+    u, v = min(u, v), max(u, v)
+    walk1, walk2 = b.face_walk_from(d), b.face_walk_from(b.opposite[d])
+    if u not in (b.dart_vertex[w] for w in walk1):
+        walk1, walk2 = walk2, walk1
+    i = walk1.index(next(c for c in b.rotations[u] if c in walk1))
+    j = walk2.index(next(c for c in b.rotations[v] if c in walk2))
+    b.insert_edge_crossing(walk1, i, walk2, j, b.dart_edge[d])
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +415,10 @@ def gen_random_seed(n: int, seed: int) -> OnePlaneGraph:
         base = [[(i - 1) % m, (i + 1) % m] for i in range(m)]
         start = m
     b = DrawingBuilder.from_neighbors(base)
-    # face walks in ascending order of their minimum dart, each starting
-    # there; filling a face (cone or crossing pair) makes each of its darts
-    # start a triangle whose other darts are new
-    walks, seen = [], set()
-    for d in range(len(b.opposite)):
-        if d not in seen and b.opposite[d] >= 0:
-            walks.append(b.face_walk_from(d))
-            seen.update(walks[-1])
+    # face walks in ascending order of their minimum dart (rotation order in
+    # a fresh builder), each starting there; filling a face (cone or crossing
+    # pair) makes each of its darts start a triangle whose other darts are new
+    walks = b.face_walks()
     first = itemgetter(0)
 
     def fill(w, op):
@@ -458,7 +444,7 @@ def _crossable_quad(b: DrawingBuilder, walk) -> bool:
     vs = [b.dart_vertex[d] for d in walk]
     if len(set(vs)) != 4 or any(b.kinds[v] is VertexKind.FAKE for v in vs):
         return False
-    return not (b.edges_between(vs[0], vs[2]) or b.edges_between(vs[1], vs[3]))
+    return not (b.adjacent(vs[0], vs[2]) or b.adjacent(vs[1], vs[3]))
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def dump(g: OnePlaneGraph, path) -> None:
 def load(path) -> OnePlaneGraph:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     return parse(text)
 

@@ -8,7 +8,15 @@ from itertools import combinations
 from oneplane.analyze import connectivity_at_least
 from oneplane.build import DEAD, DrawingBuilder
 from oneplane.core import OnePlaneGraph, OperationError, SimpleGraph
-from oneplane.generators import _crossable_quad
+from oneplane.generators import (
+    _crossable_quad,
+    _first_inner_corner,
+    _k2_on_builder,
+    _lowest_diagonal_anchor,
+    _xm1_base,
+    gen_M,
+    k1_triangulate,
+)
 from oneplane.maximality import (
     InsertionCandidate,
     RedrawResult,
@@ -265,3 +273,86 @@ def _all_walks(b: DrawingBuilder):
         seen.update(w)
         walks.append(w)
     return walks
+
+
+def roundtrip_triangulate_all(g: OnePlaneGraph, triangles: bool) -> OnePlaneGraph:
+    """XH (``triangles`` False) or YH from a finished HH(k), copied into a
+    second builder; each quadrangle's first diagonal joins the pair of
+    opposite corners of smaller degree sum in ``g``."""
+    b = DrawingBuilder.from_graph(g)
+    for f in g.face_set:
+        if f.is_quadrangle():
+            vs = f.vertices
+            deg = [g.map.degree(v) for v in vs]
+            key0 = (deg[0] + deg[2], min(vs[0], vs[2]))
+            key1 = (deg[1] + deg[3], min(vs[1], vs[3]))
+            b.cross_quad(list(f.darts), first_diagonal=0 if key0 <= key1 else 1)
+        elif triangles and f.is_triangle():
+            b.cone(list(f.darts))
+    return b.graph()
+
+
+def roundtrip_M_triangulated(k: int) -> OnePlaneGraph:
+    """gen_M_triangulated from a finished M(k), copied into a second builder."""
+    if k == 1:
+        return _xm1_base().graph()
+    g = gen_M(k)
+    b = DrawingBuilder.from_graph(g)
+    for f in g.face_set:
+        walk, quad = list(f.darts), f.vertices
+        if f.boundary in (frozenset(range(4)), frozenset(range(4 * k - 4, 4 * k))):
+            a = _lowest_diagonal_anchor(quad)
+            b.insert_edge_one_face(walk, a, (a + 2) % 4)
+        else:
+            pos = _first_inner_corner(quad)
+            b.insert_edge_one_face(walk, (pos - 1) % 4, (pos + 1) % 4)
+    return b.graph()
+
+
+def roundtrip_XM(k: int) -> OnePlaneGraph:
+    """gen_XM through finished drawings: the faces of a finished M(k) are
+    filled on a second builder, then each crossing diagonal is an
+    insertion candidate that ``apply_insertion`` finishes."""
+    if k == 1:
+        g = _xm1_base().graph()
+        for tri, far, crossed in (((0, 1, 2), 3, (0, 2)), ((0, 1, 3), 2, (1, 3))):
+            fi = next(f.index for f in g.face_set if f.boundary == frozenset(tri))
+            g = k1_triangulate(g, fi)
+            g = roundtrip_crossing_diagonal(g, g.map.n_vertices - 1, far, crossed)
+        return g
+    g = gen_M(k)
+    b = DrawingBuilder.from_graph(g)
+    cones = []
+    for f in g.face_set:
+        walk, quad = list(f.darts), f.vertices
+        if f.boundary == frozenset(range(4)):
+            a = _lowest_diagonal_anchor(quad)
+            pair = (_k2_on_builder(b, walk, a), quad, a)
+        elif f.boundary == frozenset(range(4 * k - 4, 4 * k)):
+            b.cross_quad(walk, first_diagonal=_lowest_diagonal_anchor(quad))
+        else:
+            cones.append((b.cone(walk).center, quad))
+    g = b.graph()
+    (x, y), quad, a = pair
+    g = roundtrip_crossing_diagonal(g, quad[a], quad[(a + 2) % 4], (x, y))
+    for c, quad in cones:
+        pos = _first_inner_corner(quad)
+        g = roundtrip_crossing_diagonal(g, quad[(pos - 1) % 4], quad[(pos + 1) % 4],
+                                        (c, quad[pos]))
+    return g
+
+
+def roundtrip_crossing_diagonal(g: OnePlaneGraph, u: int, v: int,
+                                crossed: tuple[int, int]) -> OnePlaneGraph:
+    """Edge u-v across the uncrossed edge with endpoints ``crossed``, as an
+    insertion candidate from the face through the smaller endpoint."""
+    e = next(i for i, r in enumerate(g.edges)
+             if {r.u, r.v} == set(crossed) and r.crossing is None)
+    fs = g.face_set
+    d = g.edge_darts[e][0]
+    f1, f2 = fs.face_of_dart[d], fs.face_of_dart[g.map.opposite[d]]
+    if u not in fs[f1].boundary:
+        f1, f2 = f2, f1
+    if u > v:
+        u, v, f1, f2 = v, u, f2, f1
+    return apply_insertion(g, InsertionCandidate(u, v, RouteKind.TWO_FACES, (f1, f2), e))

@@ -165,3 +165,24 @@ def test_fuzz_deterministic_output(capsys):
     first = capsys.readouterr().out
     assert main(["fuzz", "--count", "4", "--n", "6..8", "--seed", "5"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv", [["check"], ["stats"], ["export-dot"],
+                                  ["generate", "fixture", "--path"]])
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "bom.1pg"
+    path.write_bytes(b"\xff\xfe")
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: PARSE_ERROR: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("command", ["generate", "export-dot"])
+def test_out_into_missing_directory(tmp_path, capsys, command):
+    args = ["xm", "--k", "2"] if command == "generate" else [write(tmp_path, "xm", 2)]
+    out = tmp_path / "missing" / "out.txt"
+    assert main([command, *args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()

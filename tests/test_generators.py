@@ -1,17 +1,23 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneplane.core import FaceClass, OperationError, faces
+from oneplane.core import FaceClass, OperationError, VertexKind, faces
 from oneplane.build import DrawingBuilder, plane_graph
+from oneplane.maximality import SaturationPolicy, saturate
 from oneplane.interchange import load, serialize
 from oneplane.generators import (
+    FAMILIES,
     expected_stats,
     gen_H,
     gen_HH,
     gen_M,
     gen_M_triangulated,
     gen_XH,
+    gen_XM,
+    gen_YH,
     gen_random_seed,
     generate,
     k1_triangulate,
@@ -20,7 +26,12 @@ from oneplane.generators import (
     tx_triangulate,
 )
 
-from .oracles import rescan_random_seed
+from .oracles import (
+    rescan_random_seed,
+    roundtrip_M_triangulated,
+    roundtrip_triangulate_all,
+    roundtrip_XM,
+)
 
 
 
@@ -233,3 +244,70 @@ def test_random_seed_walks_each_new_face_once(monkeypatch):
         walks.clear()
         assert gen_random_seed(200, seed).n == 200
         assert len(walks) <= 3 * 200
+
+
+def test_one_builder_matches_roundtrip_oracles():
+    """Building each family member on one builder gives the drawing that
+    the construction through finished intermediate drawings gives."""
+    for k in range(1, 5):
+        assert serialize(gen_XH(k)) == serialize(roundtrip_triangulate_all(gen_HH(k), False))
+        assert serialize(gen_YH(k)) == serialize(roundtrip_triangulate_all(gen_HH(k), True))
+    for k in range(1, 7):
+        assert serialize(gen_XM(k)) == serialize(roundtrip_XM(k))
+        assert serialize(gen_M_triangulated(k)) == serialize(roundtrip_M_triangulated(k))
+
+
+def test_each_family_member_is_finished_once(monkeypatch):
+    """Every generated drawing is validated once, at the end, and no
+    construction copies a finished drawing into a builder, as
+    ``maximality.apply_insertion`` does."""
+    calls = []
+    finish, from_graph = DrawingBuilder.finish, DrawingBuilder.from_graph.__func__
+
+    def counted_finish(self):
+        calls.append("finish")
+        return finish(self)
+
+    def counted_from_graph(cls, g):
+        calls.append("from_graph")
+        return from_graph(cls, g)
+    monkeypatch.setattr(DrawingBuilder, "finish", counted_finish)
+    monkeypatch.setattr(DrawingBuilder, "from_graph", classmethod(counted_from_graph))
+    for family in FAMILIES:
+        for k in range(1, 4 if family in ("xh", "yh") else 7):
+            calls.clear()
+            generate(family, k)
+            assert calls == ["finish"], (family, k)
+    for k in range(1, 7):
+        calls.clear()
+        gen_M_triangulated(k)
+        assert calls == ["finish"], k
+
+
+def _simple_true_faces(b):
+    return [w for w in b.face_walks()
+            if len({b.dart_vertex[d] for d in w}) == len(w)
+            and all(b.kinds[b.dart_vertex[d]] is VertexKind.TRUE for d in w)]
+
+
+def test_builder_face_walks_match_finished_faces():
+    """After deletions and cones, whose new darts take ids out of rotation
+    order, the builder's face walks are the finished drawing's, in order."""
+    states = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        g = saturate(gen_random_seed(6 + seed % 9, seed), SaturationPolicy.SEEDED, seed)
+        b = DrawingBuilder.from_graph(g)
+        for step in range(5):
+            if step % 2 == 0:
+                live = [e for e, rec in enumerate(b.edges) if rec is not None]
+                b.delete_edge(rng.choice(live))
+            elif faces := _simple_true_faces(b):
+                b.cone(rng.choice(faces))
+            if not b.is_connected():
+                break
+            res = b.finish()
+            walks = [tuple(res.dart_map[d] for d in w) for w in b.face_walks()]
+            assert walks == list(res.graph.map.face_walks)
+            states += 1
+    assert states > 100

@@ -14,3 +14,12 @@ def test_library_has_no_assert():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_generators_import_only_build_and_core():
+    # every family is built on a DrawingBuilder, never by insertion candidates
+    path = Path(oneplane.__file__).parent / "generators.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    local = {node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert local == {"build", "core"}

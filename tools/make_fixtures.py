@@ -19,7 +19,7 @@ from oneplane.build import DrawingBuilder
 from oneplane.core import underlying
 from oneplane.maximality import is_maximal
 from oneplane.analyze import vertex_connectivity
-from oneplane.generators import _quad_first_diagonal
+from oneplane.generators import _triangulate_all
 from oneplane import interchange
 
 
@@ -41,15 +41,7 @@ def _ring_graph(rings, radii, offsets, edges):
         table.append(sorted(adj[v],
                             key=lambda w: math.atan2(pos[w][1] - py,
                                                      pos[w][0] - px)))
-    return DrawingBuilder.from_neighbors(table).graph()
-
-
-def _cross_all_quads(g):
-    b = DrawingBuilder.from_graph(g)
-    for f in g.face_set:
-        if f.is_quadrangle():
-            b.cross_quad(list(f.darts), first_diagonal=_quad_first_diagonal(g, f))
-    return b.graph()
+    return DrawingBuilder.from_neighbors(table)
 
 
 def make_t1():
@@ -74,10 +66,9 @@ def make_t1():
     for j in range(8):                       # prism band
         add(4 + j, 12 + j)
     base = _ring_graph(rings, radii, offsets, edges)
-    fs = base.face_set
-    assert sum(1 for f in fs if f.size == 3) == 8
-    assert sum(1 for f in fs if f.size == 4) == 18
-    return _cross_all_quads(base)
+    sizes = [len(w) for w in base.face_walks()]
+    assert sizes.count(3) == 8 and sizes.count(4) == 18
+    return _triangulate_all(base, triangles=False).graph()
 
 
 def make_t2():
@@ -107,10 +98,9 @@ def make_t2():
     for m in range(16):                      # prism band 16 <-> 16
         add(12 + m, 28 + m)
     base = _ring_graph(rings, radii, offsets, edges)
-    fs = base.face_set
-    assert sum(1 for f in fs if f.size == 3) == 24
-    assert sum(1 for f in fs if f.size == 4) == 42
-    return _cross_all_quads(base)
+    sizes = [len(w) for w in base.face_walks()]
+    assert sizes.count(3) == 24 and sizes.count(4) == 42
+    return _triangulate_all(base, triangles=False).graph()
 
 
 def main():
