@@ -7,10 +7,11 @@ its crossing away).  Public immutable values are produced by ``finish()``,
 which compacts ids and runs full validation.
 
 Dart conventions (shared with core): the walk successor of dart ``d`` is the
-rotation successor of ``opposite[d]``; the corner of a walk at position
-``i`` is the angular gap immediately before the walk dart ``d_i`` in the
-rotation of its vertex.  New darts for a corner are spliced in at the list
-position of ``d_i``.
+rotation successor of ``opposite[d]``.  A corner of a face is the angular gap
+at one of its vertices just before the walk dart leaving that vertex, and a
+new dart for the corner is spliced into the rotation there.  Edge insertion
+names endpoints by vertex; a vertex with several corners on one face uses
+the one whose walk dart comes first in its rotation.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class ConeResult:
     # one triple per chosen corner, in corner order:
     # (spoke dart at the rim vertex, spoke dart at the center, rim vertex)
     spokes: list[tuple[int, int, int]]
-    edge_ids: list[int]
 
 
 @dataclass(frozen=True)
@@ -172,45 +172,68 @@ class DrawingBuilder:
 
     # -- edge insertion ----------------------------------------------------------
 
-    def insert_edge_one_face(self, walk, i: int, j: int) -> int:
-        """Add edge between the corners at walk positions i and j of one face."""
-        u = self.dart_vertex[walk[i]]
-        v = self.dart_vertex[walk[j]]
+    def _corner(self, v: int, face) -> int | None:
+        """v's corner on the face with dart set ``face``: the first of v's
+        darts on it in rotation order, or None when v is not on the face."""
+        return next((d for d in self.rotations[v] if d in face), None)
+
+    def insert_edge_one_face(self, walk, u: int, v: int) -> int:
+        """Add edge u-v inside the face ``walk``, from each endpoint's
+        corner on it."""
+        face = set(walk)
+        cu, cv = self._corner(u, face), self._corner(v, face)
+        if cu is None or cv is None:
+            raise OperationError("BAD_PARAMETER",
+                                 f"vertices {u},{v} are not both on the face")
+        return self._chord(cu, cv)
+
+    def _chord(self, cu: int, cv: int) -> int:
+        """Add an edge between the corners closed by darts cu and cv of one
+        face."""
+        u, v = self.dart_vertex[cu], self.dart_vertex[cv]
         e = self._new_edge(u, v, None)
         p = self._new_dart(u, e)
         q = self._new_dart(v, e)
         self.opposite[p] = q
         self.opposite[q] = p
-        self._splice_before(walk[i], p)
-        self._splice_before(walk[j], q)
+        self._splice_before(cu, p)
+        self._splice_before(cv, q)
         return e
 
-    def insert_edge_crossing(self, walk1, i: int, walk2, j: int,
-                             cross_edge: int) -> tuple[int, int]:
-        """Add edge from corner i of face walk1 to corner j of face walk2,
-        crossing the currently uncrossed edge shared by the two faces.
+    def insert_edge_crossing(self, u: int, v: int, e: int) -> tuple[int, int]:
+        """Add edge u-v crossing the uncrossed edge ``e``, from u's corner on
+        one face of e to v's corner on the other.  u must lie on exactly one
+        of the two faces.
 
         Returns (new edge id, fake vertex id).
         """
-        u = self.dart_vertex[walk1[i]]
-        v = self.dart_vertex[walk2[j]]
-        if self.edges[cross_edge][2] is not None:
-            raise OperationError("BAD_PARAMETER",
-                                 f"edge {cross_edge} is already crossed")
-        d_e = next((d for d in walk1 if self.dart_edge[d] == cross_edge), None)
-        if d_e is None:
-            raise OperationError("BAD_PARAMETER",
-                                 f"edge {cross_edge} not on the first face")
-        d_b = self.opposite[d_e]
-        if d_b not in walk2:
-            raise OperationError("BAD_PARAMETER",
-                                 f"edge {cross_edge} not shared with the second face")
-        a = self.dart_vertex[d_e]
-        bvert = self.dart_vertex[d_b]
-        if u in (a, bvert) or v in (a, bvert):
+        rec = self.edges[e]
+        if rec[2] is not None:
+            raise OperationError("BAD_PARAMETER", f"edge {e} is already crossed")
+        if u in rec[:2] or v in rec[:2]:
             raise OperationError("ADJACENT_EDGES_CROSS",
                                  "crossed edge is incident to an endpoint")
+        d = next(d for d in self.rotations[rec[0]] if self.dart_edge[d] == e)
+        sides = (d, self.opposite[d])
+        faces = [set(self.face_walk_from(s)) for s in sides]
+        at_u = [self._corner(u, f) for f in faces]
+        if (at_u[0] is None) == (at_u[1] is None):
+            raise OperationError("BAD_PARAMETER",
+                                 f"vertex {u} is not on exactly one face of edge {e}")
+        i = 0 if at_u[0] is not None else 1
+        cv = self._corner(v, faces[1 - i])
+        if cv is None:
+            raise OperationError("BAD_PARAMETER",
+                                 f"vertex {v} is not on the other face of edge {e}")
+        return self._cross(at_u[i], cv, sides[i])
 
+    def _cross(self, cu: int, cv: int, d_e: int) -> tuple[int, int]:
+        """Add an edge from the corner closed by dart cu, on the face of dart
+        d_e, to the corner closed by cv on the face of d_e's opposite,
+        crossing d_e's edge."""
+        u, v = self.dart_vertex[cu], self.dart_vertex[cv]
+        cross_edge = self.dart_edge[d_e]
+        d_b = self.opposite[d_e]
         c = self.new_vertex(VertexKind.FAKE)
         e_new = self._new_edge(u, v, c)
         self.edges[cross_edge][2] = c
@@ -236,27 +259,23 @@ class DrawingBuilder:
         # transversal rotation at the crossing; derived so that both face
         # splits close up (see module docstring for the walk convention)
         self.rotations[c] = [t_a, t_u, t_b, t_v]
-        self._splice_before(walk1[i], p)
-        self._splice_before(walk2[j], q)
+        self._splice_before(cu, p)
+        self._splice_before(cv, q)
         return e_new, c
 
-    # -- face coning -------------------------------------------------------------
+    # -- face filling ------------------------------------------------------------
 
-    def cone(self, walk, corners=None, kind=VertexKind.TRUE) -> ConeResult:
-        """Insert a new vertex inside the face and join it to the chosen
+    def cone(self, walk, corners=None) -> ConeResult:
+        """Insert a new true vertex inside the face and join it to the chosen
         corners (all corners by default, in walk order).
 
         With all corners chosen every created face is a triangle; with a
-        contiguous subset the remainder stays a single face.  Each spoke is
-        its own (uncrossed) edge unless the caller rewires dart_edge.
+        contiguous subset the remainder stays a single face.
         """
         if corners is None:
             corners = range(len(walk))
-        corners = list(corners)
-        x = self.new_vertex(kind)
+        x = self.new_vertex(VertexKind.TRUE)
         spokes = []
-        edge_ids = []
-        t_list = []
         for i in corners:
             vi = self.dart_vertex[walk[i]]
             e = self._new_edge(x, vi, None)
@@ -266,11 +285,25 @@ class DrawingBuilder:
             self.opposite[t] = s
             self._splice_before(walk[i], s)
             spokes.append((s, t, vi))
-            edge_ids.append(e)
-            t_list.append(t)
         # reversed spoke order at the center keeps the map on the sphere
-        self.rotations[x] = list(reversed(t_list))
-        return ConeResult(center=x, spokes=spokes, edge_ids=edge_ids)
+        self.rotations[x] = [t for _, t, _ in reversed(spokes)]
+        return ConeResult(center=x, spokes=spokes)
+
+    def quad_error(self, walk, diagonals: bool = True) -> OperationError | None:
+        """Why the face ``walk`` cannot be filled as a quadrangle: it is not
+        a 4-walk of distinct true vertices, or (with ``diagonals``) one of
+        its diagonals is already an edge.  None when it can."""
+        if len(walk) != 4:
+            return OperationError("FACE_NOT_QUAD", f"face walk has length {len(walk)}")
+        vs = [self.dart_vertex[d] for d in walk]
+        if len(set(vs)) != 4 or any(self.kinds[v] is VertexKind.FAKE for v in vs):
+            return OperationError("BOUNDARY_NOT_SIMPLE",
+                                  f"need 4 distinct true boundary vertices, got {vs}")
+        for p, r in ((0, 2), (1, 3)) if diagonals else ():
+            if self.edge_between(vs[p], vs[r]) is not None:
+                return OperationError("DIAGONAL_EXISTS",
+                                      f"vertices {vs[p]},{vs[r]} already adjacent")
+        return None
 
     def cross_quad(self, walk, first_diagonal: int = 0) -> tuple[int, int, int]:
         """Insert a pair of crossing diagonals into a quadrangular face.
@@ -279,36 +312,25 @@ class DrawingBuilder:
         edge id, 1 the (corner1, corner3) one.  Returns (edge id of the
         first diagonal, edge id of the second, fake vertex id).
         """
-        if len(walk) != 4:
-            raise OperationError("FACE_NOT_QUAD",
-                                 f"face walk has length {len(walk)}")
-        vs = [self.dart_vertex[d] for d in walk]
-        if len(set(vs)) != 4 or any(self.kinds[v] is VertexKind.FAKE for v in vs):
-            raise OperationError("BOUNDARY_NOT_SIMPLE",
-                                 f"need 4 distinct true boundary vertices, got {vs}")
-        for p, r in ((0, 2), (1, 3)):
-            if self.adjacent(vs[p], vs[r]):
-                raise OperationError("DIAGONAL_EXISTS",
-                                     f"vertices {vs[p]},{vs[r]} already adjacent")
-        res = self.cone(walk, kind=VertexKind.FAKE)
-        c = res.center
-        order = (0, 2, 1, 3) if first_diagonal == 0 else (1, 3, 0, 2)
-        # merge the four spokes into two crossing edges
-        self.edges[res.edge_ids[order[0]]] = None
-        self.edges[res.edge_ids[order[1]]] = None
-        self.edges[res.edge_ids[order[2]]] = None
-        self.edges[res.edge_ids[order[3]]] = None
-        e1 = self._new_edge(vs[order[0]], vs[order[1]], c)
-        e2 = self._new_edge(vs[order[2]], vs[order[3]], c)
-        for corner, e in ((order[0], e1), (order[1], e1), (order[2], e2), (order[3], e2)):
-            s, t, _ = res.spokes[corner]
-            self.dart_edge[s] = e
-            self.dart_edge[t] = e
+        if err := self.quad_error(walk):
+            raise err
+        o = (0, 2, 1, 3) if first_diagonal == 0 else (1, 3, 0, 2)
+        e1 = self._chord(walk[o[0]], walk[o[1]])
+        # the first diagonal splits the face in two triangles; on the one at
+        # corner o[2], the walk goes from that corner along the diagonal
+        e2, c = self._cross(walk[o[2]], walk[o[3]],
+                            self.rotation_successor(self.opposite[walk[o[2]]]))
+        # _cross leaves the crossing's rotation toward corners 2, 1, 0, 3
+        # (first_diagonal 0) or 1, 0, 3, 2; start it at corner 3
+        rot, k = self.rotations[c], 3 if first_diagonal == 0 else 2
+        self.rotations[c] = rot[k:] + rot[:k]
         return e1, e2, c
 
-    def adjacent(self, u: int, v: int) -> bool:
-        """Whether an edge joins true vertices u and v (it has a dart at u)."""
-        return any(v in self.edges[self.dart_edge[d]][:2] for d in self.rotations[u])
+    def edge_between(self, u: int, v: int) -> int | None:
+        """The edge joining true vertices u and v (it has a dart at u), or
+        None."""
+        return next((self.dart_edge[d] for d in self.rotations[u]
+                     if v in self.edges[self.dart_edge[d]][:2]), None)
 
     # -- edge deletion -----------------------------------------------------------
 

@@ -582,11 +582,13 @@ def check(kinds, rotations, opposite, edges, dart_edge) -> list[Violation]:
         buckets[e].append(d)
 
     for e, rec in enumerate(edges):
-        for w in (rec.u, rec.v):
-            if not (0 <= w < len(kinds)) or kinds[w] is VertexKind.FAKE:
-                bad(Violation("BAD_EDGE_TABLE",
-                              f"edge {e} endpoint {w} is not a true vertex"))
-                continue
+        wrong = [w for w in (rec.u, rec.v)
+                 if not (0 <= w < len(kinds)) or kinds[w] is VertexKind.FAKE]
+        for w in wrong:
+            bad(Violation("BAD_EDGE_TABLE",
+                          f"edge {e} endpoint {w} is not a true vertex"))
+        if wrong:
+            continue
         darts = buckets[e]
         segs = _segments_of(pmap, darts, opposite)
         if segs is None:

@@ -18,20 +18,22 @@ from bisect import bisect_left, insort
 from operator import itemgetter
 
 from .build import DrawingBuilder
-from .core import (
-    OnePlaneGraph,
-    OperationError,
-    VertexKind,
-)
+from .core import OnePlaneGraph, OperationError
 
 
 # ---------------------------------------------------------------------------
 # Face operations (single-face public API)
 # ---------------------------------------------------------------------------
 
+def _face(g: OnePlaneGraph, face_index: int):
+    if not 0 <= face_index < len(g.face_set):
+        raise OperationError("UNKNOWN_FACE", f"no face {face_index}")
+    return g.face_set[face_index]
+
+
 def k1_triangulate(g: OnePlaneGraph, face_index: int) -> OnePlaneGraph:
     """Insert a new vertex inside the face, joined to every boundary vertex."""
-    f = g.face_set[face_index]
+    f = _face(g, face_index)
     if len(f.boundary) != len(f.vertices) or len(f.vertices) < 3:
         raise OperationError("BOUNDARY_NOT_SIMPLE",
                              f"face {face_index} boundary {f.vertices}")
@@ -46,7 +48,7 @@ def k1_triangulate(g: OnePlaneGraph, face_index: int) -> OnePlaneGraph:
 def tx_triangulate(g: OnePlaneGraph, face_index: int,
                    first_diagonal: int = 0) -> OnePlaneGraph:
     """Insert a pair of crossing diagonals into a quadrangular face."""
-    f = g.face_set[face_index]
+    f = _face(g, face_index)
     b = DrawingBuilder.from_graph(g)
     b.cross_quad(list(f.darts), first_diagonal=first_diagonal)
     return b.graph()
@@ -57,7 +59,7 @@ def k2_triangulate(g: OnePlaneGraph, face_index: int,
     """Insert an adjacent pair x,y inside a quadrangular face, joined to the
     four boundary vertices with six edges so the face is triangulated
     without crossings.  ``anchor`` picks the corner adjacent to both."""
-    f = g.face_set[face_index]
+    f = _face(g, face_index)
     b = DrawingBuilder.from_graph(g)
     _k2_on_builder(b, list(f.darts), anchor)
     return b.graph()
@@ -66,12 +68,8 @@ def k2_triangulate(g: OnePlaneGraph, face_index: int,
 def _k2_on_builder(b: DrawingBuilder, walk, anchor: int) -> tuple[int, int]:
     """Returns the two new vertex ids (x adjacent to corners a,a+1,a+2 and
     y adjacent to corners a+2,a+3,a and x)."""
-    if len(walk) != 4:
-        raise OperationError("FACE_NOT_QUAD", f"face walk has length {len(walk)}")
-    vs = [b.dart_vertex[d] for d in walk]
-    if len(set(vs)) != 4 or any(b.kinds[v] is VertexKind.FAKE for v in vs):
-        raise OperationError("BOUNDARY_NOT_SIMPLE",
-                             f"need 4 distinct true boundary vertices, got {vs}")
+    if err := b.quad_error(walk, diagonals=False):
+        raise err
     a = anchor % 4
     first = b.cone(walk, corners=[a, (a + 1) % 4, (a + 2) % 4])
     x = first.center
@@ -303,10 +301,10 @@ def gen_M_triangulated(k: int) -> OnePlaneGraph:
         quad = [b.dart_vertex[d] for d in walk]
         if len({v // 4 for v in quad}) == 1:       # innermost or outermost
             a = _lowest_diagonal_anchor(quad)
-            b.insert_edge_one_face(walk, a, (a + 2) % 4)
+            b.insert_edge_one_face(walk, quad[a], quad[(a + 2) % 4])
         else:
             pos = _first_inner_corner(quad)
-            b.insert_edge_one_face(walk, (pos - 1) % 4, (pos + 1) % 4)
+            b.insert_edge_one_face(walk, quad[(pos - 1) % 4], quad[(pos + 1) % 4])
     return b.graph()
 
 
@@ -320,12 +318,8 @@ def _first_inner_corner(quad) -> int:
 
 def _xm1_base() -> DrawingBuilder:
     b = DrawingBuilder.from_neighbors([[3, 1], [0, 2], [1, 3], [2, 0]])
-    w1 = b.face_walk_from(0)
-    vs1 = [b.dart_vertex[d] for d in w1]
-    b.insert_edge_one_face(w1, vs1.index(0), vs1.index(2))
-    w2 = b.face_walk_from(b.opposite[0])
-    vs2 = [b.dart_vertex[d] for d in w2]
-    b.insert_edge_one_face(w2, vs2.index(1), vs2.index(3))
+    b.insert_edge_one_face(b.face_walk_from(0), 0, 2)
+    b.insert_edge_one_face(b.face_walk_from(b.opposite[0]), 1, 3)
     return b
 
 
@@ -335,19 +329,9 @@ def _lowest_diagonal_anchor(vs) -> int:
 
 def _insert_crossing_diagonal(b: DrawingBuilder, u: int, v: int,
                               crossed: tuple[int, int]) -> None:
-    """Insert edge u-v across the uncrossed edge ``crossed``, starting from
-    the face through the smaller endpoint; each endpoint takes its first
-    corner on its face in rotation order."""
-    x, y = crossed
-    d = next(d for d in b.rotations[x]
-             if b.edges[b.dart_edge[d]] in ([x, y, None], [y, x, None]))
-    u, v = min(u, v), max(u, v)
-    walk1, walk2 = b.face_walk_from(d), b.face_walk_from(b.opposite[d])
-    if u not in (b.dart_vertex[w] for w in walk1):
-        walk1, walk2 = walk2, walk1
-    i = walk1.index(next(c for c in b.rotations[u] if c in walk1))
-    j = walk2.index(next(c for c in b.rotations[v] if c in walk2))
-    b.insert_edge_crossing(walk1, i, walk2, j, b.dart_edge[d])
+    """Insert edge u-v, smaller endpoint first, across the uncrossed edge
+    joining the pair ``crossed``."""
+    b.insert_edge_crossing(min(u, v), max(u, v), b.edge_between(*crossed))
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +415,11 @@ def gen_random_seed(n: int, seed: int) -> OnePlaneGraph:
         fill(rng.choice(walks), b.cone)
     if rng.random() < 0.6:
         for _ in range(rng.randint(1, 3)):
-            quads = [w for w in walks if _crossable_quad(b, w)]
+            quads = [w for w in walks if b.quad_error(w) is None]
             if not quads:
                 break
             fill(rng.choice(quads), b.cross_quad)
     return b.graph()
-
-
-def _crossable_quad(b: DrawingBuilder, walk) -> bool:
-    if len(walk) != 4:
-        return False
-    vs = [b.dart_vertex[d] for d in walk]
-    if len(set(vs)) != 4 or any(b.kinds[v] is VertexKind.FAKE for v in vs):
-        return False
-    return not (b.adjacent(vs[0], vs[2]) or b.adjacent(vs[1], vs[3]))
 
 
 # ---------------------------------------------------------------------------

@@ -128,36 +128,20 @@ def is_maximal(g: OnePlaneGraph) -> MaximalityResult:
 def apply_insertion(g: OnePlaneGraph, cand: InsertionCandidate) -> OnePlaneGraph:
     """Insert the candidate edge, returning a new validated drawing."""
     b = DrawingBuilder.from_graph(g)
-    _insert(b, cand, g.map.face_walks, g.map.face_of_dart)
+    _insert(b, cand, g.map.face_walks)
     return b.graph()
 
 
-def _insert(b: DrawingBuilder, cand: InsertionCandidate, walks, face_of) -> None:
-    """Insert the candidate into the builder, whose faces are ``walks[f]``,
-    with ``face_of[d]`` the face of dart ``d``."""
+def _insert(b: DrawingBuilder, cand: InsertionCandidate, walks) -> None:
+    """Insert the candidate into the builder, whose faces are ``walks[f]``."""
     if cand.kind is RouteKind.ONE_FACE:
         (f,) = cand.faces
-        walk = walks[f]
-        b.insert_edge_one_face(walk, _corner_of(b, walk, face_of, f, cand.u),
-                               _corner_of(b, walk, face_of, f, cand.v))
-        return
-    if cand.cross_edge is None:
+        b.insert_edge_one_face(walks[f], cand.u, cand.v)
+    elif cand.cross_edge is None:
         raise OperationError("BAD_PARAMETER",
                              "a two-face insertion needs the edge it crosses")
-    f1, f2 = cand.faces
-    walk1, walk2 = walks[f1], walks[f2]
-    b.insert_edge_crossing(walk1, _corner_of(b, walk1, face_of, f1, cand.u),
-                           walk2, _corner_of(b, walk2, face_of, f2, cand.v),
-                           cand.cross_edge)
-
-
-def _corner_of(b: DrawingBuilder, walk, face_of, f: int, v: int) -> int:
-    """Walk position of v's corner on face ``f``; for several corners of v on
-    one face, the first in v's rotation order (a pure tie-break)."""
-    d = next((d for d in b.rotations[v] if face_of[d] == f), None)
-    if d is None:
-        raise OperationError("BAD_PARAMETER", f"vertex {v} not on the face")
-    return walk.index(d)
+    else:
+        b.insert_edge_crossing(cand.u, cand.v, cand.cross_edge)
 
 
 class _Closure:
@@ -239,7 +223,7 @@ class _Closure:
         and update the candidates."""
         b = self.b
         n0 = len(b.opposite)
-        _insert(b, cand, self.walks, self.face_of)
+        _insert(b, cand, self.walks)
         self.adj[cand.u].add(cand.v)
         self.adj[cand.v].add(cand.u)
         # every candidate across the crossed edge refers to one of its two

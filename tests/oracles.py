@@ -7,9 +7,8 @@ from itertools import combinations
 
 from oneplane.analyze import connectivity_at_least
 from oneplane.build import DEAD, DrawingBuilder
-from oneplane.core import OnePlaneGraph, OperationError, SimpleGraph
+from oneplane.core import OnePlaneGraph, OperationError, SimpleGraph, VertexKind
 from oneplane.generators import (
-    _crossable_quad,
     _first_inner_corner,
     _k2_on_builder,
     _lowest_diagonal_anchor,
@@ -223,6 +222,28 @@ def scan_delete_edge(b: DrawingBuilder, e: int) -> None:
         b._smooth(crossing)
 
 
+def cone_cross_quad(b: DrawingBuilder, walk, first_diagonal: int = 0):
+    """DrawingBuilder.cross_quad by coning the face with a fake center and
+    merging its four spokes into two crossing edges, which leaves the four
+    spoke edges dead."""
+    if err := b.quad_error(walk):
+        raise err
+    vs = [b.dart_vertex[d] for d in walk]
+    spokes = len(b.edges)
+    res = b.cone(walk)
+    c = res.center
+    b.kinds[c] = VertexKind.FAKE
+    order = (0, 2, 1, 3) if first_diagonal == 0 else (1, 3, 0, 2)
+    for e in range(spokes, spokes + 4):
+        b.edges[e] = None
+    e1 = b._new_edge(vs[order[0]], vs[order[1]], c)
+    e2 = b._new_edge(vs[order[2]], vs[order[3]], c)
+    for corner, e in zip(order, (e1, e1, e2, e2)):
+        s, t, _ = res.spokes[corner]
+        b.dart_edge[s] = b.dart_edge[t] = e
+    return e1, e2, c
+
+
 def stepwise_saturation(g: OnePlaneGraph,
                         policy: SaturationPolicy = SaturationPolicy.DETERMINISTIC,
                         seed: int | None = None) -> list[OnePlaneGraph]:
@@ -256,7 +277,7 @@ def rescan_random_seed(n: int, seed: int) -> OnePlaneGraph:
         b.cone(rng.choice(_all_walks(b)))
     if rng.random() < 0.6:
         for _ in range(rng.randint(1, 3)):
-            quads = [w for w in _all_walks(b) if _crossable_quad(b, w)]
+            quads = [w for w in _all_walks(b) if b.quad_error(w) is None]
             if not quads:
                 break
             b.cross_quad(rng.choice(quads))
@@ -302,10 +323,10 @@ def roundtrip_M_triangulated(k: int) -> OnePlaneGraph:
         walk, quad = list(f.darts), f.vertices
         if f.boundary in (frozenset(range(4)), frozenset(range(4 * k - 4, 4 * k))):
             a = _lowest_diagonal_anchor(quad)
-            b.insert_edge_one_face(walk, a, (a + 2) % 4)
+            b.insert_edge_one_face(walk, quad[a], quad[(a + 2) % 4])
         else:
             pos = _first_inner_corner(quad)
-            b.insert_edge_one_face(walk, (pos - 1) % 4, (pos + 1) % 4)
+            b.insert_edge_one_face(walk, quad[(pos - 1) % 4], quad[(pos + 1) % 4])
     return b.graph()
 
 

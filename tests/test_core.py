@@ -1,3 +1,4 @@
+import copy
 import sys
 import threading
 
@@ -19,7 +20,7 @@ from oneplane.core import (
 )
 from oneplane.build import DrawingBuilder, plane_graph
 from oneplane.generators import (
-    fixture_path, gen_H, gen_HH, gen_XH, gen_XM, gen_YH, gen_random_seed,
+    fixture_path, gen_H, gen_HH, gen_M, gen_XH, gen_XM, gen_YH, gen_random_seed,
 )
 from oneplane.analyze import vertex_connectivity
 from oneplane.interchange import load
@@ -192,6 +193,53 @@ def test_delete_edge_agrees_with_scan_oracle(make):
             fast.delete_edge(e)
             scan_delete_edge(slow, e)
         assert fast.finish() == slow.finish(), edges
+
+
+def test_insert_edge_crossing_contract():
+    # M(2): edge 0-1 lies between the inner quadrangle 0-1-2-3 and the side
+    # quadrangle 0-1-5-4
+    b = DrawingBuilder.from_graph(gen_M(2))
+    e = b.edge_between(0, 1)
+    assert e is not None and b.edge_between(1, 0) == e and b.edge_between(0, 2) is None
+    for u, v, code in [(0, 5, "ADJACENT_EDGES_CROSS"), (2, 1, "ADJACENT_EDGES_CROSS"),
+                       (2, 3, "BAD_PARAMETER"),       # v not on the other face
+                       (6, 5, "BAD_PARAMETER")]:      # u on neither face
+        with pytest.raises(OperationError) as exc:
+            b.insert_edge_crossing(u, v, e)
+        assert exc.value.code == code, (u, v)
+    new, c = b.insert_edge_crossing(5, 2, e)
+    assert b.edges[new] == [5, 2, c] and b.edges[e] == [0, 1, c]
+    with pytest.raises(OperationError) as exc:
+        b.insert_edge_crossing(3, 4, e)
+    assert exc.value.code == "BAD_PARAMETER"           # e is already crossed
+    assert b.graph().crossing_count == 1
+
+
+def _quad_error_builders():
+    yield DrawingBuilder.from_graph(gen_HH(1))
+    yield DrawingBuilder.from_graph(gen_M(3))
+    for n in range(4, 12):
+        for seed in range(8):
+            yield DrawingBuilder.from_graph(gen_random_seed(n, seed))
+    yield DrawingBuilder.from_neighbors([[1], [0, 2], [1]])   # 4-walk 0,1,2,1
+    b = DrawingBuilder.from_graph(gen_XH(1))
+    b.delete_edge(next(e for e, rec in enumerate(b.edges) if rec[2] is None))
+    yield b                                   # a 4-walk through a crossing
+
+
+def test_quad_error_agrees_with_cross_quad():
+    codes = set()
+    for b in _quad_error_builders():
+        for walk in b.face_walks():
+            err = b.quad_error(walk)
+            try:
+                copy.deepcopy(b).cross_quad(walk)
+                code = None
+            except OperationError as exc:
+                code = exc.code
+            assert code == (err and err.code), walk
+            codes.add(code)
+    assert codes == {None, "FACE_NOT_QUAD", "BOUNDARY_NOT_SIMPLE", "DIAGONAL_EXISTS"}
 
 
 def test_facts_computed_once_are_safe_to_share_between_threads():

@@ -27,6 +27,7 @@ from oneplane.generators import (
 )
 
 from .oracles import (
+    cone_cross_quad,
     rescan_random_seed,
     roundtrip_M_triangulated,
     roundtrip_triangulate_all,
@@ -153,6 +154,15 @@ def test_face_op_errors():
     assert exc.value.code == "BOUNDARY_NOT_SIMPLE"
 
 
+@pytest.mark.parametrize("op", [k1_triangulate, k2_triangulate, tx_triangulate])
+def test_face_ops_reject_unknown_face(op):
+    g = gen_HH(1)
+    for i in (-1, len(g.face_set)):
+        with pytest.raises(OperationError) as exc:
+            op(g, i)
+        assert exc.value.code == "UNKNOWN_FACE", i
+
+
 def test_m_family():
     m3 = gen_M(3)
     assert (m3.n, m3.size) == (12, 20)
@@ -255,6 +265,24 @@ def test_one_builder_matches_roundtrip_oracles():
     for k in range(1, 7):
         assert serialize(gen_XM(k)) == serialize(roundtrip_XM(k))
         assert serialize(gen_M_triangulated(k)) == serialize(roundtrip_M_triangulated(k))
+
+
+def _crossed_quads():
+    hh = [gen_HH(1), gen_HH(2)]
+    out = [gen(k) for gen in (gen_XH, gen_YH) for k in range(1, 5)]
+    out += [gen_XM(k) for k in range(1, 7)]
+    out += [tx_triangulate(g, f.index, first) for g in hh for f in g.face_set
+            if f.is_quadrangle() for first in (0, 1)]
+    out += [gen_random_seed(n, seed) for n in range(4, 89, 7) for seed in range(4)]
+    return [serialize(g) for g in out]
+
+
+def test_cross_quad_matches_cone_oracle(monkeypatch):
+    """A diagonal and an edge crossing it give, byte for byte, the drawing
+    that coning the quadrangle and merging the spokes in pairs gives."""
+    want = _crossed_quads()
+    monkeypatch.setattr(DrawingBuilder, "cross_quad", cone_cross_quad)
+    assert _crossed_quads() == want
 
 
 def test_each_family_member_is_finished_once(monkeypatch):

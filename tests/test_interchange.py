@@ -61,6 +61,17 @@ XM2_LINES = XM2.splitlines()
 XM2_TOKENS = sorted({tok for ln in XM2_LINES for tok in ln.split()})
 
 
+def test_edge_at_fake_vertex_is_one_violation():
+    # edge 0 moved onto a crossing: reported once, not again as a bad segment
+    fake = next(ln.split()[1] for ln in XM2_LINES if ln.endswith(" fake"))
+    doc = XM2.replace("\ne 0 0 ", f"\ne 0 {fake} ", 1)
+    assert doc != XM2
+    with pytest.raises(ValidationError) as exc:
+        parse(doc)
+    about_edge0 = [v for v in exc.value.violations if re.search(r"\bedge 0\b", v.detail)]
+    assert [v.code for v in about_edge0] == ["BAD_EDGE_TABLE"]
+
+
 @st.composite
 def xm2_mutants(draw):
     """XM(2)'s document with one line deleted, duplicated or swapped with

@@ -23,3 +23,14 @@ def test_generators_import_only_build_and_core():
     local = {node.module for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.level == 1}
     assert local == {"build", "core"}
+
+
+def test_one_call_site_creates_a_fake_vertex():
+    # every crossing is made by one insertion path, in build.py
+    calls = []
+    for path in sorted(Path(oneplane.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [(path.name, ast.unparse(node.args[0])) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "new_vertex"]
+    assert [c for c in calls if c[1] != "VertexKind.TRUE"] == [("build.py", "VertexKind.FAKE")]
