@@ -170,6 +170,12 @@ class DrawingBuilder:
                     stack.append(w)
         return len(seen & set(live)) == len(live)
 
+    def _edge(self, e: int) -> list:
+        """The record [u, v, crossing] of a live edge, or UNKNOWN_EDGE."""
+        if not (0 <= e < len(self.edges)) or self.edges[e] is None:
+            raise OperationError("UNKNOWN_EDGE", f"no edge {e}")
+        return self.edges[e]
+
     # -- edge insertion ----------------------------------------------------------
 
     def _corner(self, v: int, face) -> int | None:
@@ -207,7 +213,7 @@ class DrawingBuilder:
 
         Returns (new edge id, fake vertex id).
         """
-        rec = self.edges[e]
+        rec = self._edge(e)
         if rec[2] is not None:
             raise OperationError("BAD_PARAMETER", f"edge {e} is already crossed")
         if u in rec[:2] or v in rec[:2]:
@@ -337,9 +343,7 @@ class DrawingBuilder:
     def delete_edge(self, e: int) -> None:
         """Remove an edge from the drawing; a crossing on it is smoothed,
         restoring the partner edge to a single whole segment."""
-        rec = self.edges[e]
-        if rec is None:
-            raise OperationError("UNKNOWN_EDGE", f"no edge {e}")
+        rec = self._edge(e)
         crossing = rec[2]
         # e's darts sit at its endpoints and, when crossed, at its crossing
         ends = rec if crossing is not None else rec[:2]

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
+from itertools import chain
+from operator import eq
 
 
 class VertexKind(Enum):
@@ -105,46 +107,38 @@ class PlanarMap:
         return tuple(owner)
 
     @cached_property
-    def _rot_next(self) -> tuple[int, ...]:
-        nxt = [-1] * self.n_darts
-        for rot in self.rotations:
-            m = len(rot)
-            for i, d in enumerate(rot):
-                nxt[d] = rot[(i + 1) % m]
-        return tuple(nxt)
-
-    def rotation_successor(self, d: int) -> int:
-        return self._rot_next[d]
-
-    def face_next(self, d: int) -> int:
-        """Next dart along the face walk containing ``d``."""
-        return self._rot_next[self.opposite[d]]
-
-    @cached_property
     def face_walks(self) -> tuple[tuple[int, ...], ...]:
         """Canonical face walks: each starts at its minimum dart, faces
         ordered by that dart."""
-        seen = [False] * self.n_darts
-        walks = []
-        for d0 in range(self.n_darts):
-            if seen[d0]:
-                continue
-            walk = []
-            d = d0
-            while not seen[d]:
-                seen[d] = True
-                walk.append(d)
-                d = self.face_next(d)
-            walks.append(tuple(walk))
-        return tuple(walks)
+        return self._faces[0]
 
     @cached_property
     def face_of_dart(self) -> tuple[int, ...]:
+        return self._faces[1]
+
+    @cached_property
+    def _faces(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        # phi[d]: the dart after d on its face, the rotation successor of
+        # opposite[d]
+        nxt = [-1] * self.n_darts
+        for rot in self.rotations:
+            for d, e in zip(rot, rot[1:] + rot[:1]):
+                nxt[d] = e
+        phi = [nxt[o] for o in self.opposite]
         owner = [-1] * self.n_darts
-        for i, walk in enumerate(self.face_walks):
-            for d in walk:
-                owner[d] = i
-        return tuple(owner)
+        walks = []
+        for d0 in range(self.n_darts):
+            if owner[d0] >= 0:
+                continue
+            f = len(walks)
+            walk = []
+            d = d0
+            while owner[d] < 0:
+                owner[d] = f
+                walk.append(d)
+                d = phi[d]
+            walks.append(tuple(walk))
+        return tuple(walks), tuple(owner)
 
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
@@ -161,22 +155,17 @@ class PlanarMap:
         return tuple(v for v, k in enumerate(self.kinds) if k is VertexKind.TRUE)
 
     def is_connected(self) -> bool:
-        n = self.n_vertices
-        if n == 0:
+        """One breadth-first sweep from vertex 0, a frontier at a time."""
+        if not self.kinds:
             return False
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            v = stack.pop()
-            for d in self.rotations[v]:
-                w = self.dart_vertex[self.opposite[d]]
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == n
+        head = self.dart_vertex.__getitem__
+        rotations, opposite = self.rotations, self.opposite
+        seen, frontier = {0}, {0}
+        while frontier:
+            darts = chain.from_iterable(map(rotations.__getitem__, frontier))
+            frontier = set(map(head, map(opposite.__getitem__, darts))) - seen
+            seen |= frontier
+        return len(seen) == len(self.kinds)
 
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_segments + len(self.face_walks)
@@ -240,7 +229,7 @@ class FaceSet:
 # One-plane graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeRec:
     u: int
     v: int
@@ -311,17 +300,6 @@ class OnePlaneGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency.get(u, frozenset())
-
-    # -- segments -----------------------------------------------------------
-
-    def segment_half(self, d: int) -> str:
-        """Which half of its edge the segment of dart ``d`` is: 'u', 'v' or
-        'whole'."""
-        rec = self.edges[self.dart_edge[d]]
-        if rec.crossing is None:
-            return "whole"
-        ends = {self.map.dart_vertex[d], self.map.dart_vertex[self.map.opposite[d]]}
-        return "u" if rec.u in ends else "v"
 
     # -- face view ----------------------------------------------------------
 
@@ -505,26 +483,35 @@ def validate(kinds, rotations, opposite, edges, dart_edge) -> OnePlaneGraph:
     all violated invariants (not just the first) so fuzzing failures are
     fully diagnosable.
     """
-    violations = check(kinds, rotations, opposite, edges, dart_edge)
+    tables = _tables(kinds, rotations, opposite, edges, dart_edge)
+    violations = _check(*tables)
     if violations:
         raise ValidationError(violations)
-    return OnePlaneGraph(
-        map=PlanarMap(tuple(kinds), tuple(tuple(r) for r in rotations), tuple(opposite)),
-        edges=tuple(edges),
-        dart_edge=tuple(dart_edge),
-    )
+    kinds, rotations, opposite, edges, dart_edge = tables
+    return OnePlaneGraph(map=PlanarMap(kinds, rotations, opposite),
+                         edges=edges, dart_edge=dart_edge)
 
 
 def check(kinds, rotations, opposite, edges, dart_edge) -> list[Violation]:
     """Non-raising validation: the full list of violations (see validate)."""
+    return _check(*_tables(kinds, rotations, opposite, edges, dart_edge))
+
+
+def _tables(kinds, rotations, opposite, edges, dart_edge):
+    return (tuple(kinds), tuple(map(tuple, rotations)), tuple(opposite),
+            tuple(edges), tuple(dart_edge))
+
+
+def _in_range(values, n: int) -> bool:
+    return not values or (min(values) >= 0 and max(values) < n)
+
+
+def _check(kinds, rotations, opposite, edges, dart_edge) -> list[Violation]:
+    """check() on tuples.  Each invariant is decided by one comparison over
+    a whole table; only when that fails does a per-element loop run, to name
+    the offending dart, edge or vertex."""
     violations: list[Violation] = []
     bad = violations.append
-
-    kinds = tuple(kinds)
-    rotations = tuple(tuple(r) for r in rotations)
-    opposite = tuple(opposite)
-    edges = tuple(edges)
-    dart_edge = tuple(dart_edge)
 
     n_darts = len(opposite)
     if len(kinds) != len(rotations):
@@ -532,23 +519,29 @@ def check(kinds, rotations, opposite, edges, dart_edge) -> list[Violation]:
         return violations
 
     # Dart partition: every dart id appears once across all rotations.
-    seen = [0] * n_darts
-    structurally_ok = True
-    for rot in rotations:
-        for d in rot:
+    darts = list(range(n_darts))
+    flat = list(chain.from_iterable(rotations))
+    structurally_ok = flat == darts or sorted(flat) == darts
+    if not structurally_ok:
+        seen = [0] * n_darts
+        structurally_ok = True
+        for d in flat:
             if not (0 <= d < n_darts):
                 bad(Violation("BAD_INVOLUTION", f"dart id {d} out of range"))
                 structurally_ok = False
             else:
                 seen[d] += 1
-    if structurally_ok and any(c != 1 for c in seen):
-        dups = [d for d, c in enumerate(seen) if c != 1]
-        bad(Violation("BAD_INVOLUTION",
-                      f"darts must appear in exactly one rotation: {dups[:8]}"))
-        structurally_ok = False
+        if structurally_ok:
+            dups = [d for d, c in enumerate(seen) if c != 1]
+            bad(Violation("BAD_INVOLUTION",
+                          f"darts must appear in exactly one rotation: {dups[:8]}"))
+            structurally_ok = False
 
     # Fixed-point-free involution.
-    if structurally_ok:
+    if structurally_ok and not (
+            _in_range(opposite, n_darts)
+            and list(map(opposite.__getitem__, opposite)) == darts
+            and not any(map(eq, opposite, darts))):
         for d, o in enumerate(opposite):
             if not (0 <= o < n_darts) or opposite[o] != d or o == d:
                 bad(Violation("BAD_INVOLUTION",
@@ -574,13 +567,88 @@ def check(kinds, rotations, opposite, edges, dart_edge) -> list[Violation]:
     if len(dart_edge) != n_darts:
         bad(Violation("BAD_EDGE_TABLE", "dart-to-edge table has wrong length"))
         return violations
+    if not _in_range(dart_edge, len(edges)):
+        d, e = next((d, e) for d, e in enumerate(dart_edge) if not (0 <= e < len(edges)))
+        bad(Violation("BAD_EDGE_TABLE", f"dart {d} maps to unknown edge {e}"))
+        return violations
+
+    head = list(map(pmap.dart_vertex.__getitem__, opposite))
+    us = [rec.u for rec in edges]
+    vs = [rec.v for rec in edges]
+    edges_ok = _edge_table_holds(pmap, dart_edge, head, us, vs,
+                                 [rec.crossing for rec in edges])
+    if not edges_ok:
+        _edge_table_violations(pmap, edges, dart_edge, bad)
+
+    # Fake vertices: degree 4, two edges, alternating, no shared endpoint.
+    # Once the edge table holds, the two edges at a fake vertex record it,
+    # cross nowhere else, and their endpoints are the four heads there.
+    fake_rots = list(map(rotations.__getitem__, pmap.fake_vertices))
+    de = dart_edge
+    if not edges_ok or not all(
+            len(r) == 4 and de[r[0]] == de[r[2]] != de[r[1]] == de[r[3]]
+            and len({head[d] for d in r}) == 4 for r in fake_rots):
+        _crossing_violations(pmap, edges, dart_edge, bad)
+
+    # Simplicity of the underlying graph.  A valid edge table has no loop
+    # and puts every endpoint in range(n).
+    n = len(kinds)
+    if not edges_ok or len({u * n + v if u < v else v * n + u
+                            for u, v in zip(us, vs)}) != len(edges):
+        ends_seen: set[frozenset[int]] = set()
+        for e, rec in enumerate(edges):
+            if rec.u == rec.v:
+                bad(Violation("NOT_SIMPLE", f"edge {e} is a loop at {rec.u}"))
+                continue
+            key = frozenset((rec.u, rec.v))
+            if key in ends_seen:
+                bad(Violation("NOT_SIMPLE", f"parallel edge {e} between {rec.u},{rec.v}"))
+            ends_seen.add(key)
+
+    # The four faces around any crossing are pairwise distinct.
+    fod = pmap.face_of_dart
+    for c, rot in zip(pmap.fake_vertices, fake_rots):
+        if len(rot) != 4:
+            continue
+        incident = {fod[d] for d in rot}
+        if len(incident) != 4:
+            bad(Violation("CROSSING_FACES_NOT_DISTINCT",
+                          f"fake vertex {c} touches faces {sorted(incident)}"))
+
+    return violations
+
+
+def _edge_table_holds(pmap: PlanarMap, dart_edge, head, us, vs, crossings) -> bool:
+    """Whether every edge has true endpoints and exactly its segments: one
+    u-v segment when uncrossed, u-c and c-v through a fake c when crossed.
+    Each dart is keyed by (edge, tail, head) as one integer; the keys the
+    edge table asks for must be distinct and equal those of the darts."""
+    true, fake = set(pmap.true_vertices), set(pmap.fake_vertices)
+    crossed = [(e, c) for e, c in enumerate(crossings) if c is not None]
+    n, n_darts = pmap.n_vertices, pmap.n_darts
+    if not (true.issuperset(us) and true.issuperset(vs)
+            and fake.issuperset(c for _, c in crossed)
+            and 2 * len(us) + 2 * len(crossed) == n_darts):
+        return False
+    if tuple(map(dart_edge.__getitem__, pmap.opposite)) != dart_edge:
+        return False            # a segment joins two edges
+    # the far end of the segment at u, and at v: the other endpoint, or the
+    # crossing; a crossing's own darts lead to u and to v
+    far_u = [v if c is None else c for v, c in zip(vs, crossings)]
+    far_v = [u if c is None else c for u, c in zip(us, crossings)]
+    want = {(e * n + u) * n + w for e, u, w in zip(range(len(us)), us, far_u)}
+    want.update((e * n + v) * n + w for e, v, w in zip(range(len(vs)), vs, far_v))
+    for e, c in crossed:
+        want.update(((e * n + c) * n + us[e], (e * n + c) * n + vs[e]))
+    have = {(e * n + t) * n + h for e, t, h in zip(dart_edge, pmap.dart_vertex, head)}
+    return len(want) == len(have) == n_darts and want == have
+
+
+def _edge_table_violations(pmap: PlanarMap, edges, dart_edge, bad) -> None:
+    kinds, opposite = pmap.kinds, pmap.opposite
     buckets: list[list[int]] = [[] for _ in edges]
     for d, e in enumerate(dart_edge):
-        if not (0 <= e < len(edges)):
-            bad(Violation("BAD_EDGE_TABLE", f"dart {d} maps to unknown edge {e}"))
-            return violations
         buckets[e].append(d)
-
     for e, rec in enumerate(edges):
         wrong = [w for w in (rec.u, rec.v)
                  if not (0 <= w < len(kinds)) or kinds[w] is VertexKind.FAKE]
@@ -612,10 +680,11 @@ def check(kinds, rotations, opposite, edges, dart_edge) -> list[Violation]:
                 bad(Violation("BAD_EDGE_TABLE",
                               f"crossed edge {e} must be two segments through {c}"))
 
-    # Fake vertices: degree 4, two edges, alternating, no shared endpoint.
+
+def _crossing_violations(pmap: PlanarMap, edges, dart_edge, bad) -> None:
     pair_seen: dict[frozenset[int], int] = {}
     for c in pmap.fake_vertices:
-        rot = rotations[c]
+        rot = pmap.rotations[c]
         if len(rot) != 4:
             bad(Violation("FAKE_DEGREE_NOT_4",
                           f"fake vertex {c} has degree {len(rot)}"))
@@ -639,29 +708,6 @@ def check(kinds, rotations, opposite, edges, dart_edge) -> list[Violation]:
             bad(Violation("EDGE_MULTICROSSED",
                           f"edges {e1} and {e2} cross more than once"))
         pair_seen[key] = c
-
-    # Simplicity of the underlying graph.
-    ends_seen: set[frozenset[int]] = set()
-    for e, rec in enumerate(edges):
-        if rec.u == rec.v:
-            bad(Violation("NOT_SIMPLE", f"edge {e} is a loop at {rec.u}"))
-            continue
-        key = frozenset((rec.u, rec.v))
-        if key in ends_seen:
-            bad(Violation("NOT_SIMPLE", f"parallel edge {e} between {rec.u},{rec.v}"))
-        ends_seen.add(key)
-
-    # The four faces around any crossing are pairwise distinct.
-    for c in pmap.fake_vertices:
-        rot = rotations[c]
-        if len(rot) != 4:
-            continue
-        incident = {pmap.face_of_dart[d] for d in rot}
-        if len(incident) != 4:
-            bad(Violation("CROSSING_FACES_NOT_DISTINCT",
-                          f"fake vertex {c} touches faces {sorted(incident)}"))
-
-    return violations
 
 
 def _segments_of(pmap: PlanarMap, darts, opposite):

@@ -20,6 +20,9 @@ between the crossing and that endpoint::
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import accumulate, chain
+from operator import add, eq, sub
 from pathlib import Path
 
 from .core import (
@@ -31,6 +34,8 @@ from .core import (
 )
 
 FORMAT_HEADER = "1pg 1"
+_KINDS = {kind.value: kind for kind in VertexKind}
+_KIND_NAMES = {kind: kind.value for kind in VertexKind}
 
 
 class ParseError(OperationError):
@@ -43,7 +48,7 @@ def serialize(g: OnePlaneGraph, labels: dict[int, str] | None = None) -> str:
     labels = labels or {}
     out = [FORMAT_HEADER, f"vertices {g.map.n_vertices}"]
     for v, kind in enumerate(g.map.kinds):
-        line = f"v {v} {kind.value}"
+        line = f"v {v} {_KIND_NAMES[kind]}"
         if v in labels:
             line += f" {labels[v]}"
         out.append(line)
@@ -53,16 +58,24 @@ def serialize(g: OnePlaneGraph, labels: dict[int, str] | None = None) -> str:
         if rec.crossing is not None:
             line += f" x {rec.crossing}"
         out.append(line)
-    for v in range(g.map.n_vertices):
-        toks = " ".join(_dart_token(g, d) for d in g.map.rotations[v])
-        out.append(f"rot {v} {toks}".rstrip())
+    token = _dart_tokens(g).__getitem__
+    for v, rot in enumerate(g.map.rotations):
+        out.append(f"rot {v} {' '.join(map(token, rot))}".rstrip())
     return "\n".join(out) + "\n"
 
 
-def _dart_token(g: OnePlaneGraph, d: int) -> str:
-    e = g.dart_edge[d]
-    half = g.segment_half(d)
-    return str(e) if half == "whole" else f"{e}.{half}"
+def _dart_tokens(g: OnePlaneGraph) -> list[str]:
+    """Each dart's token: its edge id for a whole edge, ``<edge>.u`` or
+    ``<edge>.v`` for the half of a crossed edge whose segment holds that
+    endpoint.  Both darts of a segment share its token."""
+    tokens = list(map(str, g.dart_edge))
+    pmap, edges = g.map, g.edges
+    tail, opposite = pmap.dart_vertex, pmap.opposite
+    for c in pmap.fake_vertices:
+        for d in pmap.rotations[c]:
+            e, o = g.dart_edge[d], opposite[d]
+            tokens[d] = tokens[o] = f"{e}.u" if edges[e].u == tail[o] else f"{e}.v"
+    return tokens
 
 
 def parse(text: str) -> OnePlaneGraph:
@@ -70,88 +83,108 @@ def parse(text: str) -> OnePlaneGraph:
     kinds: list[VertexKind] = []
     edges: list[EdgeRec] = []
     rot_tokens: dict[int, list[str]] = {}
-    n_vertices = n_edges = None
-    header_seen = False
+    counts: dict[str, int] = {}           # the "vertices" and "edges" records
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if not header_seen:
-            if line != FORMAT_HEADER:
-                raise ParseError(f"expected header {FORMAT_HEADER!r}, got {line!r}",
-                                 lineno)
-            header_seen = True
-            continue
-        try:
-            if parts[0] == "vertices":
-                n_vertices = int(parts[1])
-            elif parts[0] == "v":
-                vid = int(parts[1])
-                if vid != len(kinds):
-                    raise ParseError(f"vertex ids must be dense, got {vid}", lineno)
-                kinds.append(VertexKind(parts[2]))
-            elif parts[0] == "edges":
-                n_edges = int(parts[1])
-            elif parts[0] == "e":
+    lines = text.splitlines()
+    # the first line that is neither blank nor a comment is the header
+    body = next((i for i, raw in enumerate(lines)
+                 if raw.strip() and not raw.strip().startswith("#")), len(lines))
+    if body < len(lines) and lines[body].strip() != FORMAT_HEADER:
+        raise ParseError(f"expected header {FORMAT_HEADER!r}, "
+                         f"got {lines[body].strip()!r}", body + 1)
+    lineno = body + 1
+    try:
+        for lineno, raw in enumerate(lines[body + 1:], start=body + 2):
+            parts = raw.split()
+            if not parts:
+                continue
+            tag = parts[0]
+            if tag == "e":
                 eid = int(parts[1])
                 if eid != len(edges):
                     raise ParseError(f"edge ids must be dense, got {eid}", lineno)
                 crossing = None
                 if len(parts) > 4:
                     if parts[4] != "x":
-                        raise ParseError(f"bad edge record {line!r}", lineno)
+                        raise ParseError(f"bad edge record {raw.strip()!r}", lineno)
                     crossing = int(parts[5])
                 edges.append(EdgeRec(int(parts[2]), int(parts[3]), crossing))
-            elif parts[0] == "rot":
+                if len(parts) > 6:
+                    raise ParseError(f"trailing tokens in edge record {raw.strip()!r}",
+                                     lineno)
+            elif tag == "rot":
                 vid = int(parts[1])
                 if vid in rot_tokens:
                     raise ParseError(f"second rot record for vertex {vid}", lineno)
                 rot_tokens[vid] = parts[2:]
+            elif tag == "v":
+                vid = int(parts[1])
+                if vid != len(kinds):
+                    raise ParseError(f"vertex ids must be dense, got {vid}", lineno)
+                kinds.append(_KINDS.get(parts[2]) or VertexKind(parts[2]))
+            elif tag[0] == "#":
+                continue
+            elif tag == "vertices" or tag == "edges":
+                count = int(parts[1])
+                if len(parts) > 2:
+                    raise ParseError(f"trailing tokens in count record {raw.strip()!r}",
+                                     lineno)
+                if tag in counts:
+                    raise ParseError(f"second {tag} record", lineno)
+                counts[tag] = count
             else:
-                raise ParseError(f"unknown record {parts[0]!r}", lineno)
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"malformed record {line!r}: {exc}", lineno)
+                raise ParseError(f"unknown record {tag!r}", lineno)
+    except (ValueError, IndexError) as exc:
+        raise ParseError(f"malformed record {lines[lineno - 1].strip()!r}: {exc}", lineno)
 
-    if n_vertices is None or n_vertices != len(kinds):
+    if counts.get("vertices") != len(kinds):
         raise ParseError("vertex count mismatch")
-    if n_edges is None or n_edges != len(edges):
+    if counts.get("edges") != len(edges):
         raise ParseError("edge count mismatch")
     for v in rot_tokens:
         if not 0 <= v < len(kinds):
             raise ParseError(f"rot record for unknown vertex {v}")
+    rotations = [rot_tokens.get(v, ()) for v in range(len(kinds))]
+    dart_edge, opposite = _segments(rotations, len(edges))
+    # dart ids run through the rotations in vertex order
+    ends = list(accumulate(map(len, rotations)))
+    return validate(kinds, list(map(range, [0] + ends[:-1], ends)), opposite, edges,
+                    dart_edge)
 
-    # Allocate one dart per rotation slot; pair the two slots that carry the
-    # same segment token (whole edges pair endpoint-endpoint, halves pair
-    # the true endpoint with the crossing).
-    rotations: list[list[int]] = []
-    dart_edge: list[int] = []
-    slot_of: dict[tuple[str, int], list[int]] = {}
-    for v in range(len(kinds)):
-        toks = rot_tokens.get(v, [])
-        rot = []
-        for tok in toks:
-            d = len(dart_edge)
-            name, _, half = tok.partition(".")
-            try:
-                e = int(name)
-            except ValueError:
-                raise ParseError(f"bad dart token {tok!r} at vertex {v}")
-            if not 0 <= e < len(edges):
-                raise ParseError(f"dart token {tok!r} names unknown edge")
-            dart_edge.append(e)
-            rot.append(d)
-            slot_of.setdefault((tok, e), []).append(d)
-        rotations.append(rot)
 
-    opposite = [-1] * len(dart_edge)
-    for (tok, e), ds in slot_of.items():
-        if len(ds) != 2:
-            raise ParseError(f"segment {tok!r} appears {len(ds)} times, expected 2")
-        opposite[ds[0]], opposite[ds[1]] = ds[1], ds[0]
-
-    return validate(kinds, rotations, opposite, edges, dart_edge)
+def _segments(rotations, n_edges: int) -> tuple[list[int], list[int]]:
+    """(dart_edge, opposite) for the rot tokens of each vertex, one dart per
+    token in order.  A token names its edge, and the two darts that carry
+    it are one segment: whole edges pair endpoint with endpoint, halves the
+    true endpoint with the crossing."""
+    tokens = list(chain.from_iterable(rotations))
+    n = len(tokens)
+    first = dict(zip(reversed(tokens), range(n - 1, -1, -1)))
+    last = dict(zip(tokens, range(n)))      # keys in order of first occurrence
+    try:
+        edge_of = {tok: int(tok.partition(".")[0]) for tok in last}
+        known = not edge_of or (min(edge_of.values()) >= 0
+                                and max(edge_of.values()) < n_edges)
+    except ValueError:
+        known = False
+    if not known:       # name the first bad token in rotation order
+        for v, toks in enumerate(rotations):
+            for tok in toks:
+                try:
+                    e = int(tok.partition(".")[0])
+                except ValueError:
+                    raise ParseError(f"bad dart token {tok!r} at vertex {v}")
+                if not 0 <= e < n_edges:
+                    raise ParseError(f"dart token {tok!r} names unknown edge")
+    at_first = list(map(first.__getitem__, tokens))
+    at_last = list(map(last.__getitem__, tokens))
+    if 2 * len(last) != n or any(map(eq, at_first, at_last)):
+        tok, times = next((tok, k) for tok, k in Counter(tokens).items() if k != 2)
+        raise ParseError(f"segment {tok!r} appears {times} times, expected 2")
+    # each token occurs at its first and last position: the other one is
+    # the opposite dart
+    opposite = list(map(sub, map(add, at_first, at_last), range(n)))
+    return list(map(edge_of.__getitem__, tokens)), opposite
 
 
 def dump(g: OnePlaneGraph, path) -> None:
@@ -185,10 +218,8 @@ def to_dot(g: OnePlaneGraph) -> str:
             a, b = g.edges_at_crossing(v)
             lines.append(
                 f'  n{v} [label="e{a}xe{b}" shape=point color=red width=0.08];')
-    for d in range(g.map.n_darts):
-        o = g.map.opposite[d]
-        if d < o:
-            u, w = g.map.dart_vertex[d], g.map.dart_vertex[o]
-            lines.append(f"  n{u} -- n{w} [label=\"e{g.dart_edge[d]}\"];")
+    tail = g.map.dart_vertex
+    lines += [f'  n{tail[d]} -- n{tail[o]} [label="e{e}"];'
+              for d, (o, e) in enumerate(zip(g.map.opposite, g.dart_edge)) if d < o]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,14 @@ from itertools import combinations
 
 from oneplane.analyze import connectivity_at_least
 from oneplane.build import DEAD, DrawingBuilder
-from oneplane.core import OnePlaneGraph, OperationError, SimpleGraph, VertexKind
+from oneplane.core import (
+    OnePlaneGraph,
+    OperationError,
+    PlanarMap,
+    SimpleGraph,
+    VertexKind,
+    Violation,
+)
 from oneplane.generators import (
     _first_inner_corner,
     _k2_on_builder,
@@ -377,3 +384,168 @@ def roundtrip_crossing_diagonal(g: OnePlaneGraph, u: int, v: int,
     if u > v:
         u, v, f1, f2 = v, u, f2, f1
     return apply_insertion(g, InsertionCandidate(u, v, RouteKind.TWO_FACES, (f1, f2), e))
+
+
+def reference_check(kinds, rotations, opposite, edges, dart_edge) -> list[Violation]:
+    """``core.check`` as a per-element loop over every table: the full list
+    of violations, each naming its dart, edge or vertex."""
+    violations: list[Violation] = []
+    bad = violations.append
+
+    kinds = tuple(kinds)
+    rotations = tuple(tuple(r) for r in rotations)
+    opposite = tuple(opposite)
+    edges = tuple(edges)
+    dart_edge = tuple(dart_edge)
+
+    n_darts = len(opposite)
+    if len(kinds) != len(rotations):
+        bad(Violation("BAD_INVOLUTION", "vertex kind/rotation tables differ in length"))
+        return violations
+
+    # Dart partition: every dart id appears once across all rotations.
+    seen = [0] * n_darts
+    structurally_ok = True
+    for rot in rotations:
+        for d in rot:
+            if not (0 <= d < n_darts):
+                bad(Violation("BAD_INVOLUTION", f"dart id {d} out of range"))
+                structurally_ok = False
+            else:
+                seen[d] += 1
+    if structurally_ok and any(c != 1 for c in seen):
+        dups = [d for d, c in enumerate(seen) if c != 1]
+        bad(Violation("BAD_INVOLUTION",
+                      f"darts must appear in exactly one rotation: {dups[:8]}"))
+        structurally_ok = False
+
+    # Fixed-point-free involution.
+    if structurally_ok:
+        for d, o in enumerate(opposite):
+            if not (0 <= o < n_darts) or opposite[o] != d or o == d:
+                bad(Violation("BAD_INVOLUTION",
+                              f"opposite is not a fixed-point-free involution at dart {d}"))
+                structurally_ok = False
+                break
+
+    if not structurally_ok:
+        return violations
+
+    pmap = PlanarMap(kinds, rotations, opposite)
+
+    if not pmap.is_connected():
+        bad(Violation("NOT_CONNECTED", "the map is not connected"))
+        return violations
+
+    if pmap.euler_characteristic() != 2:
+        bad(Violation("POSITIVE_GENUS",
+                      f"V-E+F = {pmap.euler_characteristic()}, expected 2"))
+        return violations
+
+    # Edge table against segments.
+    if len(dart_edge) != n_darts:
+        bad(Violation("BAD_EDGE_TABLE", "dart-to-edge table has wrong length"))
+        return violations
+    buckets: list[list[int]] = [[] for _ in edges]
+    for d, e in enumerate(dart_edge):
+        if not (0 <= e < len(edges)):
+            bad(Violation("BAD_EDGE_TABLE", f"dart {d} maps to unknown edge {e}"))
+            return violations
+        buckets[e].append(d)
+
+    for e, rec in enumerate(edges):
+        wrong = [w for w in (rec.u, rec.v)
+                 if not (0 <= w < len(kinds)) or kinds[w] is VertexKind.FAKE]
+        for w in wrong:
+            bad(Violation("BAD_EDGE_TABLE",
+                          f"edge {e} endpoint {w} is not a true vertex"))
+        if wrong:
+            continue
+        darts = buckets[e]
+        segs = _reference_segments_of(pmap, darts, opposite)
+        if segs is None:
+            bad(Violation("BAD_EDGE_TABLE",
+                          f"edge {e} darts are not whole segments"))
+            continue
+        endsets = [frozenset((pmap.dart_vertex[d], pmap.dart_vertex[opposite[d]]))
+                   for d in segs]
+        if rec.crossing is None:
+            if len(segs) != 1 or endsets[0] != frozenset((rec.u, rec.v)):
+                bad(Violation("BAD_EDGE_TABLE",
+                              f"uncrossed edge {e} must be one segment {rec.u}-{rec.v}"))
+        else:
+            c = rec.crossing
+            if not (0 <= c < len(kinds)) or kinds[c] is not VertexKind.FAKE:
+                bad(Violation("BAD_EDGE_TABLE",
+                              f"edge {e} crossing {c} is not a fake vertex"))
+                continue
+            want = {frozenset((rec.u, c)), frozenset((rec.v, c))}
+            if len(segs) != 2 or set(endsets) != want:
+                bad(Violation("BAD_EDGE_TABLE",
+                              f"crossed edge {e} must be two segments through {c}"))
+
+    # Fake vertices: degree 4, two edges, alternating, no shared endpoint.
+    pair_seen: dict[frozenset[int], int] = {}
+    for c in pmap.fake_vertices:
+        rot = rotations[c]
+        if len(rot) != 4:
+            bad(Violation("FAKE_DEGREE_NOT_4",
+                          f"fake vertex {c} has degree {len(rot)}"))
+            continue
+        around = [dart_edge[d] for d in rot]
+        if len(set(around)) != 2 or around[0] != around[2] or around[1] != around[3]:
+            bad(Violation("BAD_CROSSING",
+                          f"segments at fake vertex {c} do not alternate "
+                          f"between two edges: {around}"))
+            continue
+        e1, e2 = sorted(set(around))
+        r1, r2 = edges[e1], edges[e2]
+        if r1.crossing != c or r2.crossing != c:
+            bad(Violation("BAD_CROSSING",
+                          f"edges {e1},{e2} meet at {c} but do not record it"))
+        if {r1.u, r1.v} & {r2.u, r2.v}:
+            bad(Violation("ADJACENT_EDGES_CROSS",
+                          f"edges {e1} and {e2} share an endpoint and cross at {c}"))
+        key = frozenset((e1, e2))
+        if key in pair_seen:
+            bad(Violation("EDGE_MULTICROSSED",
+                          f"edges {e1} and {e2} cross more than once"))
+        pair_seen[key] = c
+
+    # Simplicity of the underlying graph.
+    ends_seen: set[frozenset[int]] = set()
+    for e, rec in enumerate(edges):
+        if rec.u == rec.v:
+            bad(Violation("NOT_SIMPLE", f"edge {e} is a loop at {rec.u}"))
+            continue
+        key = frozenset((rec.u, rec.v))
+        if key in ends_seen:
+            bad(Violation("NOT_SIMPLE", f"parallel edge {e} between {rec.u},{rec.v}"))
+        ends_seen.add(key)
+
+    # The four faces around any crossing are pairwise distinct.
+    for c in pmap.fake_vertices:
+        rot = rotations[c]
+        if len(rot) != 4:
+            continue
+        incident = {pmap.face_of_dart[d] for d in rot}
+        if len(incident) != 4:
+            bad(Violation("CROSSING_FACES_NOT_DISTINCT",
+                          f"fake vertex {c} touches faces {sorted(incident)}"))
+
+    return violations
+
+
+def _reference_segments_of(pmap: PlanarMap, darts, opposite):
+    """Group an edge's darts into whole segments; None if they don't pair up."""
+    dset = set(darts)
+    segs = []
+    while dset:
+        d = min(dset)
+        o = opposite[d]
+        if o not in dset:
+            return None
+        dset.discard(d)
+        dset.discard(o)
+        segs.append(d)
+    return segs

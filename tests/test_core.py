@@ -1,4 +1,5 @@
 import copy
+import random
 import sys
 import threading
 
@@ -26,7 +27,7 @@ from oneplane.analyze import vertex_connectivity
 from oneplane.interchange import load
 from oneplane.maximality import is_immovable, is_maximal
 from oneplane.transform import skeleton
-from .oracles import scan_delete_edge
+from .oracles import reference_check, scan_delete_edge
 
 T, F = VertexKind.TRUE, VertexKind.FAKE
 
@@ -195,6 +196,20 @@ def test_delete_edge_agrees_with_scan_oracle(make):
         assert fast.finish() == slow.finish(), edges
 
 
+@pytest.mark.parametrize("call", [
+    lambda b: b.delete_edge(-1),
+    lambda b: b.delete_edge(len(b.edges)),
+    lambda b: b.insert_edge_crossing(0, 1, len(b.edges)),
+], ids=["delete-minus-one", "delete-past-end", "cross-past-end"])
+def test_builder_rejects_unknown_edge(call):
+    b = DrawingBuilder.from_graph(gen_M(2))
+    before = copy.deepcopy((b.rotations, b.edges))
+    with pytest.raises(OperationError) as exc:
+        call(b)
+    assert exc.value.code == "UNKNOWN_EDGE"
+    assert (b.rotations, b.edges) == before
+
+
 def test_insert_edge_crossing_contract():
     # M(2): edge 0-1 lies between the inner quadrangle 0-1-2-3 and the side
     # quadrangle 0-1-5-4
@@ -298,3 +313,115 @@ def test_random_drawings_validate(n, seed):
     assert g.map.euler_characteristic() == 2
     for c in g.map.fake_vertices:
         assert g.map.degree(c) == 4
+
+
+CHECK_BASES = [gen_XH(k) for k in (1, 2, 3)] + [gen_YH(k) for k in (1, 2, 3)] \
+    + [gen_XM(k) for k in range(1, 7)]
+MUTATIONS = ["swap", "repeat", "drop", "repair", "dart-edge", "endpoint",
+             "crossing", "loop", "parallel", "adjacent-cross", "renumber"]
+
+
+def _tables(g):
+    return [list(g.map.kinds), [list(r) for r in g.map.rotations],
+            list(g.map.opposite), list(g.edges), list(g.dart_edge)]
+
+
+def _mutate(g, how, draw):
+    """The tables of ``g`` with one mutation ``how``; its choices are
+    ``draw(lo, hi)``, inclusive."""
+    kinds, rotations, opposite, edges, dart_edge = _tables(g)
+    n_darts, n, m = len(opposite), len(kinds), len(edges)
+    slots = [(v, i) for v, rot in enumerate(rotations) for i in range(len(rot))]
+    if how == "swap":
+        (v, i), (w, j) = slots[draw(0, n_darts - 1)], slots[draw(0, n_darts - 1)]
+        rotations[v][i], rotations[w][j] = rotations[w][j], rotations[v][i]
+    elif how == "repeat":
+        # one dart twice: in place of another, or one more in a rotation
+        (v, i), (w, j) = slots[draw(0, n_darts - 1)], slots[draw(0, n_darts - 1)]
+        if draw(0, 1):
+            rotations[w][j] = rotations[v][i]
+        else:
+            rotations[w].append(rotations[v][i])
+    elif how == "drop":
+        v, i = slots[draw(0, n_darts - 1)]
+        del rotations[v][i]
+    elif how == "repair":
+        a, c = draw(0, n_darts - 1), draw(0, n_darts - 1)
+        b, d = opposite[a], opposite[c]
+        opposite[a], opposite[c] = c, a
+        if b != c:
+            opposite[b], opposite[d] = d, b
+    elif how == "dart-edge":
+        dart_edge[draw(0, n_darts - 1)] = draw(-1, m)
+    elif how in ("endpoint", "crossing"):
+        e = draw(0, m - 1)
+        u, v, c = edges[e].u, edges[e].v, edges[e].crossing
+        w = draw(-1, n)
+        if how == "crossing":
+            c = None if c is not None and draw(0, 1) else w
+        elif draw(0, 1):
+            u = w
+        else:
+            v = w
+        edges[e] = EdgeRec(u, v, c)
+    elif how in ("loop", "parallel", "adjacent-cross"):
+        b = DrawingBuilder.from_graph(g)
+        d = draw(0, n_darts - 1)
+        walk = b.face_walk_from(d)
+        i = draw(0, len(walk) - 1)
+        if how == "loop":
+            # a segment inside a face from one corner back to itself
+            b._chord(walk[i], walk[i])
+        elif how == "parallel":
+            # a second segment beside walk[i]'s; maybe each of the two
+            # edges then takes one dart of the other's segment
+            e = b._chord(walk[i], walk[(i + 1) % len(walk)])
+            if draw(0, 1):
+                p = b.dart_edge.index(e)
+                a = walk[i]
+                b.dart_edge[p], b.dart_edge[a] = b.dart_edge[a], e
+        else:
+            # an edge from the tail of dart d across d's own edge
+            o = b.opposite[d]
+            other = b.face_walk_from(o)
+            b._cross(d, other[draw(0, len(other) - 1)], d)
+        return [b.kinds, b.rotations, b.opposite,
+                [EdgeRec(*rec) for rec in b.edges], b.dart_edge]
+    else:
+        perm = list(range(n_darts))
+        for i in range(n_darts - 1, 0, -1):
+            j = draw(0, i)
+            perm[i], perm[j] = perm[j], perm[i]
+        rotations = [[perm[d] for d in rot] for rot in rotations]
+        new_opposite, new_dart_edge = [0] * n_darts, [0] * n_darts
+        for d in range(n_darts):
+            new_opposite[perm[d]] = perm[opposite[d]]
+            new_dart_edge[perm[d]] = dart_edge[d]
+        opposite, dart_edge = new_opposite, new_dart_edge
+    return [kinds, rotations, opposite, edges, dart_edge]
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(MUTATIONS), st.integers(0, 2 ** 32))
+def test_check_matches_reference_on_mutated_tables(how, seed):
+    """check() lists the same violations as the per-element oracle, in the
+    same order, for a drawing with one table mutated."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        g = rng.choice(CHECK_BASES)
+    else:
+        g = gen_random_seed(rng.randint(4, 30), rng.randint(0, 999))
+    tables = _mutate(g, how, rng.randint)
+    got = check(*tables)
+    assert got == reference_check(*tables)
+    if how == "renumber":
+        assert got == []
+        assert len(validate(*tables).map.face_walks) == len(g.map.face_walks)
+
+
+def test_check_matches_reference_on_a_crossed_loop():
+    # edge 0 runs from vertex 0 to the crossing 1 and back to 0: the one
+    # segment it has is all its darts ask for, but it needs two
+    tables = ((T, F), ((0,), (1,)), (1, 0), (EdgeRec(0, 0, 1),), (0, 0))
+    assert check(*tables) == reference_check(*tables)
+    assert "crossed edge 0 must be two segments through 1" in str(check(*tables))

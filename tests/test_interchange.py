@@ -58,6 +58,33 @@ def test_malformed_document_rejected(doc):
 
 
 XM2_LINES = XM2.splitlines()
+XM2_CROSSED = next(ln for ln in XM2_LINES if ln.startswith("e ") and " x " in ln)
+XM2_VERTICES = next(ln for ln in XM2_LINES if ln.startswith("vertices "))
+XM2_EDGES = next(ln for ln in XM2_LINES if ln.startswith("edges "))
+
+
+@pytest.mark.parametrize("old,new", [
+    (XM2_CROSSED, [XM2_CROSSED + " junk"]),
+    (XM2_VERTICES, [XM2_VERTICES + " 7"]),
+    (XM2_EDGES, [XM2_EDGES + " 7"]),
+    (XM2_VERTICES, [XM2_VERTICES, XM2_VERTICES]),
+    (XM2_EDGES, [XM2_EDGES, XM2_EDGES]),
+], ids=["crossed-edge-trailing-token", "vertices-trailing-token",
+        "edges-trailing-token", "second-vertices", "second-edges"])
+def test_record_arity(old, new):
+    """A record with tokens past its arity, or a second count record, is a
+    ParseError naming the line of the last record in ``new``."""
+    i = XM2_LINES.index(old)
+    doc = "\n".join(XM2_LINES[:i] + new + XM2_LINES[i + 1:]) + "\n"
+    with pytest.raises(ParseError, match=rf"\(line {i + len(new)}\)$"):
+        parse(doc)
+
+
+def test_vertex_label_is_the_rest_of_the_line():
+    text = serialize(gen_M(1), labels={0: "outer corner", 2: "x"})
+    assert "v 0 true outer corner\n" in text
+    assert parse(text) == gen_M(1)
+
 XM2_TOKENS = sorted({tok for ln in XM2_LINES for tok in ln.split()})
 
 
