@@ -110,11 +110,10 @@ def _write_out(text: str, out) -> None:
 
 def cmd_check(args) -> int:
     g = interchange.load(args.path)
-    fs = g.face_set
     kappa = analyze.vertex_connectivity(underlying(g))
     tri = analyze.is_triangulation(g.map)
-    print(f"valid n={g.n} cr={g.crossing_count} E={g.size} faces={len(fs)} "
-          f"kappa={kappa} triangulated={tri}")
+    print(f"valid n={g.n} cr={g.crossing_count} E={g.size} "
+          f"faces={len(g.map.face_walks)} kappa={kappa} triangulated={tri}")
     failed = False
 
     mx = None
@@ -192,7 +191,6 @@ def cmd_fuzz(args) -> int:
 
 def cmd_stats(args) -> int:
     g = interchange.load(args.path)
-    fs = g.face_set
     ug = underlying(g)
     prof = analyze.degree_profile(ug)
     kappa = analyze.vertex_connectivity(ug)
@@ -200,7 +198,7 @@ def cmd_stats(args) -> int:
     print(f"crossings {g.crossing_count}")
     print(f"edges {g.size}")
     print(f"kappa {kappa}")
-    print(f"faces {len(fs)}")
+    print(f"faces {len(g.map.face_walks)}")
     print(f"triangulated {analyze.is_triangulation(g.map)}")
     hist = " ".join(f"{k}:{v}" for k, v in prof.histogram.items())
     print(f"degrees {hist}")

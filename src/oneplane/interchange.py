@@ -44,14 +44,9 @@ class ParseError(OperationError):
         super().__init__("PARSE_ERROR", message + where)
 
 
-def serialize(g: OnePlaneGraph, labels: dict[int, str] | None = None) -> str:
-    labels = labels or {}
+def serialize(g: OnePlaneGraph) -> str:
     out = [FORMAT_HEADER, f"vertices {g.map.n_vertices}"]
-    for v, kind in enumerate(g.map.kinds):
-        line = f"v {v} {_KIND_NAMES[kind]}"
-        if v in labels:
-            line += f" {labels[v]}"
-        out.append(line)
+    out += [f"v {v} {_KIND_NAMES[kind]}" for v, kind in enumerate(g.map.kinds)]
     out.append(f"edges {len(g.edges)}")
     for e, rec in enumerate(g.edges):
         line = f"e {e} {rec.u} {rec.v}"

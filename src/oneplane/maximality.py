@@ -43,14 +43,6 @@ class InsertionCandidate:
         """Crossings added when this candidate is applied."""
         return 0 if self.kind is RouteKind.ONE_FACE else 1
 
-    @property
-    def sort_key(self):
-        return self._key(self.faces)
-
-    def _key(self, faces):
-        return (self.u, self.v, self.kind.value, faces,
-                -1 if self.cross_edge is None else self.cross_edge)
-
 
 @dataclass(frozen=True)
 class MaximalityResult:
@@ -72,22 +64,14 @@ class ImmovabilityResult:
 
 
 def insertion_candidates(g: OnePlaneGraph) -> tuple[InsertionCandidate, ...]:
-    """Every admissible single-edge insertion, in canonical order.
+    """Every admissible single-edge insertion, in canonical order: by
+    endpoints, then one-face before two-face, then face ids (those of
+    ``g.map.face_walks``), then the crossed edge.
 
     Empty iff the drawing is maximal.
     """
-    fs = g.face_set
-    pmap = g.map
-    on = [frozenset(v for v in f.boundary if not pmap.is_fake(v)) for f in fs]
-    out = []
-    for f in fs:
-        out += _in_face(f.index, on[f.index], g.has_edge)
-    for e, rec in enumerate(g.edges):
-        if rec.crossing is None:
-            d = g.edge_darts[e][0]
-            f1, f2 = fs.face_of_dart[d], fs.face_of_dart[pmap.opposite[d]]
-            out += _across(e, f1, on[f1], f2, on[f2], g.has_edge)
-    return tuple(sorted(out, key=lambda c: c.sort_key))
+    s = _Closure(g)
+    return tuple(sorted(s.live, key=s.key()))
 
 
 def _in_face(f: int, on: frozenset, has_edge) -> list[InsertionCandidate]:
@@ -127,8 +111,11 @@ def is_maximal(g: OnePlaneGraph) -> MaximalityResult:
 
 def apply_insertion(g: OnePlaneGraph, cand: InsertionCandidate) -> OnePlaneGraph:
     """Insert the candidate edge, returning a new validated drawing."""
+    walks = g.map.face_walks
+    if not all(0 <= f < len(walks) for f in cand.faces):
+        raise OperationError("UNKNOWN_FACE", f"no face among {cand.faces}")
     b = DrawingBuilder.from_graph(g)
-    _insert(b, cand, g.map.face_walks)
+    _insert(b, cand, walks)
     return b.graph()
 
 
@@ -145,8 +132,11 @@ def _insert(b: DrawingBuilder, cand: InsertionCandidate, walks) -> None:
 
 
 class _Closure:
-    """One saturation in progress: a builder, its faces and the live
-    insertion candidates, kept up to date locally after each insertion.
+    """The one table of insertion candidates, and the one order on them
+    (``key``): ``insertion_candidates``, ``is_maximal``,
+    ``min_redraw_crossings`` and ``saturate`` all read it.  It holds a
+    builder, its faces and the live candidates; a saturation keeps them up
+    to date locally after each insertion.
 
     Faces are named by ids that are never reused; ``walks``, ``on`` (true
     boundary vertices) and ``first`` (minimum dart by vertex and rotation
@@ -186,6 +176,16 @@ class _Closure:
         d = self.first[f]
         v = self.b.dart_vertex[d]
         return (v, self.b.rotations[v].index(d))
+
+    def key(self):
+        """Sort key of the live candidates: endpoints, kind, the ranks of
+        their faces, then the crossed edge (-1 for none)."""
+        rank = {f: self.rank(f) for f in {f for c in self.live for f in c.faces}}
+
+        def key(c):
+            return (c.u, c.v, c.kind.value, tuple(rank[f] for f in c.faces),
+                    -1 if c.cross_edge is None else c.cross_edge)
+        return key
 
     def _add_face(self, f: int, walk: list[int]) -> None:
         dv, kinds = self.b.dart_vertex, self.b.kinds
@@ -252,8 +252,8 @@ def saturate(g: OnePlaneGraph,
 
     DETERMINISTIC takes the lexicographically first candidate each round;
     SEEDED draws uniformly with the given seed from the candidates in
-    ``sort_key`` order.  The vertex set never changes, so the result is a
-    maximal drawing on the same vertices.
+    ``_Closure.key`` order.  The vertex set never changes, so the result is
+    a maximal drawing on the same vertices.
 
     The closure runs on one builder: after each insertion only the
     candidates of the faces it split and of the new vertex pair are dropped,
@@ -270,10 +270,7 @@ def saturate(g: OnePlaneGraph,
     rng = random.Random(seed) if policy is SaturationPolicy.SEEDED else None
     s = _Closure(g)
     while s.live:
-        rank = {f: s.rank(f) for f in {f for c in s.live for f in c.faces}}
-
-        def key(c):
-            return c._key(tuple(rank[f] for f in c.faces))
+        key = s.key()
         s.insert(min(s.live, key=key) if rng is None
                  else rng.choice(sorted(s.live, key=key)))
     return s.b.graph() if s.inserted else g
@@ -289,35 +286,20 @@ def min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
     """
     if not (0 <= e < len(g.edges)):
         raise OperationError("UNKNOWN_EDGE", f"no edge {e}")
-    rec = g.edges[e]
     cut = delete_edges(g, (e,))
     if cut is None:
         return RedrawResult(0, None, None)
     res = cut.result
-    h = res.graph
-    u, v = res.vertex_map[rec.u], res.vertex_map[rec.v]
-
-    at_u = cut.merge.at(rec.u)
-    common = at_u & cut.merge.at(rec.v)
-    if common:
-        f = next(i for i, c in enumerate(cut.face_class) if c in common)
-        route = InsertionCandidate(min(u, v), max(u, v), RouteKind.ONE_FACE, (f,))
-        return RedrawResult(0, route, h)
-
-    # No common face: e was crossed (deleting an uncrossed edge merges the
-    # two faces at both its endpoints), and re-crossing its old partner is
-    # always available (the partner's two sides now hold u and v).
-    p = res.edge_map[g.crossing_partner(e)]
-    d = h.edge_darts[p][0]
-    f1 = h.map.face_of_dart[d]
-    f2 = h.map.face_of_dart[h.map.opposite[d]]
-    if cut.face_class[f1] not in at_u:
-        f1, f2 = f2, f1
-    if u < v:
-        route = InsertionCandidate(u, v, RouteKind.TWO_FACES, (f1, f2), p)
-    else:
-        route = InsertionCandidate(v, u, RouteKind.TWO_FACES, (f2, f1), p)
-    return RedrawResult(1, route, h)
+    rec, h = g.edges[e], res.graph
+    ends = tuple(sorted((res.vertex_map[rec.u], res.vertex_map[rec.v])))
+    # one-face routes sort first; without one, e was crossed (deleting an
+    # uncrossed edge merges the two faces at both its endpoints), and
+    # re-crossing its old partner, whose two sides now hold the endpoints,
+    # is always available
+    partner = None if rec.crossing is None else res.edge_map[g.crossing_partner(e)]
+    route = next(c for c in insertion_candidates(h) if (c.u, c.v) == ends
+                 and (c.kind is RouteKind.ONE_FACE or c.cross_edge == partner))
+    return RedrawResult(route.delta, route, h)
 
 
 @once

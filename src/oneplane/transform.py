@@ -51,11 +51,16 @@ def skeleton(g: OnePlaneGraph, strategy: RemovalStrategy = RemovalStrategy.LEX_M
 
     The result is a plane drawing on the true vertices; its faces are BLUE
     when they coincide with a true face of the planarization and RED when
-    they merge at least two adjacent fake faces.
+    they merge at least two adjacent fake faces.  DISCONNECTED when the
+    removals disconnect the drawing.
     """
     pairs = _select_removals(g, strategy, explicit)
-    # one kept partner per crossing pair keeps the drawing connected
+    # the kept partners need not keep the drawing connected: a vertex all of
+    # whose edges are removed is cut off
     cut = delete_edges(g, (e for e, _ in pairs))
+    if cut is None:
+        raise OperationError("DISCONNECTED",
+                             "removing the edges disconnects the drawing")
     res, merge = cut.result, cut.merge
     sk = res.graph
 

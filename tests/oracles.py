@@ -28,8 +28,9 @@ from oneplane.maximality import (
     RedrawResult,
     RouteKind,
     SaturationPolicy,
+    _across,
+    _in_face,
     apply_insertion,
-    insertion_candidates,
 )
 
 
@@ -162,6 +163,25 @@ def brute_force_is_maximal(g: OnePlaneGraph) -> bool:
     return True
 
 
+def face_set_insertion_candidates(g: OnePlaneGraph) -> tuple[InsertionCandidate, ...]:
+    """Every admissible single-edge insertion, read off the ``Face`` objects
+    of ``g.face_set``: those inside each face, then those across each
+    uncrossed edge, sorted by endpoints, kind, face ids and crossed edge."""
+    fs = g.face_set
+    pmap = g.map
+    on = [frozenset(v for v in f.boundary if not pmap.is_fake(v)) for f in fs]
+    out = []
+    for f in fs:
+        out += _in_face(f.index, on[f.index], g.has_edge)
+    for e, rec in enumerate(g.edges):
+        if rec.crossing is None:
+            d = g.edge_darts[e][0]
+            f1, f2 = fs.face_of_dart[d], fs.face_of_dart[pmap.opposite[d]]
+            out += _across(e, f1, on[f1], f2, on[f2], g.has_edge)
+    return tuple(sorted(out, key=lambda c: (
+        c.u, c.v, c.kind.value, c.faces, -1 if c.cross_edge is None else c.cross_edge)))
+
+
 def rebuild_min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
     """Minimum crossings of a redraw of edge ``e``, by building g - e and
     scanning each of its faces for both endpoints; on no common face, the
@@ -255,12 +275,12 @@ def stepwise_saturation(g: OnePlaneGraph,
                         policy: SaturationPolicy = SaturationPolicy.DETERMINISTIC,
                         seed: int | None = None) -> list[OnePlaneGraph]:
     """Every drawing a greedy closure passes through, the saturated one last:
-    each step enumerates the candidates of the whole drawing and rebuilds
-    and validates it after the insertion (first candidate, or a seeded
-    draw from the sorted list)."""
+    each step enumerates the candidates of the whole drawing from its faces
+    (``face_set_insertion_candidates``) and rebuilds and validates it after
+    the insertion (first candidate, or a seeded draw from the sorted list)."""
     rng = random.Random(seed) if policy is SaturationPolicy.SEEDED else None
     path = [g]
-    while cands := insertion_candidates(g):
+    while cands := face_set_insertion_candidates(g):
         g = apply_insertion(g, cands[0] if rng is None else rng.choice(cands))
         path.append(g)
     return path

@@ -32,6 +32,7 @@ from oneplane.generators import (
 )
 from .oracles import (
     brute_force_is_maximal,
+    face_set_insertion_candidates,
     rebuild_first_redrawable,
     rebuild_min_redraw_crossings,
     stepwise_saturation,
@@ -184,6 +185,15 @@ def test_min_redraw_never_exceeds_current_crossings():
             assert r.crossings <= current
 
 
+@pytest.mark.parametrize("face", [6, -4])
+def test_one_face_candidate_needs_a_face_of_the_drawing(face):
+    g = gen_M(2)                           # six faces
+    assert len(g.map.face_walks) == 6
+    with pytest.raises(OperationError) as exc:
+        apply_insertion(g, InsertionCandidate(0, 2, RouteKind.ONE_FACE, (face,)))
+    assert exc.value.code == "UNKNOWN_FACE"
+
+
 def test_two_face_candidate_needs_cross_edge():
     g = gen_HH(1)
     cand = next(c for c in insertion_candidates(g) if c.kind is RouteKind.TWO_FACES)
@@ -290,3 +300,35 @@ def test_corner_tie_break_is_first_in_rotation():
     around = [h.map.dart_vertex[h.map.opposite[d]] for d in h.map.rotations[1]]
     assert around == [3, 0, 2]
     assert saturate(g) == stepwise_saturation(g)[-1]
+
+
+def _assert_candidates_match_face_set_oracle(g):
+    assert insertion_candidates(g) == face_set_insertion_candidates(g)
+
+
+@pytest.mark.parametrize("family, k", [(f, k) for f in ("hh", "m") for k in (1, 2, 3)]
+                         + [(f, k) for f in ("xh", "yh") for k in (1, 2)]
+                         + [("xm", k) for k in (1, 2, 3, 4)])
+def test_candidates_match_face_set_oracle_on_families(family, k):
+    _assert_candidates_match_face_set_oracle(generate(family, k))
+
+
+def test_candidates_match_face_set_oracle_on_path_and_c5():
+    _assert_candidates_match_face_set_oracle(plane_graph([[1], [0, 2], [1, 3], [2]]))
+    _assert_candidates_match_face_set_oracle(
+        plane_graph([[4, 1], [0, 2], [1, 3], [2, 4], [3, 0]]))
+
+
+@pytest.mark.parametrize("n, seed", [(6, 1), (9, 38), (14, 5), (30, 3)])
+def test_candidates_match_face_set_oracle_on_random_drawings(n, seed):
+    g = gen_random_seed(n, seed)
+    _assert_candidates_match_face_set_oracle(g)
+    # dart ids that no longer follow rotation order number the faces too
+    _assert_candidates_match_face_set_oracle(_shuffle_darts(g, seed))
+
+
+@pytest.mark.parametrize("n, seed", [(10, 17), (12, 5)])
+def test_candidates_match_face_set_oracle_along_saturations(n, seed):
+    for policy in SaturationPolicy:
+        for g in stepwise_saturation(gen_random_seed(n, seed), policy, seed):
+            _assert_candidates_match_face_set_oracle(g)

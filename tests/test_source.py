@@ -34,3 +34,30 @@ def test_one_call_site_creates_a_fake_vertex():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "new_vertex"]
     assert [c for c in calls if c[1] != "VertexKind.TRUE"] == [("build.py", "VertexKind.FAKE")]
+
+
+
+def _callers(tree, callee: str) -> list:
+    """The innermost function around each call to ``callee``, None for a
+    call outside every function."""
+    out = []
+
+    def visit(node, fn):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == callee:
+            out.append(fn)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            fn = getattr(node, "name", "<lambda>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+    visit(tree, None)
+    return out
+
+
+def test_only_the_candidate_table_builds_candidates():
+    # every insertion candidate is built by _in_face or _across, which only
+    # maximality._Closure calls
+    calls = set()
+    for path in sorted(Path(oneplane.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls |= {(path.name, fn) for fn in _callers(tree, "InsertionCandidate")}
+    assert calls == {("maximality.py", "_in_face"), ("maximality.py", "_across")}

@@ -3,7 +3,8 @@ import pytest
 from oneplane.core import FaceClass, OperationError
 from oneplane.build import plane_graph
 from oneplane.transform import RemovalStrategy, dual, skeleton
-from oneplane.analyze import is_triangulation
+from oneplane.analyze import check_color_identities, is_triangulation
+from oneplane.interchange import parse
 from oneplane.generators import gen_HH, gen_M, gen_XH, gen_XM, gen_YH
 
 
@@ -93,6 +94,49 @@ def test_explicit_strategy():
         pair = g.crossing_pairs[0]
         skeleton(g, RemovalStrategy.EXPLICIT,
                  explicit=[pair[1], pair[2]] + removals[1:])
+
+
+# both edges at vertex 5 are crossed, and LEX_MAX removes both
+CUT_OFF = """1pg 1
+vertices 9
+v 0 true
+v 1 true
+v 2 true
+v 3 true
+v 4 true
+v 5 true
+v 6 fake
+v 7 fake
+v 8 fake
+edges 9
+e 0 1 2
+e 1 2 3
+e 2 4 1
+e 3 4 2 x 7
+e 4 4 3 x 6
+e 5 0 2 x 8
+e 6 0 5 x 6
+e 7 1 5 x 7
+e 8 1 3 x 8
+rot 0 5.u 6.u
+rot 1 8.u 2 7.u 0
+rot 2 5.v 0 3.v 1
+rot 3 8.v 1 4.v
+rot 4 4.u 3.u 2
+rot 5 7.v 6.v
+rot 6 4.u 6.u 4.v 6.v
+rot 7 3.v 7.u 3.u 7.v
+rot 8 5.u 8.u 5.v 8.v
+"""
+
+
+@pytest.mark.parametrize("op", [skeleton, check_color_identities])
+def test_disconnecting_skeleton_is_an_operation_error(op):
+    g = parse(CUT_OFF)
+    with pytest.raises(OperationError) as exc:
+        op(g)
+    assert exc.value.code == "DISCONNECTED"
+    assert skeleton(g, RemovalStrategy.LEX_MIN).graph.size == 6
 
 
 def test_dual_degrees_match_boundary_lengths():
