@@ -213,25 +213,41 @@ class DrawingBuilder:
 
         Returns (new edge id, fake vertex id).
         """
+        d = next(d for d in self.rotations[self._edge(e)[0]] if self.dart_edge[d] == e)
+        walks = [self.face_walk_from(d), self.face_walk_from(self.opposite[d])]
+        if all(self.dart_vertex[x] != u for x in walks[0]):
+            walks.reverse()
+        return self.insert_edge_two_faces(*walks, u, v, e)
+
+    def insert_edge_two_faces(self, walk_u, walk_v, u: int, v: int,
+                              e: int) -> tuple[int, int]:
+        """Add edge u-v from u's corner on the face ``walk_u`` to v's corner
+        on the face ``walk_v``, crossing the uncrossed edge ``e``, which must
+        have ``walk_u`` on one side and ``walk_v`` on the other.  u must not
+        lie on ``walk_v``.
+
+        Returns (new edge id, fake vertex id).
+        """
         rec = self._edge(e)
         if rec[2] is not None:
             raise OperationError("BAD_PARAMETER", f"edge {e} is already crossed")
         if u in rec[:2] or v in rec[:2]:
             raise OperationError("ADJACENT_EDGES_CROSS",
                                  "crossed edge is incident to an endpoint")
-        d = next(d for d in self.rotations[rec[0]] if self.dart_edge[d] == e)
-        sides = (d, self.opposite[d])
-        faces = [set(self.face_walk_from(s)) for s in sides]
-        at_u = [self._corner(u, f) for f in faces]
-        if (at_u[0] is None) == (at_u[1] is None):
+        face_u, face_v = set(walk_u), set(walk_v)
+        d_e = next((d for d in walk_u if self.dart_edge[d] == e), None)
+        if d_e is None or self.opposite[d_e] not in face_v:
             raise OperationError("BAD_PARAMETER",
-                                 f"vertex {u} is not on exactly one face of edge {e}")
-        i = 0 if at_u[0] is not None else 1
-        cv = self._corner(v, faces[1 - i])
+                                 f"edge {e} does not lie between the two faces")
+        cu = self._corner(u, face_u)
+        if cu is None or self._corner(u, face_v) is not None:
+            raise OperationError("BAD_PARAMETER",
+                                 f"vertex {u} is not on the first face of edge {e} alone")
+        cv = self._corner(v, face_v)
         if cv is None:
             raise OperationError("BAD_PARAMETER",
                                  f"vertex {v} is not on the other face of edge {e}")
-        return self._cross(at_u[i], cv, sides[i])
+        return self._cross(cu, cv, d_e)
 
     def _cross(self, cu: int, cv: int, d_e: int) -> tuple[int, int]:
         """Add an edge from the corner closed by dart cu, on the face of dart

@@ -12,6 +12,7 @@ instances.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -70,8 +71,8 @@ def insertion_candidates(g: OnePlaneGraph) -> tuple[InsertionCandidate, ...]:
 
     Empty iff the drawing is maximal.
     """
-    s = _Closure(g)
-    return tuple(sorted(s.live, key=s.key()))
+    return tuple(sorted(_Closure(g).candidates(),
+                        key=lambda c: (c.u, c.v, c.kind.value, c.faces, c.cross_edge)))
 
 
 def _in_face(f: int, on: frozenset, has_edge) -> list[InsertionCandidate]:
@@ -114,6 +115,9 @@ def apply_insertion(g: OnePlaneGraph, cand: InsertionCandidate) -> OnePlaneGraph
     walks = g.map.face_walks
     if not all(0 <= f < len(walks) for f in cand.faces):
         raise OperationError("UNKNOWN_FACE", f"no face among {cand.faces}")
+    if len(cand.faces) != (1 if cand.kind is RouteKind.ONE_FACE else 2):
+        raise OperationError("BAD_PARAMETER",
+                             f"a {cand.kind.value} insertion names {len(cand.faces)} faces")
     b = DrawingBuilder.from_graph(g)
     _insert(b, cand, walks)
     return b.graph()
@@ -128,22 +132,30 @@ def _insert(b: DrawingBuilder, cand: InsertionCandidate, walks) -> None:
         raise OperationError("BAD_PARAMETER",
                              "a two-face insertion needs the edge it crosses")
     else:
-        b.insert_edge_crossing(cand.u, cand.v, cand.cross_edge)
+        f1, f2 = cand.faces
+        b.insert_edge_two_faces(walks[f1], walks[f2], cand.u, cand.v, cand.cross_edge)
 
 
 class _Closure:
-    """The one table of insertion candidates, and the one order on them
-    (``key``): ``insertion_candidates``, ``is_maximal``,
-    ``min_redraw_crossings`` and ``saturate`` all read it.  It holds a
-    builder, its faces and the live candidates; a saturation keeps them up
-    to date locally after each insertion.
+    """The one table of insertion candidates, and the one order on them:
+    ``insertion_candidates``, ``is_maximal``, ``min_redraw_crossings`` and
+    ``saturate`` all read it.  It holds a builder, its faces and the live
+    candidates; a saturation keeps them up to date locally after each
+    insertion.
 
-    Faces are named by ids that are never reused; ``walks``, ``on`` (true
-    boundary vertices) and ``first`` (minimum dart by vertex and rotation
-    position) are kept per live face.  Candidates are indexed by face and by
-    vertex pair so an insertion drops exactly those it invalidates; an index
-    list may still hold a candidate dropped through the other index, and
-    dropping it again is harmless.
+    Faces are named by ids that are never reused; ``walks`` and ``on`` (true
+    boundary vertices) are kept per live face.  A candidate's group key
+    (u, v, kind) never changes while it is live: ``groups`` maps each key to
+    its live candidates, and ``keys`` holds the key once per live
+    candidate, sorted.  The order is the group key, then the ranks of the
+    faces (``rank``), then the crossed edge.  ``select`` finds the group of
+    an index in ``keys`` by bisection and ranks the faces of that group
+    alone; before any insertion a face's rank is its id, and
+    ``insertion_candidates`` sorts by the ids directly.  Candidates are also
+    indexed by face, so an insertion drops exactly those it invalidates; a
+    face's list may still hold a candidate dropped through the other face
+    or the new vertex pair, so a candidate is dropped only while it is still
+    in its group.
     """
 
     def __init__(self, g: OnePlaneGraph):
@@ -152,10 +164,9 @@ class _Closure:
         self.face_of = [-1] * g.map.n_darts
         self.walks: dict[int, list[int]] = {}
         self.on: dict[int, frozenset] = {}
-        self.first: dict[int, int] = {}
-        self.live: set[InsertionCandidate] = set()
+        self.keys: list[tuple[int, int, str]] = []
+        self.groups: dict[tuple[int, int, str], list[InsertionCandidate]] = {}
         self.by_face: dict[int, list[InsertionCandidate]] = {}
-        self.by_pair: dict[tuple[int, int], list[InsertionCandidate]] = {}
         for f, walk in enumerate(g.map.face_walks):
             self._add_face(f, list(walk))
         self.next_face = len(self.walks)
@@ -165,37 +176,40 @@ class _Closure:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
+    def candidates(self) -> list[InsertionCandidate]:
+        """The live candidates, in no particular order."""
+        return [c for group in self.groups.values() for c in group]
+
     def rank(self, f: int):
         """Sort rank of face ``f``, ordering faces as their indices in the
         drawing the step-by-step closure holds.  That is the input until the
         first insertion, numbered by its own dart ids; after it, a finished
         drawing, whose dart ids follow (vertex, rotation position), so the
-        rank is that pair for the face's minimum dart."""
+        rank is that pair for the face's minimum dart.  It is found from the
+        walk when asked for: insertions never reorder the darts already in a
+        rotation, so that dart is the one the face had when it was made."""
         if not self.inserted:
             return f
-        d = self.first[f]
-        v = self.b.dart_vertex[d]
-        return (v, self.b.rotations[v].index(d))
+        dv, walk = self.b.dart_vertex, self.walks[f]
+        low = min(dv[d] for d in walk)
+        rot = self.b.rotations[low]
+        return (low, min(rot.index(d) for d in walk if dv[d] == low))
 
-    def key(self):
-        """Sort key of the live candidates: endpoints, kind, the ranks of
-        their faces, then the crossed edge (-1 for none)."""
-        rank = {f: self.rank(f) for f in {f for c in self.live for f in c.faces}}
-
-        def key(c):
-            return (c.u, c.v, c.kind.value, tuple(rank[f] for f in c.faces),
-                    -1 if c.cross_edge is None else c.cross_edge)
-        return key
+    def select(self, i: int) -> InsertionCandidate:
+        """The live candidate at index ``i`` of the order."""
+        key = self.keys[i]
+        group = self.groups[key]
+        if len(group) > 1:
+            group = sorted(group, key=lambda c: (tuple(map(self.rank, c.faces)),
+                                                 c.cross_edge))
+        return group[i - bisect_left(self.keys, key)]
 
     def _add_face(self, f: int, walk: list[int]) -> None:
         dv, kinds = self.b.dart_vertex, self.b.kinds
         for d in walk:
             self.face_of[d] = f
-        low = min(dv[d] for d in walk)
         self.walks[f] = walk
         self.on[f] = frozenset(dv[d] for d in walk if kinds[dv[d]] is VertexKind.TRUE)
-        self.first[f] = min((d for d in walk if dv[d] == low),
-                            key=self.b.rotations[low].index)
         self.by_face[f] = []
 
     def _add_candidates(self, faces) -> None:
@@ -213,10 +227,11 @@ class _Closure:
                     f2 = face_of[b.opposite[d]]
                     new += _across(e, f, on[f], f2, on[f2], self.has_edge)
         for c in new:
-            self.live.add(c)
+            key = (c.u, c.v, c.kind.value)
+            insort(self.keys, key)
+            self.groups.setdefault(key, []).append(c)
             for f in c.faces:
                 self.by_face[f].append(c)
-            self.by_pair.setdefault((c.u, c.v), []).append(c)
 
     def insert(self, cand: InsertionCandidate) -> None:
         """Apply the candidate, replace the faces it splits by the new ones
@@ -229,10 +244,18 @@ class _Closure:
         # every candidate across the crossed edge refers to one of its two
         # faces, so dropping the split faces' candidates drops them too
         gone = [c for f in cand.faces for c in self.by_face.pop(f)]
-        gone += self.by_pair.pop((cand.u, cand.v), ())
-        self.live.difference_update(gone)
+        for kind in RouteKind:
+            gone += self.groups.get((cand.u, cand.v, kind.value), ())
+        for c in gone:
+            key = (c.u, c.v, c.kind.value)
+            group = self.groups.get(key, ())
+            if c in group:
+                group.remove(c)
+                del self.keys[bisect_left(self.keys, key)]
+                if not group:
+                    del self.groups[key]
         for f in cand.faces:
-            del self.walks[f], self.on[f], self.first[f]
+            del self.walks[f], self.on[f]
         # each new face contains a new dart: one of the new edge's at a
         # corner, or one of the four at a new crossing
         self.face_of += [-1] * (len(b.opposite) - n0)
@@ -250,10 +273,14 @@ def saturate(g: OnePlaneGraph,
              seed: int | None = None) -> OnePlaneGraph:
     """Greedy closure: apply insertion candidates until none remain.
 
-    DETERMINISTIC takes the lexicographically first candidate each round;
-    SEEDED draws uniformly with the given seed from the candidates in
-    ``_Closure.key`` order.  The vertex set never changes, so the result is
-    a maximal drawing on the same vertices.
+    DETERMINISTIC takes the first candidate of the ``_Closure`` order each
+    round; SEEDED draws an index uniformly with the given seed, by
+    ``randrange`` over the live count, which consumes the random stream as
+    ``choice`` over the sorted list would.  A step does not re-sort the live
+    set: its index picks a group from the sorted group keys, and only that
+    group is sorted, by the ranks of its faces.
+    The vertex set never changes, so the result is a maximal drawing on the
+    same vertices.
 
     The closure runs on one builder: after each insertion only the
     candidates of the faces it split and of the new vertex pair are dropped,
@@ -269,10 +296,8 @@ def saturate(g: OnePlaneGraph,
     """
     rng = random.Random(seed) if policy is SaturationPolicy.SEEDED else None
     s = _Closure(g)
-    while s.live:
-        key = s.key()
-        s.insert(min(s.live, key=key) if rng is None
-                 else rng.choice(sorted(s.live, key=key)))
+    while s.keys:
+        s.insert(s.select(0 if rng is None else rng.randrange(len(s.keys))))
     return s.b.graph() if s.inserted else g
 
 

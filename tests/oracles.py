@@ -29,6 +29,7 @@ from oneplane.maximality import (
     RouteKind,
     SaturationPolicy,
     _across,
+    _Closure,
     _in_face,
     apply_insertion,
 )
@@ -284,6 +285,24 @@ def stepwise_saturation(g: OnePlaneGraph,
         g = apply_insertion(g, cands[0] if rng is None else rng.choice(cands))
         path.append(g)
     return path
+
+
+def resort_saturation(g: OnePlaneGraph,
+                      policy: SaturationPolicy = SaturationPolicy.DETERMINISTIC,
+                      seed: int | None = None) -> OnePlaneGraph:
+    """Greedy closure on one ``_Closure`` that orders the whole live set at
+    every step: it ranks every face of every live candidate, then takes the
+    minimum under the full key, or a seeded choice from the sorted list."""
+    rng = random.Random(seed) if policy is SaturationPolicy.SEEDED else None
+    s = _Closure(g)
+    while live := s.candidates():
+        rank = {f: s.rank(f) for f in {f for c in live for f in c.faces}}
+
+        def key(c):
+            return (c.u, c.v, c.kind.value, tuple(rank[f] for f in c.faces),
+                    -1 if c.cross_edge is None else c.cross_edge)
+        s.insert(min(live, key=key) if rng is None else rng.choice(sorted(live, key=key)))
+    return s.b.graph() if s.inserted else g
 
 
 def rescan_random_seed(n: int, seed: int) -> OnePlaneGraph:

@@ -35,6 +35,7 @@ from .oracles import (
     face_set_insertion_candidates,
     rebuild_first_redrawable,
     rebuild_min_redraw_crossings,
+    resort_saturation,
     stepwise_saturation,
 )
 from .test_cli import _count_calls
@@ -203,6 +204,19 @@ def test_two_face_candidate_needs_cross_edge():
     assert exc.value.code == "BAD_PARAMETER"
 
 
+@pytest.mark.parametrize("faces", [(0, 0), (4, 0), (0,), (0, 4, 1)])
+def test_two_face_candidate_needs_the_faces_of_its_crossed_edge(faces):
+    # the real candidate crosses edge 10 from face 0, which holds vertex 0,
+    # to face 4
+    g = gen_M(2)
+    real = InsertionCandidate(0, 2, RouteKind.TWO_FACES, (0, 4), 10)
+    assert real in insertion_candidates(g)
+    assert apply_insertion(g, real).size == g.size + 1
+    with pytest.raises(OperationError) as exc:
+        apply_insertion(g, InsertionCandidate(0, 2, RouteKind.TWO_FACES, faces, 10))
+    assert exc.value.code == "BAD_PARAMETER"
+
+
 def _saturation_path(n, seed):
     """Every drawing a seeded saturation of gen_random_seed(n, seed) passes
     through, the saturated one last."""
@@ -278,6 +292,41 @@ def test_saturate_matches_stepwise_oracle(n, seed, shuffled):
 ], ids=["m2", "hh1", "c5", "xh1", "hh1-shuffled"])
 def test_saturate_matches_stepwise_oracle_on_fixed_inputs(make):
     _assert_saturates_as_stepwise(make(), 5)
+
+
+def test_randrange_draws_the_index_choice_draws():
+    # saturate draws its index with randrange over the live count, where a
+    # seeded closure over the sorted live list draws with choice
+    for s in range(200):
+        for length in (1, 2, 3, 7, 64, 1000, 4097):
+            a, b = random.Random(s), random.Random(s)
+            assert ([a.randrange(length) for _ in range(3)]
+                    == [b.choice(range(length)) for _ in range(3)]), (s, length)
+
+
+@pytest.mark.parametrize("n, seed", [(100, 1), (100, 7), (200, 2), (300, 3),
+                                     (400, 1), (400, 4)])
+def test_saturate_matches_resort_oracle(n, seed):
+    g = gen_random_seed(n, seed)
+    for policy in SaturationPolicy:
+        want = serialize(resort_saturation(g, policy, seed))
+        assert serialize(saturate(g, policy, seed)) == want, policy
+
+
+def test_saturation_ranks_faces_only_to_break_ties(monkeypatch):
+    """A step ranks the faces of one group, the live candidates with its
+    endpoints and kind, and only when that group holds more than one; the
+    whole-set order ranked every face of every live candidate."""
+    ranks = _count_calls(monkeypatch, maximality._Closure, "rank")
+    live = []
+    insert = maximality._Closure.insert
+
+    def counted(s, cand):
+        live.append(len(s.keys))
+        insert(s, cand)
+    monkeypatch.setattr(maximality._Closure, "insert", counted)
+    saturate(gen_random_seed(400, 1), SaturationPolicy.SEEDED, 1)
+    assert 0 < len(ranks) < sum(live) / 100
 
 
 def test_saturate_finishes_once_and_never_rebuilds(monkeypatch):
