@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from . import maximality
-from .build import delete_edges
+from . import flow, maximality
+from .build import merge_deletion
 from .core import (
     DrawingError,
     FaceClass,
@@ -34,84 +34,16 @@ from .transform import DualMap, Skeleton, dual, skeleton
 
 def vertex_connectivity(sg: SimpleGraph) -> int:
     """Exact vertex connectivity; n-1 for complete graphs."""
-    return _menger(sg)[0]
+    return flow.menger(sg)[0]
 
 
 def min_vertex_separator(sg: SimpleGraph) -> frozenset[int]:
     """A vertex set of size ``vertex_connectivity(sg)`` whose removal
     disconnects the graph (complete graphs have none)."""
-    kappa, nb, cut = _menger(sg)
+    kappa, nb, cut = flow.menger(sg)
     if kappa == sg.order - 1:
         raise OperationError("BAD_PARAMETER", "a complete graph has no vertex separator")
-    return frozenset(nb) if cut is None else _residual_cut(*cut)
-
-
-@once
-def _menger(sg: SimpleGraph):
-    """κ, N(s) and, if a flow set κ, the network, source and residual
-    capacities of that flow: what ``min_vertex_separator`` reads a
-    minimum separator from.
-
-    Fix a minimum-degree vertex s; κ <= deg(s) = ``best``, and N(s)
-    separates s from any non-neighbor.  A minimum cut either misses s
-    (some t outside N[s] has κ(s, t) = κ) or contains s (two non-adjacent
-    neighbors of s are split by it).  The first batch visits each t outside
-    N[s] in BFS order and settles it, i.e. learns κ(s, t) >= ``best``;
-    N(s) counts as settled from the start.  A separator S of s and t with
-    |S| < ``best`` would miss one of ``best`` internally disjoint paths
-    from t to distinct settled vertices, and so join t to s, directly or
-    through a settled end.  So t settles without an s-t flow when it has
-    ``best`` settled neighbors, or else when a fan of ``best`` such paths
-    exists; only then does the capped s-t flow run, possibly lowering
-    ``best``.  The second batch flows between non-adjacent neighbors of s.
-    Every flow runs on one split-vertex network built once per call.
-    """
-    n = sg.order
-    if n < 2:
-        raise OperationError("BAD_PARAMETER", "connectivity needs at least 2 vertices")
-    if not sg.is_connected():
-        raise OperationError("DISCONNECTED", "graph is not connected")
-
-    net = _split_network(sg)
-    index = net.index
-    s = min(sg.vertices, key=lambda v: (sg.degree(v), v))
-    nb = sg.neighbors(s)
-    best, cut = len(nb), None
-    fan = net.cap0[:]                   # sink arcs of settled vertices open
-    settled = [False] * n
-
-    def settle(v):
-        settled[index[v]] = True
-        fan[4 * index[v] + 2] = 1         # v_out -> sink
-
-    def flow(x, y):
-        nonlocal best, cut
-        res = net.cap0[:]
-        f = _augment(net, res, 2 * index[x] + 1, 2 * index[y], best)
-        if f < best:
-            best, cut = f, (net, 2 * index[x] + 1, res)
-
-    for v in nb:
-        settle(v)
-    order, seen = [s], {s}
-    for v in order:
-        for w in sorted(sg.neighbors(v)):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    for t in order:
-        if t == s or t in nb:
-            continue
-        if (sum(settled[index[w]] for w in sg.neighbors(t)) < best
-                and _augment(net, fan[:], 2 * index[t] + 1, net.sink, best) < best):
-            flow(s, t)
-        settle(t)
-    nbl = sorted(nb)
-    for i, x in enumerate(nbl):
-        for y in nbl[i + 1:]:
-            if not sg.has_edge(x, y):
-                flow(x, y)
-    return best, nb, cut
+    return frozenset(nb) if cut is None else flow.residual_cut(*cut)
 
 
 def connectivity_at_least(sg: SimpleGraph, k: int) -> bool:
@@ -120,103 +52,6 @@ def connectivity_at_least(sg: SimpleGraph, k: int) -> bool:
     if sg.order < 2 or not sg.is_connected():
         return False
     return vertex_connectivity(sg) >= k
-
-
-@dataclass(frozen=True)
-class _SplitNetwork:
-    """Residual network of a graph with every vertex split in two: node 2i
-    is the in-copy of ``vertices[i]`` and 2i+1 its out-copy, joined by a
-    unit arc (arc 4i); each edge uv gives unit arcs u_out->v_in and
-    v_out->u_in (an inner vertex passes one unit, so no edge arc needs
-    more).  Node ``sink`` = 2n is fed by an arc from every out-copy (arc
-    4i+2) of capacity 0, which a fan opens for its settled vertices: fed
-    from the out-copy, a settled vertex ends at most one path.
-    Arc ``a`` runs to ``head[a]``, its reverse is ``a ^ 1``, and
-    ``arcs[x]`` lists the arcs leaving node x."""
-
-    index: dict[int, int]
-    head: list[int]
-    cap0: list[int]
-    arcs: tuple[tuple[int, ...], ...]
-
-    @property
-    def sink(self) -> int:
-        return len(self.arcs) - 1
-
-
-def _split_network(sg: SimpleGraph) -> _SplitNetwork:
-    n = sg.order
-    index = {v: i for i, v in enumerate(sg.vertices)}
-    head: list[int] = []
-    arcs: list[list[int]] = [[] for _ in range(2 * n + 1)]
-
-    def arc(x, y):
-        arcs[x].append(len(head))
-        head.append(y)
-        arcs[y].append(len(head))
-        head.append(x)
-
-    for i in range(n):
-        arc(2 * i, 2 * i + 1)
-        arc(2 * i + 1, 2 * n)
-    for u, v in sg.edges:
-        arc(2 * index[u] + 1, 2 * index[v])
-        arc(2 * index[v] + 1, 2 * index[u])
-    return _SplitNetwork(index, head, [1, 0, 0, 0] * n + [1, 0] * (2 * sg.size),
-                        tuple(tuple(a) for a in arcs))
-
-
-def _augment(net: _SplitNetwork, res: list[int], src: int, dst: int, cap: int) -> int:
-    """Augment unit flows from node ``src`` to node ``dst`` in the residual
-    capacities ``res`` (changed in place) until ``cap`` paths are found or
-    none is left; returns their number.  Paths are found breadth-first.
-    From an out-copy to an in-copy (s_out to t_in) this counts internally
-    disjoint s-t paths: a path never returns to src, so the unit arcs of
-    s and t stay unused; from t_out to the sink it counts a fan."""
-    head, arcs = net.head, net.arcs
-    flow = 0
-    while flow < cap:
-        via = [-1] * len(arcs)          # arc that first reached each node
-        via[src] = -2
-        queue = [src]
-        for x in queue:
-            for a in arcs[x]:
-                if res[a]:
-                    y = head[a]
-                    if via[y] == -1:
-                        via[y] = a
-                        queue.append(y)
-            if via[dst] != -1:
-                break
-        else:
-            break
-        x = dst
-        while x != src:
-            a = via[x]
-            res[a] -= 1
-            res[a ^ 1] += 1
-            x = head[a ^ 1]
-        flow += 1
-    return flow
-
-
-def _residual_cut(net: _SplitNetwork, src: int, res: list[int]) -> frozenset[int]:
-    """Vertices whose in-copy, but not out-copy, is reachable from ``src``
-    once a maximum flow in ``res`` has stopped.  Edge arcs count as
-    unbounded (no flow puts two units on one), so the cut they leave holds
-    only vertex arcs: a minimum separator."""
-    head, arcs = net.head, net.arcs
-    edge0 = 4 * len(net.index)
-    seen = [False] * len(arcs)
-    seen[src] = True
-    queue = [src]
-    for x in queue:
-        for a in arcs[x]:
-            if (res[a] or (a >= edge0 and not a & 1)) and not seen[head[a]]:
-                seen[head[a]] = True
-                queue.append(head[a])
-    return frozenset(v for v, i in net.index.items()
-                     if seen[2 * i] and not seen[2 * i + 1])
 
 
 def map_graph(pmap: PlanarMap) -> SimpleGraph:
@@ -270,6 +105,7 @@ def degree_profile(sg: SimpleGraph) -> DegreeProfile:
 # Triangulation utilities
 # ---------------------------------------------------------------------------
 
+@once
 def is_triangulation(pmap: PlanarMap) -> bool:
     """True iff every face walk is a triangle on three distinct vertices."""
     for walk in pmap.face_walks:
@@ -366,7 +202,7 @@ def is_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
     crossed = [e for e, r in enumerate(g.edges) if r.crossing is not None]
 
     # each face of H is one merge class of planarization faces
-    cut = delete_edges(g, crossed)
+    cut = merge_deletion(g, crossed)
     if cut is None:
         return NearOptimalReport(False, ("non-crossing subgraph is disconnected",))
     h = cut.result.graph

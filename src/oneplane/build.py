@@ -444,6 +444,15 @@ def plane_graph(neighbors) -> OnePlaneGraph:
     return DrawingBuilder.from_neighbors(neighbors).graph()
 
 
+def delete_edges(g: OnePlaneGraph, edges) -> BuildResult | None:
+    """Delete the edges from ``g``, smoothing their crossings.  None when
+    the deletion disconnects the drawing."""
+    b = DrawingBuilder.from_graph(g)
+    for e in edges:
+        b.delete_edge(e)
+    return b.finish() if b.is_connected() else None
+
+
 @dataclass(frozen=True)
 class Deletion:
     """A drawing minus some edges: the finished result with its id maps, the
@@ -455,17 +464,13 @@ class Deletion:
     face_class: tuple[int, ...]
 
 
-def delete_edges(g: OnePlaneGraph, edges) -> Deletion | None:
-    """Delete the edges from ``g``, smoothing their crossings, and map each
-    face of the result to its merge class.  None when the deletion
-    disconnects the drawing."""
+def merge_deletion(g: OnePlaneGraph, edges) -> Deletion | None:
+    """``delete_edges`` with each face of the result mapped to its merge
+    class.  None when the deletion disconnects the drawing."""
     edges = tuple(edges)
-    b = DrawingBuilder.from_graph(g)
-    for e in edges:
-        b.delete_edge(e)
-    if not b.is_connected():
+    res = delete_edges(g, edges)
+    if res is None:
         return None
-    res = b.finish()
     merge = FaceMerge(g, edges)
     # deletion keeps every surviving dart, so its face in the result is the
     # merge class of its face in g

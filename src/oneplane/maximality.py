@@ -311,10 +311,9 @@ def min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
     """
     if not (0 <= e < len(g.edges)):
         raise OperationError("UNKNOWN_EDGE", f"no edge {e}")
-    cut = delete_edges(g, (e,))
-    if cut is None:
+    res = delete_edges(g, (e,))
+    if res is None:
         return RedrawResult(0, None, None)
-    res = cut.result
     rec, h = g.edges[e], res.graph
     ends = tuple(sorted((res.vertex_map[rec.u], res.vertex_map[rec.v])))
     # one-face routes sort first; without one, e was crossed (deleting an

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .build import delete_edges
+from .build import merge_deletion
 from .core import (
     Face,
     FaceClass,
@@ -57,7 +57,7 @@ def skeleton(g: OnePlaneGraph, strategy: RemovalStrategy = RemovalStrategy.LEX_M
     pairs = _select_removals(g, strategy, explicit)
     # the kept partners need not keep the drawing connected: a vertex all of
     # whose edges are removed is cut off
-    cut = delete_edges(g, (e for e, _ in pairs))
+    cut = merge_deletion(g, (e for e, _ in pairs))
     if cut is None:
         raise OperationError("DISCONNECTED",
                              "removing the edges disconnects the drawing")

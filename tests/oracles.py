@@ -5,6 +5,7 @@ import random
 from collections import deque
 from itertools import combinations
 
+from oneplane import flow
 from oneplane.analyze import connectivity_at_least
 from oneplane.build import DEAD, DrawingBuilder
 from oneplane.core import (
@@ -108,6 +109,78 @@ def all_pairs_connectivity(sg: SimpleGraph) -> int:
         if not sg.has_edge(x, y):
             best = min(best, rebuild_local_connectivity(sg, x, y, best))
     return best
+
+
+def bfs_fan_menger(sg: SimpleGraph) -> tuple[int, frozenset[int] | None]:
+    """κ and a minimum separator (None for a complete graph) by the settle
+    scheme of ``flow.menger`` with every fan found breadth-first: one
+    ``flow.augment`` per fan, on a copy of the residual table per non-neighbor
+    t, in a network indexed by vertex id with edge arcs in edge order."""
+    n = sg.order
+    if n < 2:
+        raise OperationError("BAD_PARAMETER", "connectivity needs at least 2 vertices")
+    if not sg.is_connected():
+        raise OperationError("DISCONNECTED", "graph is not connected")
+
+    index = {v: i for i, v in enumerate(sg.vertices)}
+    head: list[int] = []
+    arcs: list[list[int]] = [[] for _ in range(2 * n + 1)]
+
+    def arc(x, y):
+        arcs[x].append(len(head))
+        head.append(y)
+        arcs[y].append(len(head))
+        head.append(x)
+
+    for i in range(n):
+        arc(2 * i, 2 * i + 1)
+        arc(2 * i + 1, 2 * n)
+    for u, v in sg.edges:
+        arc(2 * index[u] + 1, 2 * index[v])
+        arc(2 * index[v] + 1, 2 * index[u])
+    net = flow.SplitNetwork(index, head, [1, 0, 0, 0] * n + [1, 0] * (2 * sg.size),
+                                tuple(tuple(a) for a in arcs))
+
+    s = min(sg.vertices, key=lambda v: (sg.degree(v), v))
+    nb = sg.neighbors(s)
+    best, cut = len(nb), None
+    fan = net.cap0[:]
+    settled = [False] * n
+
+    def settle(v):
+        settled[index[v]] = True
+        fan[4 * index[v] + 2] = 1
+
+    def st_flow(x, y):
+        nonlocal best, cut
+        res = net.cap0[:]
+        f = flow.augment(net, res, 2 * index[x] + 1, 2 * index[y], best)
+        if f < best:
+            best, cut = f, (net, 2 * index[x] + 1, res)
+
+    for v in nb:
+        settle(v)
+    order, seen = [s], {s}
+    for v in order:
+        for w in sorted(sg.neighbors(v)):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    for t in order:
+        if t == s or t in nb:
+            continue
+        if (sum(settled[index[w]] for w in sg.neighbors(t)) < best
+                and flow.augment(net, fan[:], 2 * index[t] + 1, net.sink, best) < best):
+            st_flow(s, t)
+        settle(t)
+    nbl = sorted(nb)
+    for i, x in enumerate(nbl):
+        for y in nbl[i + 1:]:
+            if not sg.has_edge(x, y):
+                st_flow(x, y)
+    if best == n - 1:
+        return best, None
+    return best, frozenset(nb) if cut is None else flow.residual_cut(*cut)
 
 
 def separates(sg: SimpleGraph, cut) -> bool:

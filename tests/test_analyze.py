@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oneplane.core import SimpleGraph, OperationError, underlying
 from oneplane.build import plane_graph
-from oneplane import analyze, transform
+from oneplane import analyze, flow, transform
 from oneplane.analyze import (
     CheckStatus,
     check_blue_neighbors,
@@ -46,6 +46,7 @@ from oneplane.generators import (
 )
 from .oracles import (
     all_pairs_connectivity,
+    bfs_fan_menger,
     brute_force_connectivity,
     per_vertex_lambda3,
     rebuild_local_connectivity,
@@ -145,14 +146,14 @@ def test_shared_network_flows_agree_with_rebuild_oracle():
                for n, seed in [(10, 17), (12, 5)]]
     graphs += [sg for sg, _ in LOW_KAPPA]
     for sg in graphs:
-        net = analyze._split_network(sg)
+        net = flow.split_network(sg, {v: i for i, v in enumerate(reversed(sg.vertices))})
         cap0 = list(net.cap0)
         pairs = [(s, t) for s, t in combinations(sg.vertices, 2) if not sg.has_edge(s, t)]
         assert pairs
         for s, t in pairs:
             src, dst = 2 * net.index[s] + 1, 2 * net.index[t]
             for cap in (sg.order, 2):
-                assert (analyze._augment(net, net.cap0[:], src, dst, cap)
+                assert (flow.augment(net, net.cap0[:], src, dst, cap)
                         == rebuild_local_connectivity(sg, s, t, cap))
         assert net.cap0 == cap0
 
@@ -192,24 +193,52 @@ def test_connectivity_and_separator_agree_with_oracles():
             assert len(cut) == kappa and separates(sg, cut)
 
 
+def test_depth_first_fans_agree_with_breadth_first_augment():
+    """On any settled set, a fan finds as many paths as a breadth-first
+    augment to the sink, up to the cap, and leaves the residual table as
+    it found it."""
+    rng = random.Random(3)
+    graphs = [underlying(generate(f, k)) for f, k in [("xm", 3), ("yh", 1), ("xh", 1)]]
+    graphs += [sg for sg, _ in LOW_KAPPA]
+    for sg in graphs:
+        net = flow.split_network(sg, {v: i for i, v in enumerate(sg.vertices)})
+        for _ in range(20):
+            res = net.cap0[:]
+            for i in rng.sample(range(sg.order), rng.randrange(sg.order)):
+                res[4 * i + 2] = 1
+            before = res[:]
+            for i in range(sg.order):
+                for cap in (2, sg.order):
+                    want = flow.augment(net, res[:], 2 * i + 1, net.sink, cap)
+                    assert flow.fan(net, res, 2 * i + 1, cap) == want
+                    assert res == before
+
+
 def test_connectivity_work_count(monkeypatch):
     """Fans settle every non-neighbor of YH(4) (268 flows without them);
     where κ is below the minimum degree the fan of the vertex that sets κ
     falls short and its s-t flow runs."""
     calls = []
-    augment = analyze._augment
+    fan, augment = flow.fan, flow.augment
 
-    def counted(net, res, src, dst, cap):
-        found = augment(net, res, src, dst, cap)
-        calls.append((dst == net.sink, found, cap))
+    def counted_fan(net, res, src, cap):
+        found = fan(net, res, src, cap)
+        calls.append(("fan", found, cap))
         return found
-    monkeypatch.setattr(analyze, "_augment", counted)
+
+    def counted_flow(net, res, src, dst, cap):
+        found = augment(net, res, src, dst, cap)
+        calls.append(("flow", found, cap))
+        return found
+    monkeypatch.setattr(flow, "fan", counted_fan)
+    monkeypatch.setattr(flow, "augment", counted_flow)
     assert vertex_connectivity(underlying(gen_YH(4))) == 3
     assert 0 < len(calls) <= 30
     calls.clear()
     sg = underlying(saturate(gen_random_seed(20, 1), SaturationPolicy.SEEDED, 1))
     assert vertex_connectivity(sg) == 3 < min(sg.degree(v) for v in sg.vertices)
-    assert (True, 3, 4) in calls and (False, 3, 4) in calls
+    short = calls.index(("fan", 3, 4))
+    assert calls[short + 1] == ("flow", 3, 4)
 
 
 @st.composite
@@ -231,6 +260,65 @@ def relabelled_connected_graphs(draw):
 @given(relabelled_connected_graphs())
 def test_connectivity_matches_brute_force_on_relabelled_graphs(sg):
     assert vertex_connectivity(sg) == brute_force_connectivity(sg)
+
+
+def _agrees_with_bfs_fans(sg):
+    kappa, cut = bfs_fan_menger(sg)
+    assert vertex_connectivity(sg) == kappa
+    if cut is None:
+        with pytest.raises(OperationError):
+            min_vertex_separator(sg)
+    else:
+        assert min_vertex_separator(sg) == cut
+
+
+def test_connectivity_and_separator_agree_with_bfs_fan_oracle():
+    """Depth-first fans on the BFS-indexed network give the κ and the
+    separator of breadth-first fans on the id-indexed one."""
+    for sg in _kappa_graphs():
+        _agrees_with_bfs_fans(sg)
+    _agrees_with_bfs_fans(underlying(gen_XH(5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_connected_graphs())
+def test_connectivity_and_separator_agree_with_bfs_fan_oracle_on_relabelled_graphs(sg):
+    _agrees_with_bfs_fans(sg)
+
+
+class _CountedWalks:
+    """A map that counts how often its face walks are read."""
+
+    def __init__(self, pmap):
+        self.pmap, self.walks = pmap, 0
+
+    @property
+    def face_walks(self):
+        self.walks += 1
+        return self.pmap.face_walks
+
+    @property
+    def dart_vertex(self):
+        return self.pmap.dart_vertex
+
+
+def test_is_triangulation_walks_each_map_once(monkeypatch):
+    """property_suite asks 4 times whether a planarization is triangulated:
+    3 times of g's map and once of its skeleton's.  Each map is walked once."""
+    asked = []
+    is_tri = analyze.is_triangulation
+
+    def counted(pmap):
+        asked.append(pmap)
+        return is_tri(pmap)
+    monkeypatch.setattr(analyze, "is_triangulation", counted)
+    g = gen_XM(2)
+    assert property_suite(g) == []
+    assert len(asked) == 4 and len({id(m) for m in asked}) == 2
+    for pmap in {id(m): m for m in asked}.values():
+        m = _CountedWalks(pmap)
+        assert is_tri(m) == is_tri(m) == is_tri(pmap)
+        assert m.walks == 1
 
 
 def test_is_triangulation_and_separating_cycle():

@@ -4,7 +4,7 @@ import pytest
 
 from oneplane.cli import main
 from oneplane.generators import fixture_path, gen_random_seed, generate
-from oneplane import analyze, cli, interchange, maximality
+from oneplane import analyze, cli, flow, interchange, maximality
 from oneplane.core import underlying
 
 
@@ -109,13 +109,15 @@ def _count_calls(monkeypatch, module, name):
 def test_check_computes_each_fact_once(tmp_path, monkeypatch, capsys):
     yh2 = write(tmp_path, "yh", 2)
     cands = _count_calls(monkeypatch, maximality, "insertion_candidates")
-    flows = _count_calls(monkeypatch, analyze, "_augment")
+    fans = _count_calls(monkeypatch, flow, "fan")
+    flows = _count_calls(monkeypatch, flow, "augment")
     assert main(["check", yh2, "--maximal", "--immovable", "--bounds"]) == 0
     assert len(cands) == 1
-    in_check = len(flows)
+    in_check = len(fans) + len(flows)
+    fans.clear()
     flows.clear()
     assert analyze.vertex_connectivity(underlying(generate("yh", 2))) == 3
-    assert in_check == len(flows) > 0
+    assert in_check == len(fans) + len(flows) > 0
 
 
 def test_main_builds_one_parser(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from oneplane.core import FaceMerge, OperationError, validate
 from oneplane.build import DrawingBuilder, plane_graph
 from oneplane.interchange import load, serialize
-from oneplane import maximality
+from oneplane import build, maximality
+from oneplane.transform import skeleton
 from oneplane.maximality import (
     InsertionCandidate,
     RedrawResult,
@@ -255,6 +256,18 @@ def test_redraw_of_a_bridge_agrees_with_rebuild_oracle():
     path = plane_graph([[1], [0, 2], [1]])
     _assert_redraw_agrees(path)
     assert min_redraw_crossings(path, 0) == RedrawResult(0, None, None)
+
+
+def test_redraw_builds_no_face_merge(monkeypatch):
+    """A redraw reads only the drawing left by the deletion; the face merge
+    is built only where its classes are read, as in ``skeleton``."""
+    merges = _count_calls(monkeypatch, build, "FaceMerge")
+    g = generate("yh", 1)
+    for e in range(len(g.edges)):
+        min_redraw_crossings(g, e)
+    assert not merges
+    skeleton(g)
+    assert len(merges) == 1
 
 
 def _shuffle_darts(g, seed):
