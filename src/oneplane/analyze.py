@@ -85,19 +85,17 @@ def degree_profile(sg: SimpleGraph) -> DegreeProfile:
     hist: dict[int, int] = {}
     for v in sg.vertices:
         hist[sg.degree(v)] = hist.get(sg.degree(v), 0) + 1
-    # kappa >= 3 makes every G-w 2-connected
-    lam3 = 0
-    for w in sg.vertices:
-        d = sg.degree(w)
-        if d % 2 == 1 and (d <= 9 or connectivity_at_least(sg, 3)
-                           or connectivity_at_least(sg.without([w]), 2)):
-            lam3 += 1
+    # odd vertices of degree <= 9 count as they are; kappa >= 3 makes every
+    # G-w 2-connected, so a flow per vertex runs only below it
+    big = [w for w in sg.vertices if sg.degree(w) % 2 == 1 and sg.degree(w) > 9]
+    if big and not connectivity_at_least(sg, 3):
+        big = [w for w in big if connectivity_at_least(sg.without([w]), 2)]
     return DegreeProfile(
         histogram=dict(sorted(hist.items())),
         min_degree=min(hist) if hist else 0,
         lambda1=hist.get(2, 0),
         lambda2=hist.get(4, 0),
-        lambda3=lam3,
+        lambda3=sum(c for d, c in hist.items() if d % 2 == 1 and d <= 9) + len(big),
     )
 
 

@@ -348,11 +348,9 @@ class FaceMerge:
     one edge costs time in its segments, not in the drawing."""
 
     def __init__(self, g: OnePlaneGraph, edges):
-        self.g = g
-        self.edges = frozenset(edges)
         self._parent: dict[int, int] = {}
         fod, opposite = g.map.face_of_dart, g.map.opposite
-        for e in self.edges:
+        for e in edges:
             for d in g.edge_darts[e]:
                 a, b = self.find(fod[d]), self.find(fod[opposite[d]])
                 if a != b:
@@ -366,20 +364,6 @@ class FaceMerge:
             parent[face] = parent.get(up, up)     # path splitting
             face = up
         return face
-
-    def at(self, v: int) -> set[int]:
-        """Merge classes of the faces around ``v`` once the edges are gone:
-        the classes of v's remaining darts."""
-        g = self.g
-        return {self.find(g.map.face_of_dart[d]) for d in g.map.rotations[v]
-                if g.dart_edge[d] not in self.edges}
-
-    def share_face(self, u: int, v: int) -> bool:
-        """True iff ``u`` and ``v`` lie on one face once the edges are gone.
-        A vertex left with no dart is a component of its own, which can be
-        placed in any face."""
-        at_u, at_v = self.at(u), self.at(v)
-        return not at_u or not at_v or not at_u.isdisjoint(at_v)
 
 
 def _require_true_vertex(g: OnePlaneGraph, v: int) -> None:

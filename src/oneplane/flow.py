@@ -123,11 +123,32 @@ def fan(net: SplitNetwork, res: list[int], src: int, cap: int) -> int:
     can reach the sink together through the arcs open in ``res``: from
     t_out, a fan of t to distinct settled vertices.  Each path is found
     depth-first in arc order, so it heads for the lowest-indexed settled
-    vertex; the paths are undone before returning, so ``res`` is unchanged
-    and a fan costs only what it explores."""
-    head, arcs, sink = net.head, net.arcs, net.sink
-    undo: list[list[int]] = []
-    while len(undo) < cap:
+    vertex; the paths are undone before returning, so ``res`` is
+    unchanged."""
+    return _paths(net, res, src, net.sink, cap, keep=False)
+
+
+def augment(net: SplitNetwork, res: list[int], src: int, dst: int, cap: int) -> int:
+    """Augment unit flows from node ``src`` to node ``dst`` in the residual
+    capacities ``res`` (changed in place) until ``cap`` paths are found or
+    none is left; returns their number.  Paths are found as a fan's are,
+    and kept.  From an out-copy to an in-copy (s_out to t_in) this counts
+    internally disjoint s-t paths: a path never returns to src, so the unit
+    arcs of s and t stay unused.  A flow that stops below ``cap`` is
+    maximum, and every maximum flow leaves the same nodes reachable from
+    src, so ``residual_cut`` does not depend on the search order."""
+    return _paths(net, res, src, dst, cap, keep=True)
+
+
+def _paths(net: SplitNetwork, res: list[int], src: int, dst: int, cap: int,
+           keep: bool) -> int:
+    """Up to ``cap`` unit paths from ``src`` to ``dst`` through the arcs
+    open in ``res``, each found depth-first in arc order and applied to
+    ``res``; unless ``keep``, they are taken back before returning.  A
+    search marks only the nodes it enters, so it costs what it explores."""
+    head, arcs = net.head, net.arcs
+    paths: list[list[int]] = []
+    while len(paths) < cap:
         seen = {src}
         path: list[int] = []            # arcs from src to the top of todo
         todo = [iter(arcs[src])]
@@ -142,7 +163,7 @@ def fan(net: SplitNetwork, res: list[int], src: int, cap: int) -> int:
                 continue
             y = head[a]
             path.append(a)
-            if y == sink:
+            if y == dst:
                 break
             seen.add(y)
             todo.append(iter(arcs[y]))
@@ -151,47 +172,13 @@ def fan(net: SplitNetwork, res: list[int], src: int, cap: int) -> int:
         for a in path:
             res[a] -= 1
             res[a ^ 1] += 1
-        undo.append(path)
-    for path in undo:
-        for a in path:
-            res[a] += 1
-            res[a ^ 1] -= 1
-    return len(undo)
-
-
-def augment(net: SplitNetwork, res: list[int], src: int, dst: int, cap: int) -> int:
-    """Augment unit flows from node ``src`` to node ``dst`` in the residual
-    capacities ``res`` (changed in place) until ``cap`` paths are found or
-    none is left; returns their number.  Paths are found breadth-first.
-    From an out-copy to an in-copy (s_out to t_in) this counts internally
-    disjoint s-t paths: a path never returns to src, so the unit arcs of
-    s and t stay unused; from t_out to the sink it counts what ``fan``
-    does."""
-    head, arcs = net.head, net.arcs
-    flow = 0
-    while flow < cap:
-        via = [-1] * len(arcs)          # arc that first reached each node
-        via[src] = -2
-        queue = [src]
-        for x in queue:
-            for a in arcs[x]:
-                if res[a]:
-                    y = head[a]
-                    if via[y] == -1:
-                        via[y] = a
-                        queue.append(y)
-            if via[dst] != -1:
-                break
-        else:
-            break
-        x = dst
-        while x != src:
-            a = via[x]
-            res[a] -= 1
-            res[a ^ 1] += 1
-            x = head[a ^ 1]
-        flow += 1
-    return flow
+        paths.append(path)
+    if not keep:
+        for path in paths:
+            for a in path:
+                res[a] += 1
+                res[a ^ 1] -= 1
+    return len(paths)
 
 
 def residual_cut(net: SplitNetwork, src: int, res: list[int]) -> frozenset[int]:

@@ -18,7 +18,7 @@ from enum import Enum
 from itertools import combinations
 
 from .build import DrawingBuilder, delete_edges
-from .core import FaceMerge, OnePlaneGraph, OperationError, VertexKind, once
+from .core import OnePlaneGraph, OperationError, VertexKind, once
 
 
 class RouteKind(Enum):
@@ -75,31 +75,34 @@ def insertion_candidates(g: OnePlaneGraph) -> tuple[InsertionCandidate, ...]:
                         key=lambda c: (c.u, c.v, c.kind.value, c.faces, c.cross_edge)))
 
 
-def _in_face(f: int, on: frozenset, has_edge) -> list[InsertionCandidate]:
-    """The one-face insertions of face ``f``: every non-adjacent pair of the
-    true vertices ``on`` its boundary."""
+def _in_face(faces, on, adj) -> list[InsertionCandidate]:
+    """The one-face insertions of the given faces: every pair of the true
+    vertices ``on[f]`` on the boundary of a face f that are not neighbours
+    in ``adj``."""
     return [InsertionCandidate(u, v, RouteKind.ONE_FACE, (f,))
-            for u, v in combinations(sorted(on), 2) if not has_edge(u, v)]
+            for f in faces for u, v in combinations(sorted(on[f]), 2) if v not in adj[u]]
 
 
-def _across(e: int, f1: int, on1: frozenset, f2: int, on2: frozenset,
-            has_edge) -> list[InsertionCandidate]:
-    """The two-face insertions crossing the uncrossed edge ``e`` between
-    faces ``f1`` and ``f2``, whose true boundary vertices are ``on1`` and
-    ``on2``.  None when both sides of ``e`` are one face."""
-    if f1 == f2:
-        return []
+def _across(across, on, adj) -> list[InsertionCandidate]:
+    """The two-face insertions crossing the uncrossed edges of ``across``,
+    which maps each to the faces f1 and f2 on its two sides, whose true
+    boundary vertices are ``on[f1]`` and ``on[f2]``.  None across an edge
+    with one face on both sides."""
     out = []
-    # e's endpoints lie on both boundaries, so the set differences below
-    # already exclude them (no candidate crosses an incident edge)
-    for u in sorted(on1 - on2):
-        for v in sorted(on2 - on1):
-            if has_edge(u, v):
-                continue
-            if u < v:
-                out.append(InsertionCandidate(u, v, RouteKind.TWO_FACES, (f1, f2), e))
-            else:
-                out.append(InsertionCandidate(v, u, RouteKind.TWO_FACES, (f2, f1), e))
+    for e, (f1, f2) in across.items():
+        if f1 == f2:
+            continue
+        on1, on2 = on[f1], on[f2]
+        # e's endpoints lie on both boundaries, so the set differences below
+        # already exclude them (no candidate crosses an incident edge)
+        for u in on1 - on2:
+            for v in on2 - on1:
+                if v in adj[u]:
+                    continue
+                if u < v:
+                    out.append(InsertionCandidate(u, v, RouteKind.TWO_FACES, (f1, f2), e))
+                else:
+                    out.append(InsertionCandidate(v, u, RouteKind.TWO_FACES, (f2, f1), e))
     return out
 
 
@@ -139,13 +142,16 @@ def _insert(b: DrawingBuilder, cand: InsertionCandidate, walks) -> None:
 class _Closure:
     """The one table of insertion candidates, and the one order on them:
     ``insertion_candidates``, ``is_maximal``, ``min_redraw_crossings`` and
-    ``saturate`` all read it.  It holds a builder, its faces and the live
-    candidates; a saturation keeps them up to date locally after each
-    insertion.
+    ``saturate`` all read it.  It holds the faces and the live candidates;
+    the first insertion copies the drawing into a builder, and a saturation
+    keeps the tables up to date locally after each insertion.
 
     Faces are named by ids that are never reused; ``walks`` and ``on`` (true
-    boundary vertices) are kept per live face.  A candidate's group key
-    (u, v, kind) never changes while it is live: ``groups`` maps each key to
+    boundary vertices) are kept per live face.  The tables start from the
+    drawing's own (face walks, ``face_of_dart``, ``edge_darts``) in
+    whole-table passes, and ``_add`` lists the candidates of those faces
+    and of the faces each insertion makes, in no particular order.  A
+    candidate's group key (u, v, kind) never changes while it is live: ``groups`` maps each key to
     its live candidates, and ``keys`` holds the key once per live
     candidate, sorted.  The order is the group key, then the ranks of the
     faces (``rank``), then the crossed edge.  ``select`` finds the group of
@@ -159,22 +165,29 @@ class _Closure:
     """
 
     def __init__(self, g: OnePlaneGraph):
-        self.b = DrawingBuilder.from_graph(g)
-        self.adj = {v: set(ws) for v, ws in g.adjacency.items()}
-        self.face_of = [-1] * g.map.n_darts
-        self.walks: dict[int, list[int]] = {}
+        self.g = g
+        self.b: DrawingBuilder | None = None     # made by the first insertion
+        self.adj = g.adjacency                   # copied to sets by it
+        self.face_of = list(g.map.face_of_dart)
+        self.walks = dict(enumerate(g.map.face_walks))
         self.on: dict[int, frozenset] = {}
-        self.keys: list[tuple[int, int, str]] = []
         self.groups: dict[tuple[int, int, str], list[InsertionCandidate]] = {}
         self.by_face: dict[int, list[InsertionCandidate]] = {}
-        for f, walk in enumerate(g.map.face_walks):
-            self._add_face(f, list(walk))
+        # the true vertex at each dart: its tail, or at a crossing its head,
+        # which is true and the tail of the next dart on its face; so a
+        # face's true boundary vertices are those of its darts
+        dv, opposite = g.map.dart_vertex, g.map.opposite
+        self.true_at = list(dv)
+        for c in g.map.fake_vertices:
+            for d in g.map.rotations[c]:
+                self.true_at[d] = dv[opposite[d]]
         self.next_face = len(self.walks)
         self.inserted = 0
-        self._add_candidates(range(self.next_face))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        fod = g.map.face_of_dart
+        across = {e: (fod[ds[0]], fod[opposite[ds[0]]])
+                  for e, (rec, ds) in enumerate(zip(g.edges, g.edge_darts))
+                  if rec.crossing is None}
+        self.keys = sorted(self._add(range(self.next_face), across))
 
     def candidates(self) -> list[InsertionCandidate]:
         """The live candidates, in no particular order."""
@@ -204,39 +217,33 @@ class _Closure:
                                                  c.cross_edge))
         return group[i - bisect_left(self.keys, key)]
 
-    def _add_face(self, f: int, walk: list[int]) -> None:
-        dv, kinds = self.b.dart_vertex, self.b.kinds
-        for d in walk:
-            self.face_of[d] = f
-        self.walks[f] = walk
-        self.on[f] = frozenset(dv[d] for d in walk if kinds[dv[d]] is VertexKind.TRUE)
-        self.by_face[f] = []
-
-    def _add_candidates(self, faces) -> None:
-        """Candidates inside the given faces and across every uncrossed edge
-        on their boundaries."""
-        b, on, face_of = self.b, self.on, self.face_of
-        new = []
-        done = set()
+    def _add(self, faces, across) -> list[tuple[int, int, str]]:
+        """Take in the given faces, whose walks are in ``walks``, and list
+        the candidates inside them and across the uncrossed edges
+        ``across``, a map from each to the faces on its two sides; returns
+        the group keys of the new candidates."""
+        on, adj = self.on, self.adj
+        true_at = self.true_at.__getitem__
         for f in faces:
-            new += _in_face(f, on[f], self.has_edge)
-            for d in self.walks[f]:
-                e = b.dart_edge[d]
-                if b.edges[e][2] is None and e not in done:
-                    done.add(e)
-                    f2 = face_of[b.opposite[d]]
-                    new += _across(e, f, on[f], f2, on[f2], self.has_edge)
+            on[f] = frozenset(map(true_at, self.walks[f]))
+            self.by_face[f] = []
+        new = _in_face(faces, on, adj) + _across(across, on, adj)
+        keys = []
         for c in new:
             key = (c.u, c.v, c.kind.value)
-            insort(self.keys, key)
+            keys.append(key)
             self.groups.setdefault(key, []).append(c)
             for f in c.faces:
                 self.by_face[f].append(c)
+        return keys
 
     def insert(self, cand: InsertionCandidate) -> None:
         """Apply the candidate, replace the faces it splits by the new ones
         and update the candidates."""
-        b = self.b
+        if self.b is None:
+            self.b = DrawingBuilder.from_graph(self.g)
+            self.adj = {v: set(ws) for v, ws in self.adj.items()}
+        b, face_of = self.b, self.face_of
         n0 = len(b.opposite)
         _insert(b, cand, self.walks)
         self.adj[cand.u].add(cand.v)
@@ -258,13 +265,22 @@ class _Closure:
             del self.walks[f], self.on[f]
         # each new face contains a new dart: one of the new edge's at a
         # corner, or one of the four at a new crossing
-        self.face_of += [-1] * (len(b.opposite) - n0)
+        dv, opposite = b.dart_vertex, b.opposite
+        face_of += [-1] * (len(opposite) - n0)
+        self.true_at += [dv[d] if b.kinds[dv[d]] is VertexKind.TRUE else dv[opposite[d]]
+                         for d in range(n0, len(opposite))]
         born = self.next_face
-        for d in range(n0, len(b.opposite)):
-            if self.face_of[d] < born:
-                self._add_face(self.next_face, b.face_walk_from(d))
+        for d in range(n0, len(opposite)):
+            if face_of[d] < born:
+                walk = self.walks[self.next_face] = b.face_walk_from(d)
+                for x in walk:
+                    face_of[x] = self.next_face
                 self.next_face += 1
-        self._add_candidates(range(born, self.next_face))
+        new = range(born, self.next_face)
+        across = {b.dart_edge[d]: (face_of[d], face_of[opposite[d]])
+                  for f in new for d in self.walks[f] if b.edges[b.dart_edge[d]][2] is None}
+        for key in self._add(new, across):
+            insort(self.keys, key)
         self.inserted += 1
 
 
@@ -331,14 +347,39 @@ def is_immovable(g: OnePlaneGraph) -> ImmovabilityResult:
     """True iff no crossed edge admits a crossing-free redraw.
 
     Redrawing an uncrossed edge cannot lower the crossing count, so only
-    crossed edges are examined, each by merging the faces on both sides of
-    its segments; the witness is the first redrawable edge in id order.
-    Requires a maximal drawing.
+    crossed edges are examined, each by set tests on the faces around its
+    endpoints (``_redrawable``); the witness is the first redrawable edge
+    in id order, and only its g - e is built.  Requires a maximal drawing.
     """
     if not is_maximal(g).is_maximal:
         raise OperationError("NOT_MAXIMAL",
                              "immovability is defined for maximal drawings")
+    e = next(_redrawable(g), None)
+    if e is None:
+        return ImmovabilityResult(True, None)
+    return ImmovabilityResult(False, (e, min_redraw_crossings(g, e)))
+
+
+def _redrawable(g: OnePlaneGraph):
+    """The crossed edges e = uv, in id order, whose endpoints share a face
+    of g - e: those with a crossing-free redraw.
+
+    Deleting e, which crosses at c, merges the two faces beside segment
+    u-c into one face and the two beside c-v into another, and changes no
+    other face; the four faces at c are distinct, so these two stay apart.
+    So u and v share a face of g - e iff their sets of faces in g meet, or
+    u's set meets the faces beside c-v, or v's set meets those beside u-c.
+    (Distinct faces at c also mean that u and v keep a dart each, so
+    neither is left isolated.)  The face sets are built once per drawing.
+    """
+    fod, dv, opposite = g.map.face_of_dart, g.map.dart_vertex, g.map.opposite
+    at = [set(map(fod.__getitem__, rot)) for rot in g.map.rotations]
     for e, rec in enumerate(g.edges):
-        if rec.crossing is not None and FaceMerge(g, (e,)).share_face(rec.u, rec.v):
-            return ImmovabilityResult(False, (e, min_redraw_crossings(g, e)))
-    return ImmovabilityResult(True, None)
+        if rec.crossing is None:
+            continue
+        u, v = rec.u, rec.v
+        # the faces beside each segment, keyed by the tail of its dart
+        beside = {dv[d]: (fod[d], fod[opposite[d]]) for d in g.edge_darts[e]}
+        if not (at[u].isdisjoint(at[v]) and at[u].isdisjoint(beside[v])
+                and at[v].isdisjoint(beside[u])):
+            yield e

@@ -9,6 +9,7 @@ from oneplane import flow
 from oneplane.analyze import connectivity_at_least
 from oneplane.build import DEAD, DrawingBuilder
 from oneplane.core import (
+    FaceMerge,
     OnePlaneGraph,
     OperationError,
     PlanarMap,
@@ -111,11 +112,44 @@ def all_pairs_connectivity(sg: SimpleGraph) -> int:
     return best
 
 
+def bfs_augment(net: flow.SplitNetwork, res: list[int], src: int, dst: int,
+                cap: int) -> int:
+    """``flow.augment`` with every augmenting path found breadth-first: a
+    fresh table of the arc that first reached each node, and a scan from
+    ``src`` over the whole network, per path."""
+    head, arcs = net.head, net.arcs
+    found = 0
+    while found < cap:
+        via = [-1] * len(arcs)          # arc that first reached each node
+        via[src] = -2
+        queue = [src]
+        for x in queue:
+            for a in arcs[x]:
+                if res[a]:
+                    y = head[a]
+                    if via[y] == -1:
+                        via[y] = a
+                        queue.append(y)
+            if via[dst] != -1:
+                break
+        else:
+            break
+        x = dst
+        while x != src:
+            a = via[x]
+            res[a] -= 1
+            res[a ^ 1] += 1
+            x = head[a ^ 1]
+        found += 1
+    return found
+
+
 def bfs_fan_menger(sg: SimpleGraph) -> tuple[int, frozenset[int] | None]:
     """κ and a minimum separator (None for a complete graph) by the settle
-    scheme of ``flow.menger`` with every fan found breadth-first: one
-    ``flow.augment`` per fan, on a copy of the residual table per non-neighbor
-    t, in a network indexed by vertex id with edge arcs in edge order."""
+    scheme of ``flow.menger`` with every fan and every s-t flow found
+    breadth-first: one ``bfs_augment`` per fan, on a copy of the residual
+    table per non-neighbor t, in a network indexed by vertex id with edge
+    arcs in edge order."""
     n = sg.order
     if n < 2:
         raise OperationError("BAD_PARAMETER", "connectivity needs at least 2 vertices")
@@ -154,7 +188,7 @@ def bfs_fan_menger(sg: SimpleGraph) -> tuple[int, frozenset[int] | None]:
     def st_flow(x, y):
         nonlocal best, cut
         res = net.cap0[:]
-        f = flow.augment(net, res, 2 * index[x] + 1, 2 * index[y], best)
+        f = bfs_augment(net, res, 2 * index[x] + 1, 2 * index[y], best)
         if f < best:
             best, cut = f, (net, 2 * index[x] + 1, res)
 
@@ -170,7 +204,7 @@ def bfs_fan_menger(sg: SimpleGraph) -> tuple[int, frozenset[int] | None]:
         if t == s or t in nb:
             continue
         if (sum(settled[index[w]] for w in sg.neighbors(t)) < best
-                and flow.augment(net, fan[:], 2 * index[t] + 1, net.sink, best) < best):
+                and bfs_augment(net, fan[:], 2 * index[t] + 1, net.sink, best) < best):
             st_flow(s, t)
         settle(t)
     nbl = sorted(nb)
@@ -244,14 +278,12 @@ def face_set_insertion_candidates(g: OnePlaneGraph) -> tuple[InsertionCandidate,
     fs = g.face_set
     pmap = g.map
     on = [frozenset(v for v in f.boundary if not pmap.is_fake(v)) for f in fs]
-    out = []
-    for f in fs:
-        out += _in_face(f.index, on[f.index], g.has_edge)
+    across = {}
     for e, rec in enumerate(g.edges):
         if rec.crossing is None:
             d = g.edge_darts[e][0]
-            f1, f2 = fs.face_of_dart[d], fs.face_of_dart[pmap.opposite[d]]
-            out += _across(e, f1, on[f1], f2, on[f2], g.has_edge)
+            across[e] = (fs.face_of_dart[d], fs.face_of_dart[pmap.opposite[d]])
+    out = _in_face(range(len(fs)), on, g.adjacency) + _across(across, on, g.adjacency)
     return tuple(sorted(out, key=lambda c: (
         c.u, c.v, c.kind.value, c.faces, -1 if c.cross_edge is None else c.cross_edge)))
 
@@ -291,6 +323,20 @@ def rebuild_min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
     else:
         route = InsertionCandidate(v, u, RouteKind.TWO_FACES, (f2, f1), p)
     return RedrawResult(1, route, h)
+
+
+def face_merge_redrawable(g: OnePlaneGraph, e: int) -> bool:
+    """Whether edge ``e`` = uv has a crossing-free redraw: with the faces of
+    g merged across e's segments (``FaceMerge``), the classes of the faces
+    at u's and at v's remaining darts meet.  An endpoint left with no dart
+    is a component of its own, which can be placed in any face."""
+    merge = FaceMerge(g, (e,))
+
+    def at(v):
+        return {merge.find(g.map.face_of_dart[d]) for d in g.map.rotations[v]
+                if g.dart_edge[d] != e}
+    at_u, at_v = at(g.edges[e].u), at(g.edges[e].v)
+    return not at_u or not at_v or not at_u.isdisjoint(at_v)
 
 
 def rebuild_first_redrawable(g: OnePlaneGraph):

@@ -46,6 +46,7 @@ from oneplane.generators import (
 )
 from .oracles import (
     all_pairs_connectivity,
+    bfs_augment,
     bfs_fan_menger,
     brute_force_connectivity,
     per_vertex_lambda3,
@@ -135,6 +136,25 @@ def test_lambda3_agrees_with_per_vertex_oracle():
     assert [degree_profile(sg).lambda3 for sg, _ in LOW_KAPPA] == [11, 10, 13, 11]
 
 
+def test_degree_profile_tests_kappa_once(monkeypatch):
+    """The saturation (20, 1) has three odd vertices of degree above 9 and
+    κ = 3, so one κ test settles all three; YH(1) has none, so none runs."""
+    sg = underlying(saturate(gen_random_seed(20, 1), SaturationPolicy.SEEDED, 1))
+    assert sum(sg.degree(v) % 2 == 1 and sg.degree(v) > 9 for v in sg.vertices) == 3
+    calls = []
+    at_least = analyze.connectivity_at_least
+
+    def counted(g, k):
+        calls.append((g, k))
+        return at_least(g, k)
+    monkeypatch.setattr(analyze, "connectivity_at_least", counted)
+    assert degree_profile(sg).lambda3 == per_vertex_lambda3(sg)
+    assert calls == [(sg, 3)]
+    calls.clear()
+    degree_profile(underlying(gen_YH(1)))
+    assert calls == []
+
+
 def test_shared_network_flows_agree_with_rebuild_oracle():
     """Every non-adjacent pair in sequence on one network, with and without
     an early stop, against a network rebuilt for that pair alone: flow left
@@ -209,9 +229,38 @@ def test_depth_first_fans_agree_with_breadth_first_augment():
             before = res[:]
             for i in range(sg.order):
                 for cap in (2, sg.order):
-                    want = flow.augment(net, res[:], 2 * i + 1, net.sink, cap)
+                    want = bfs_augment(net, res[:], 2 * i + 1, net.sink, cap)
                     assert flow.fan(net, res, 2 * i + 1, cap) == want
                     assert res == before
+
+
+def _flow_pairs(sg):
+    """Every non-adjacent pair of a graph on at most 30 vertices; on a
+    larger one, the pairs κ's own s-t flows join: a minimum-degree vertex s
+    with each non-neighbour, and the non-adjacent pairs of N(s)."""
+    if sg.order <= 30:
+        return [(x, y) for x, y in combinations(sg.vertices, 2) if not sg.has_edge(x, y)]
+    s = min(sg.vertices, key=lambda v: (sg.degree(v), v))
+    nb = sorted(sg.neighbors(s))
+    return ([(s, t) for t in sg.vertices if t != s and not sg.has_edge(s, t)]
+            + [(x, y) for x, y in combinations(nb, 2) if not sg.has_edge(x, y)])
+
+
+def test_depth_first_augment_agrees_with_breadth_first_augment():
+    """A depth-first s-t flow counts the paths a breadth-first one does, at
+    a cap that stops it early and at one that does not; below the cap both
+    flows are maximum, so their residual tables leave the same cut."""
+    for sg in _kappa_graphs():
+        net = flow.split_network(sg, {v: i for i, v in enumerate(sg.vertices)})
+        for x, y in _flow_pairs(sg):
+            src, dst = 2 * net.index[x] + 1, 2 * net.index[y]
+            for cap in (2, sg.order):
+                res, want_res = net.cap0[:], net.cap0[:]
+                found = flow.augment(net, res, src, dst, cap)
+                assert found == bfs_augment(net, want_res, src, dst, cap)
+                if found < cap:
+                    assert (flow.residual_cut(net, src, res)
+                            == flow.residual_cut(net, src, want_res))
 
 
 def test_connectivity_work_count(monkeypatch):

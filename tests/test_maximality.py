@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneplane.core import FaceMerge, OperationError, validate
+from oneplane import core
+from oneplane.core import OperationError, validate
 from oneplane.build import DrawingBuilder, plane_graph
-from oneplane.interchange import load, serialize
+from oneplane.cli import main
+from oneplane.interchange import dump, load, serialize
 from oneplane import build, maximality
 from oneplane.transform import skeleton
 from oneplane.maximality import (
@@ -33,13 +35,14 @@ from oneplane.generators import (
 )
 from .oracles import (
     brute_force_is_maximal,
+    face_merge_redrawable,
     face_set_insertion_candidates,
     rebuild_first_redrawable,
     rebuild_min_redraw_crossings,
     resort_saturation,
     stepwise_saturation,
 )
-from .test_cli import _count_calls
+from .test_cli import _count_calls, write
 
 
 def test_candidates_hh_quads():
@@ -227,10 +230,14 @@ def _saturation_path(n, seed):
 
 
 def _assert_redraw_agrees(g):
+    redrawable = set(maximality._redrawable(g))
     for e, rec in enumerate(g.edges):
         want = rebuild_min_redraw_crossings(g, e)
         assert min_redraw_crossings(g, e) == want, e
-        assert FaceMerge(g, (e,)).share_face(rec.u, rec.v) == (want.crossings == 0), e
+        assert face_merge_redrawable(g, e) == (want.crossings == 0), e
+        if rec.crossing is not None:
+            assert (e in redrawable) == face_merge_redrawable(g, e), e
+    assert all(g.edges[e].crossing is not None for e in redrawable)
     if is_maximal(g).is_maximal:
         res = is_immovable(g)
         assert res.witness == rebuild_first_redrawable(g)
@@ -267,6 +274,23 @@ def test_redraw_builds_no_face_merge(monkeypatch):
         min_redraw_crossings(g, e)
     assert not merges
     skeleton(g)
+    assert len(merges) == 1
+
+
+def test_certify_check_builds_no_face_merge(tmp_path, monkeypatch, capsys):
+    """Immovability reads the faces around each vertex of the drawing
+    itself; no step of the certify check merges faces, also where it
+    finds a redrawable edge."""
+    merges = _count_calls(monkeypatch, core.FaceMerge, "__init__")
+    for family, k in (("yh", 2), ("xh", 1), ("xm", 3)):
+        assert main(["check", write(tmp_path, family, k),
+                     "--maximal", "--immovable", "--bounds"]) == 0
+    movable = tmp_path / "movable.1pg"
+    dump(saturate(gen_random_seed(10, 17), SaturationPolicy.SEEDED, seed=17), movable)
+    assert main(["check", str(movable), "--maximal", "--immovable", "--bounds"]) == 1
+    assert "redrawable with 0 crossings" in capsys.readouterr().out
+    assert not merges
+    skeleton(generate("yh", 1))
     assert len(merges) == 1
 
 
