@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneplane import core
 from oneplane.core import OperationError, validate
 from oneplane.build import DrawingBuilder, plane_graph
 from oneplane.cli import main
 from oneplane.interchange import dump, load, serialize
-from oneplane import build, maximality
+from oneplane import build, core, maximality
 from oneplane.transform import skeleton
 from oneplane.maximality import (
     InsertionCandidate,
@@ -234,9 +233,10 @@ def _assert_redraw_agrees(g):
     for e, rec in enumerate(g.edges):
         want = rebuild_min_redraw_crossings(g, e)
         assert min_redraw_crossings(g, e) == want, e
-        assert face_merge_redrawable(g, e) == (want.crossings == 0), e
+        merged = face_merge_redrawable(g, e)
+        assert merged == (want.crossings == 0), e
         if rec.crossing is not None:
-            assert (e in redrawable) == face_merge_redrawable(g, e), e
+            assert (e in redrawable) == merged, e
     assert all(g.edges[e].crossing is not None for e in redrawable)
     if is_maximal(g).is_maximal:
         res = is_immovable(g)
