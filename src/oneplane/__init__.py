@@ -11,10 +11,7 @@ crossing-number and edge-count inequality in exact rational arithmetic.
 from .core import (
     DrawingError,
     EdgeRec,
-    Face,
     FaceClass,
-    FaceMerge,
-    FaceSet,
     OnePlaneGraph,
     OperationError,
     PlanarMap,
@@ -28,7 +25,7 @@ from .core import (
     underlying,
     validate,
 )
-from .build import DrawingBuilder, plane_graph
+from .build import DrawingBuilder, Subdrawing, delete_edges, plane_graph
 from .transform import (
     DualMap,
     RemovalStrategy,

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 
 from . import flow, maximality
-from .build import merge_deletion
+from .build import delete_edges
 from .core import (
     DrawingError,
     FaceClass,
@@ -22,6 +23,7 @@ from .core import (
     PlanarMap,
     SimpleGraph,
     c_of,
+    faces,
     once,
     underlying,
 )
@@ -49,9 +51,15 @@ def min_vertex_separator(sg: SimpleGraph) -> frozenset[int]:
 def connectivity_at_least(sg: SimpleGraph, k: int) -> bool:
     if k <= 0:
         return sg.order > 0
-    if sg.order < 2 or not sg.is_connected():
+    if sg.order < 2:
         return False
-    return vertex_connectivity(sg) >= k
+    try:
+        return vertex_connectivity(sg) >= k
+    except OperationError as err:
+        # the search that numbers the flow network finds no path
+        if err.code == "DISCONNECTED":
+            return False
+        raise
 
 
 def map_graph(pmap: PlanarMap) -> SimpleGraph:
@@ -199,31 +207,31 @@ def is_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
     bad: list[str] = []
     crossed = [e for e, r in enumerate(g.edges) if r.crossing is not None]
 
-    # each face of H is one merge class of planarization faces
-    cut = merge_deletion(g, crossed)
-    if cut is None:
+    sub = delete_edges(g, crossed)
+    if sub is None:
         return NearOptimalReport(False, ("non-crossing subgraph is disconnected",))
-    h = cut.result.graph
-    inv_vertex = {new: old for old, new in cut.result.vertex_map.items()}
-
-    # both edges through a crossing are deleted, so the four faces around it
-    # share one class
-    crossing_home: dict[int, list[int]] = {}
+    h, old = sub.graph, sub.vertex_ids
+    # each face of H is a class of planarization faces; both edges through a
+    # crossing are deleted, so the four faces around it share one class
+    home = {f: i for i, ids in enumerate(sub.face_members) for f in ids}
+    crossings: list[list[int]] = [[] for _ in h.map.face_walks]
     for c in g.map.fake_vertices:
-        home = cut.merge.find(g.map.face_of_dart[g.map.rotations[c][0]])
-        crossing_home.setdefault(home, []).append(c)
+        crossings[home[g.map.face_of_dart[g.map.rotations[c][0]]]].append(c)
 
-    hf = h.face_set
-    for f in hf:
-        orig = tuple(inv_vertex[v] for v in f.vertices)
-        if f.is_triangle():
-            if crossing_home.get(cut.face_class[f.index]):
+    dv = h.map.dart_vertex
+    triangle = []
+    for i, walk in enumerate(h.map.face_walks):
+        orig = tuple(old[dv[d]] for d in walk)
+        simple = len(set(orig)) == len(orig)
+        triangle.append(simple and len(orig) == 3)
+        if triangle[i]:
+            if crossings[i]:
                 bad.append(f"triangular face {orig} contains a crossing")
             continue
-        if not f.is_quadrangle():
+        if not (simple and len(orig) == 4):
             bad.append(f"face {orig} is neither triangular nor quadrangular")
             continue
-        inside = crossing_home.get(cut.face_class[f.index], [])
+        inside = crossings[i]
         if len(inside) != 1:
             bad.append(f"quadrangular face {orig} holds {len(inside)} crossings")
             continue
@@ -234,14 +242,13 @@ def is_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
         if got != want:
             bad.append(f"crossing in face {orig} is not of its diagonals")
 
+    fod = h.map.face_of_dart
     for e in range(h.size):
         d = h.edge_darts[e][0]
-        f1 = hf.face_of_dart[d]
-        f2 = hf.face_of_dart[h.map.opposite[d]]
-        if f1 != f2 and hf[f1].is_triangle() and hf[f2].is_triangle():
+        f1, f2 = fod[d], fod[h.map.opposite[d]]
+        if f1 != f2 and triangle[f1] and triangle[f2]:
             u, v = h.edges[e].ends
-            bad.append(
-                f"edge {inv_vertex[u]}-{inv_vertex[v]} shared by two triangles")
+            bad.append(f"edge {old[u]}-{old[v]} shared by two triangles")
 
     return NearOptimalReport(not bad, tuple(bad))
 
@@ -277,18 +284,20 @@ def check_face_adjacency(g: OnePlaneGraph) -> CheckResult:
     name = "face-adjacency"
     if not maximality.is_maximal(g).is_maximal:
         return CheckResult(name, CheckStatus.NOT_APPLICABLE, "drawing not maximal")
-    for f in g.face_set:
-        if len(f.boundary) < 2:
+    dv, adj, fake = g.map.dart_vertex, g.adjacency, set(g.map.fake_vertices)
+    for f, walk in enumerate(g.map.face_walks):
+        boundary = set(map(dv.__getitem__, walk))
+        if len(boundary) < 2:
             return CheckResult(name, CheckStatus.FAIL,
-                               f"face {f.index} has boundary {set(f.boundary)}")
-        tv = sorted(v for v in f.boundary if not g.map.is_fake(v))
-        for i, u in enumerate(tv):
-            for v in tv[i + 1:]:
-                if not g.has_edge(u, v):
-                    return CheckResult(
-                        name, CheckStatus.FAIL,
-                        f"true vertices {u},{v} share face {f.index} but are "
-                        f"not adjacent")
+                               f"face {f} has boundary {boundary}")
+        tv = boundary - fake
+        # u is the one vertex of tv that u is not adjacent to
+        if any(len(tv - adj[u]) != 1 for u in tv):
+            u, v = next((u, v) for u, v in combinations(sorted(tv), 2)
+                        if not g.has_edge(u, v))
+            return CheckResult(
+                name, CheckStatus.FAIL,
+                f"true vertices {u},{v} share face {f} but are not adjacent")
     return CheckResult(name, CheckStatus.PASS)
 
 
@@ -320,18 +329,17 @@ def check_true_face_neighbors(g: OnePlaneGraph, k: int) -> CheckResult:
     if not is_triangulation(g.map):
         return CheckResult(name, CheckStatus.FAIL,
                            "planarization is not a triangulation")
-    fs = g.face_set
-    for f in fs:
-        if f.classification is not FaceClass.TRUE:
+    cls, fod, opposite = faces(g), g.map.face_of_dart, g.map.opposite
+    for f, walk in enumerate(g.map.face_walks):
+        if cls[f] is not FaceClass.TRUE:
             continue
-        true_adj = [
-            j for j in fs.adjacent_faces(g.map, f.index)
-            if fs[j].classification is FaceClass.TRUE
-        ]
+        # the faces sharing a segment with f
+        true_adj = sorted({j for j in (fod[opposite[d]] for d in walk)
+                           if j != f and cls[j] is FaceClass.TRUE})
         if len(true_adj) > 5 - k:
             return CheckResult(
                 name, CheckStatus.FAIL,
-                f"true face {f.index} adjacent to true faces {true_adj}")
+                f"true face {f} adjacent to true faces {true_adj}")
     return CheckResult(name, CheckStatus.PASS)
 
 
@@ -392,9 +400,9 @@ def check_color_identities(g: OnePlaneGraph, sk: Skeleton | None = None) -> list
     if sk is None:
         sk = skeleton(g)
     dm = dual(sk)
-    fs = g.face_set
-    n_fake = len(fs.of_class(FaceClass.FAKE))
-    n_true = len(fs.of_class(FaceClass.TRUE))
+    cls = faces(g)
+    n_fake = cls.count(FaceClass.FAKE)
+    n_true = cls.count(FaceClass.TRUE)
     red = dm.vertices_of_color(FaceClass.RED)
     blue = dm.vertices_of_color(FaceClass.BLUE)
 
@@ -413,8 +421,8 @@ def check_color_identities(g: OnePlaneGraph, sk: Skeleton | None = None) -> list
             bad.append("skeleton of a triangulated planarization is not a triangulation")
         if sk.graph.size != 3 * n - 6:
             bad.append(f"skeleton has {sk.graph.size} edges, expected {3 * n - 6}")
-        if len(sk.faces) != 2 * n - 4:
-            bad.append(f"skeleton has {len(sk.faces)} faces, expected {2 * n - 4}")
+        if len(sk.colors) != 2 * n - 4:
+            bad.append(f"skeleton has {len(sk.colors)} faces, expected {2 * n - 4}")
         if dm.n != 2 * n - 4 or not dm.is_regular(3):
             bad.append("dual is not 3-regular on 2n-4 vertices")
         if len(dm.edges) != 3 * n - 6:

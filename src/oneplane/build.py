@@ -2,9 +2,10 @@
 
 All structural surgery lives here: building a plane map from a rotation
 table, inserting an edge inside a face or across two faces (creating a
-crossing), coning a face with a new vertex, and deleting an edge (smoothing
-its crossing away).  Public immutable values are produced by ``finish()``,
-which compacts ids and runs full validation.
+crossing), and coning a face with a new vertex.  Public immutable values
+are produced by ``finish()``, which compacts ids and runs full validation.
+Deleting edges needs no workspace: ``delete_edges`` builds the smaller
+drawing in one pass over the tables of the given one.
 
 Dart conventions (shared with core): the walk successor of dart ``d`` is the
 rotation successor of ``opposite[d]``.  A corner of a face is the angular gap
@@ -17,18 +18,18 @@ the one whose walk dart comes first in its rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 from .core import (
     DrawingError,
     EdgeRec,
-    FaceMerge,
     OnePlaneGraph,
     OperationError,
+    ValidationError,
     VertexKind,
     validate,
 )
-
-DEAD = -2
 
 
 @dataclass
@@ -151,24 +152,6 @@ class DrawingBuilder:
                     walks.append(self.face_walk_from(d))
                     seen.update(walks[-1])
         return walks
-
-    def is_connected(self) -> bool:
-        # smoothed-away fakes (empty rotation) no longer exist; an isolated
-        # true vertex, however, is a real component of its own
-        live = [v for v in range(len(self.kinds))
-                if self.rotations[v] or self.kinds[v] is VertexKind.TRUE]
-        if not live:
-            return False
-        seen = {live[0]}
-        stack = [live[0]]
-        while stack:
-            v = stack.pop()
-            for d in self.rotations[v]:
-                w = self.dart_vertex[self.opposite[d]]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen & set(live)) == len(live)
 
     def _edge(self, e: int) -> list:
         """The record [u, v, crossing] of a live edge, or UNKNOWN_EDGE."""
@@ -354,44 +337,6 @@ class DrawingBuilder:
         return next((self.dart_edge[d] for d in self.rotations[u]
                      if v in self.edges[self.dart_edge[d]][:2]), None)
 
-    # -- edge deletion -----------------------------------------------------------
-
-    def delete_edge(self, e: int) -> None:
-        """Remove an edge from the drawing; a crossing on it is smoothed,
-        restoring the partner edge to a single whole segment."""
-        rec = self._edge(e)
-        crossing = rec[2]
-        # e's darts sit at its endpoints and, when crossed, at its crossing
-        ends = rec if crossing is not None else rec[:2]
-        darts = [d for w in ends for d in self.rotations[w] if self.dart_edge[d] == e]
-        for d in darts:
-            self._kill_dart(d)
-        self.edges[e] = None
-        if crossing is not None:
-            self._smooth(crossing)
-
-    def _kill_dart(self, d: int) -> None:
-        self.rotations[self.dart_vertex[d]].remove(d)
-        self.opposite[d] = DEAD
-
-    def _smooth(self, c: int) -> None:
-        """Remove a degree-2 fake vertex, merging its two segments."""
-        rot = self.rotations[c]
-        if len(rot) != 2:
-            raise OperationError("BAD_CROSSING",
-                                 f"cannot smooth vertex {c} of degree {len(rot)}")
-        t1, t2 = rot
-        e = self.dart_edge[t1]
-        far1 = self.opposite[t1]
-        far2 = self.opposite[t2]
-        self.opposite[far1] = far2
-        self.opposite[far2] = far1
-        self.rotations[c] = []
-        self.opposite[t1] = DEAD
-        self.opposite[t2] = DEAD
-        self.kinds[c] = VertexKind.FAKE   # stays; dropped at compaction
-        self.edges[e][2] = None
-
     # -- finish --------------------------------------------------------------------
 
     def finish(self) -> BuildResult:
@@ -444,44 +389,108 @@ def plane_graph(neighbors) -> OnePlaneGraph:
     return DrawingBuilder.from_neighbors(neighbors).graph()
 
 
-def delete_edges(g: OnePlaneGraph, edges) -> BuildResult | None:
-    """Delete the edges from ``g``, smoothing their crossings.  None when
-    the deletion disconnects the drawing."""
-    b = DrawingBuilder.from_graph(g)
-    for e in edges:
-        b.delete_edge(e)
-    return b.finish() if b.is_connected() else None
-
-
 @dataclass(frozen=True)
-class Deletion:
-    """A drawing minus some edges: the finished result with its id maps, the
-    face merge on the source drawing, and the merge class of each face of
-    ``result.graph``."""
+class Subdrawing:
+    """``source`` minus the edges ``removed``, their crossings smoothed:
+    the validated ``graph``, and the id in ``source`` of each of its
+    vertices, edges and darts.  Vertex and edge ids keep their order."""
 
-    result: BuildResult
-    merge: FaceMerge
-    face_class: tuple[int, ...]
+    graph: OnePlaneGraph
+    vertex_ids: tuple[int, ...]
+    edge_ids: tuple[int, ...]
+    dart_ids: tuple[int, ...]
+    source: OnePlaneGraph
+    removed: tuple[int, ...]
+
+    @cached_property
+    def face_members(self) -> tuple[frozenset[int], ...]:
+        """The faces of ``source`` that make up each face of ``graph``
+        (``_merge_classes``), computed when first read."""
+        return _merge_classes(self)
 
 
-def merge_deletion(g: OnePlaneGraph, edges) -> Deletion | None:
-    """``delete_edges`` with each face of the result mapped to its merge
-    class.  None when the deletion disconnects the drawing."""
-    edges = tuple(edges)
-    res = delete_edges(g, edges)
-    if res is None:
-        return None
-    merge = FaceMerge(g, edges)
-    # deletion keeps every surviving dart, so its face in the result is the
-    # merge class of its face in g
-    g_face, h_face = g.map.face_of_dart, res.graph.map.face_of_dart
-    face_class: list[int | None] = [None] * len(res.graph.map.face_walks)
-    for old, new in res.dart_map.items():
-        f, cls = h_face[new], merge.find(g_face[old])
-        if face_class[f] is None:
-            face_class[f] = cls
-        elif face_class[f] != cls:
-            raise DrawingError(
-                f"face {f} left by the deletion spans merge classes "
-                f"{face_class[f]} and {cls}")
-    return Deletion(res, merge, tuple(face_class))
+def _merge_classes(sub: Subdrawing) -> tuple[frozenset[int], ...]:
+    """One union-find pass over the removed segments joins the two faces of
+    the source beside each; smoothing a crossing changes no face, so each
+    class is one face of the result.  A face of the source that loses every
+    dart (one bounded by removed edges alone) is in the class of the faces
+    it was merged with."""
+    g = sub.source
+    fod, opposite = g.map.face_of_dart, g.map.opposite
+    parent = list(range(len(g.map.face_walks)))
+
+    def find(f):
+        while parent[f] != f:
+            parent[f] = f = parent[parent[f]]       # path halving
+        return f
+
+    for e in sub.removed:
+        for d in g.edge_darts[e]:
+            a, b = find(fod[d]), find(fod[opposite[d]])
+            parent[max(a, b)] = min(a, b)
+    walks = sub.graph.map.face_walks
+    face = {find(fod[sub.dart_ids[w[0]]]): i for i, w in enumerate(walks)}
+    roots = list(map(find, range(len(parent))))
+    if len(face) != len(walks) or len(set(roots)) != len(walks):
+        raise DrawingError("the faces left by the deletion are not the "
+                           "merge classes of the removed segments")
+    members: list[list[int]] = [[] for _ in walks]
+    for f, r in enumerate(roots):
+        members[face[r]].append(f)
+    return tuple(map(frozenset, members))
+
+
+def delete_edges(g: OnePlaneGraph, edges) -> Subdrawing | None:
+    """``g`` minus the given edges, built in one pass over its tables.
+
+    The edges' darts are dropped, and so is a crossing on any of them: a
+    kept edge through it becomes one segment, its two far darts opposite
+    each other.  Ids are compacted as ``DrawingBuilder.finish`` numbers
+    them (vertices and edges in id order, darts in rotation-scan order), so
+    equal deletions give equal drawings, and the result is validated once;
+    it keeps the face walks of that check, which every reader walks next.
+    None when the deletion disconnects the drawing."""
+    removed = tuple(edges)
+    recs, pmap, de = g.edges, g.map, g.dart_edge
+    gone = [False] * len(recs)
+    for e in removed:
+        if not (0 <= e < len(recs)) or gone[e]:
+            raise OperationError("UNKNOWN_EDGE", f"no edge {e}")
+        gone[e] = True
+    smoothed = {recs[e].crossing for e in removed} - {None}
+    opposite = list(pmap.opposite)
+    for c in smoothed:
+        r = pmap.rotations[c]
+        # the two darts of one edge sit opposite each other at a crossing
+        for t1, t2 in ((r[0], r[2]), (r[1], r[3])):
+            if not gone[de[t1]]:
+                far1, far2 = opposite[t1], opposite[t2]
+                opposite[far1], opposite[far2] = far2, far1
+
+    vertex_ids = [v for v in range(pmap.n_vertices) if v not in smoothed]
+    dart_ids: list[int] = []
+    rotations = []
+    for v in vertex_ids:
+        kept = [d for d in pmap.rotations[v] if not gone[de[d]]]
+        rotations.append(range(len(dart_ids), len(dart_ids) + len(kept)))
+        dart_ids += kept
+    edge_ids = list(compress(range(len(recs)), [not x for x in gone]))
+
+    new_vertex = dict(zip(vertex_ids, range(len(vertex_ids))))
+    new_edge = dict(zip(edge_ids, range(len(edge_ids))))
+    new_dart = dict(zip(dart_ids, range(len(dart_ids))))
+    edge_recs = [EdgeRec(new_vertex[r.u], new_vertex[r.v],
+                         None if r.crossing in smoothed or r.crossing is None
+                         else new_vertex[r.crossing])
+                 for r in map(recs.__getitem__, edge_ids)]
+    try:
+        h = validate([pmap.kinds[v] for v in vertex_ids], rotations,
+                     [new_dart[opposite[d]] for d in dart_ids], edge_recs,
+                     [new_edge[de[d]] for d in dart_ids], keep_walks=True)
+    except ValidationError as err:
+        # connectivity is the first invariant tested on a well-formed map
+        if err.codes() == {"NOT_CONNECTED"}:
+            return None
+        raise
+    return Subdrawing(h, tuple(vertex_ids), tuple(edge_ids), tuple(dart_ids),
+                      g, removed)

@@ -172,60 +172,6 @@ class PlanarMap:
 
 
 # ---------------------------------------------------------------------------
-# Faces
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Face:
-    index: int
-    darts: tuple[int, ...]
-    vertices: tuple[int, ...]          # vertex of each walk dart, in walk order
-    classification: FaceClass
-
-    @property
-    def boundary(self) -> frozenset[int]:
-        """The set of vertices visited by the boundary walk."""
-        return frozenset(self.vertices)
-
-    @property
-    def size(self) -> int:
-        return len(self.darts)
-
-    def is_triangle(self) -> bool:
-        return len(self.darts) == 3 and len(self.boundary) == 3
-
-    def is_quadrangle(self) -> bool:
-        return len(self.darts) == 4 and len(self.boundary) == 4
-
-
-@dataclass(frozen=True)
-class FaceSet:
-    faces: tuple[Face, ...]
-    face_of_dart: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.faces)
-
-    def __iter__(self):
-        return iter(self.faces)
-
-    def __getitem__(self, i: int) -> Face:
-        return self.faces[i]
-
-    def of_class(self, cls: FaceClass) -> tuple[Face, ...]:
-        return tuple(f for f in self.faces if f.classification is cls)
-
-    def adjacent_faces(self, pmap: PlanarMap, i: int) -> tuple[int, ...]:
-        """Distinct faces sharing at least one segment with face ``i``."""
-        out = set()
-        for d in self.faces[i].darts:
-            j = self.face_of_dart[pmap.opposite[d]]
-            if j != i:
-                out.add(j)
-        return tuple(sorted(out))
-
-
-# ---------------------------------------------------------------------------
 # One-plane graphs
 # ---------------------------------------------------------------------------
 
@@ -301,30 +247,10 @@ class OnePlaneGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency.get(u, frozenset())
 
-    # -- face view ----------------------------------------------------------
-
-    @cached_property
-    def face_set(self) -> FaceSet:
-        return faces(self)
-
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def faces(g: OnePlaneGraph) -> FaceSet:
-    """Face walks of the planarization, classified FAKE/TRUE.
-
-    A face is FAKE iff its boundary walk visits at least one fake vertex.
-    """
-    pmap = g.map
-    out = []
-    for i, walk in enumerate(pmap.face_walks):
-        verts = tuple(pmap.dart_vertex[d] for d in walk)
-        cls = FaceClass.FAKE if any(pmap.is_fake(v) for v in verts) else FaceClass.TRUE
-        out.append(Face(i, walk, verts, cls))
-    return FaceSet(tuple(out), pmap.face_of_dart)
-
 
 def c_of(g: OnePlaneGraph, v: int) -> int:
     """Number of crossing (crossed) edges incident with ``v``."""
@@ -338,32 +264,6 @@ def c_of(g: OnePlaneGraph, v: int) -> int:
             if g.edges[e].crossing is not None:
                 count += 1
     return count
-
-
-class FaceMerge:
-    """Union-find over the faces of ``g``, merged across every segment of
-    the given edges.  Deleting those edges leaves one face per merge class
-    (while the drawing stays connected); a class is named by one of its
-    faces of ``g``.  Only faces touched by a merge are stored, so merging
-    one edge costs time in its segments, not in the drawing."""
-
-    def __init__(self, g: OnePlaneGraph, edges):
-        self._parent: dict[int, int] = {}
-        fod, opposite = g.map.face_of_dart, g.map.opposite
-        for e in edges:
-            for d in g.edge_darts[e]:
-                a, b = self.find(fod[d]), self.find(fod[opposite[d]])
-                if a != b:
-                    self._parent[max(a, b)] = min(a, b)
-
-    def find(self, face: int) -> int:
-        """The merge class of a face of ``g``."""
-        parent = self._parent
-        while face in parent:
-            up = parent[face]
-            parent[face] = parent.get(up, up)     # path splitting
-            face = up
-        return face
 
 
 def _require_true_vertex(g: OnePlaneGraph, v: int) -> None:
@@ -456,29 +356,46 @@ def underlying(g: OnePlaneGraph) -> SimpleGraph:
     return SimpleGraph(tuple(g.map.true_vertices), edges)
 
 
+@once
+def faces(g: OnePlaneGraph) -> tuple[FaceClass, ...]:
+    """The class of each face of the planarization, in the order of
+    ``g.map.face_walks``: FAKE iff its walk visits a fake vertex, that is,
+    holds one of the darts leaving a crossing."""
+    pmap = g.map
+    fod = pmap.face_of_dart
+    fake = {fod[d] for c in pmap.fake_vertices for d in pmap.rotations[c]}
+    return tuple(FaceClass.FAKE if f in fake else FaceClass.TRUE
+                 for f in range(len(pmap.face_walks)))
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate(kinds, rotations, opposite, edges, dart_edge) -> OnePlaneGraph:
+def validate(kinds, rotations, opposite, edges, dart_edge, *,
+             keep_walks: bool = False) -> OnePlaneGraph:
     """Check every type invariant of a candidate drawing.
 
     Returns the validated OnePlaneGraph, or raises ValidationError listing
     all violated invariants (not just the first) so fuzzing failures are
-    fully diagnosable.
+    fully diagnosable.  With ``keep_walks`` the drawing keeps the face walks
+    the check computed, for a caller that reads them next; without, it holds
+    none until asked, so a parsed document stays small.
     """
     tables = _tables(kinds, rotations, opposite, edges, dart_edge)
-    violations = _check(*tables)
+    pmap = PlanarMap(*tables[:3])
+    violations = _check(pmap, *tables[3:])
     if violations:
         raise ValidationError(violations)
-    kinds, rotations, opposite, edges, dart_edge = tables
-    return OnePlaneGraph(map=PlanarMap(kinds, rotations, opposite),
-                         edges=edges, dart_edge=dart_edge)
+    if not keep_walks:
+        pmap = PlanarMap(*tables[:3])
+    return OnePlaneGraph(map=pmap, edges=tables[3], dart_edge=tables[4])
 
 
 def check(kinds, rotations, opposite, edges, dart_edge) -> list[Violation]:
     """Non-raising validation: the full list of violations (see validate)."""
-    return _check(*_tables(kinds, rotations, opposite, edges, dart_edge))
+    tables = _tables(kinds, rotations, opposite, edges, dart_edge)
+    return _check(PlanarMap(*tables[:3]), *tables[3:])
 
 
 def _tables(kinds, rotations, opposite, edges, dart_edge):
@@ -490,10 +407,12 @@ def _in_range(values, n: int) -> bool:
     return not values or (min(values) >= 0 and max(values) < n)
 
 
-def _check(kinds, rotations, opposite, edges, dart_edge) -> list[Violation]:
-    """check() on tuples.  Each invariant is decided by one comparison over
-    a whole table; only when that fails does a per-element loop run, to name
-    the offending dart, edge or vertex."""
+def _check(pmap: PlanarMap, edges, dart_edge) -> list[Violation]:
+    """check() on tuples, with the map built from them but not yet checked.
+    Each invariant is decided by one comparison over a whole table; only
+    when that fails does a per-element loop run, to name the offending dart,
+    edge or vertex."""
+    kinds, rotations, opposite = pmap.kinds, pmap.rotations, pmap.opposite
     violations: list[Violation] = []
     bad = violations.append
 
@@ -535,8 +454,6 @@ def _check(kinds, rotations, opposite, edges, dart_edge) -> list[Violation]:
 
     if not structurally_ok:
         return violations
-
-    pmap = PlanarMap(kinds, rotations, opposite)
 
     if not pmap.is_connected():
         bad(Violation("NOT_CONNECTED", "the map is not connected"))

@@ -25,32 +25,35 @@ from .core import OnePlaneGraph, OperationError
 # Face operations (single-face public API)
 # ---------------------------------------------------------------------------
 
-def _face(g: OnePlaneGraph, face_index: int):
-    if not 0 <= face_index < len(g.face_set):
+def _face(g: OnePlaneGraph, face_index: int) -> list[int]:
+    """The walk of face ``face_index`` of ``g.map.face_walks``."""
+    walks = g.map.face_walks
+    if not 0 <= face_index < len(walks):
         raise OperationError("UNKNOWN_FACE", f"no face {face_index}")
-    return g.face_set[face_index]
+    return list(walks[face_index])
 
 
 def k1_triangulate(g: OnePlaneGraph, face_index: int) -> OnePlaneGraph:
     """Insert a new vertex inside the face, joined to every boundary vertex."""
-    f = _face(g, face_index)
-    if len(f.boundary) != len(f.vertices) or len(f.vertices) < 3:
+    walk = _face(g, face_index)
+    vertices = tuple(g.map.dart_vertex[d] for d in walk)
+    if len(set(vertices)) != len(vertices) or len(vertices) < 3:
         raise OperationError("BOUNDARY_NOT_SIMPLE",
-                             f"face {face_index} boundary {f.vertices}")
-    if any(g.map.is_fake(v) for v in f.vertices):
+                             f"face {face_index} boundary {vertices}")
+    if any(g.map.is_fake(v) for v in vertices):
         raise OperationError("BOUNDARY_NOT_SIMPLE",
                              f"face {face_index} touches a crossing")
     b = DrawingBuilder.from_graph(g)
-    b.cone(list(f.darts))
+    b.cone(walk)
     return b.graph()
 
 
 def tx_triangulate(g: OnePlaneGraph, face_index: int,
                    first_diagonal: int = 0) -> OnePlaneGraph:
     """Insert a pair of crossing diagonals into a quadrangular face."""
-    f = _face(g, face_index)
+    walk = _face(g, face_index)
     b = DrawingBuilder.from_graph(g)
-    b.cross_quad(list(f.darts), first_diagonal=first_diagonal)
+    b.cross_quad(walk, first_diagonal=first_diagonal)
     return b.graph()
 
 
@@ -59,9 +62,9 @@ def k2_triangulate(g: OnePlaneGraph, face_index: int,
     """Insert an adjacent pair x,y inside a quadrangular face, joined to the
     four boundary vertices with six edges so the face is triangulated
     without crossings.  ``anchor`` picks the corner adjacent to both."""
-    f = _face(g, face_index)
+    walk = _face(g, face_index)
     b = DrawingBuilder.from_graph(g)
-    _k2_on_builder(b, list(f.darts), anchor)
+    _k2_on_builder(b, walk, anchor)
     return b.graph()
 
 

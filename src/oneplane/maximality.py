@@ -327,16 +327,16 @@ def min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
     """
     if not (0 <= e < len(g.edges)):
         raise OperationError("UNKNOWN_EDGE", f"no edge {e}")
-    res = delete_edges(g, (e,))
-    if res is None:
+    sub = delete_edges(g, (e,))
+    if sub is None:
         return RedrawResult(0, None, None)
-    rec, h = g.edges[e], res.graph
-    ends = tuple(sorted((res.vertex_map[rec.u], res.vertex_map[rec.v])))
+    rec, h = g.edges[e], sub.graph
+    ends = tuple(sorted(map(sub.vertex_ids.index, rec.ends)))
     # one-face routes sort first; without one, e was crossed (deleting an
     # uncrossed edge merges the two faces at both its endpoints), and
     # re-crossing its old partner, whose two sides now hold the endpoints,
     # is always available
-    partner = None if rec.crossing is None else res.edge_map[g.crossing_partner(e)]
+    partner = None if rec.crossing is None else sub.edge_ids.index(g.crossing_partner(e))
     route = next(c for c in insertion_candidates(h) if (c.u, c.v) == ends
                  and (c.kind is RouteKind.ONE_FACE or c.cross_edge == partner))
     return RedrawResult(route.delta, route, h)

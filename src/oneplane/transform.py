@@ -7,16 +7,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .build import merge_deletion
-from .core import (
-    Face,
-    FaceClass,
-    FaceSet,
-    OnePlaneGraph,
-    OperationError,
-    PlanarMap,
-    once,
-)
+from .build import delete_edges
+from .core import FaceClass, OnePlaneGraph, OperationError, PlanarMap, once
 
 
 class RemovalStrategy(Enum):
@@ -30,14 +22,15 @@ class Skeleton:
     """A plane subdrawing keeping one edge per crossing pair.
 
     ``vertex_ids``/``edge_ids`` map skeleton ids back to the source drawing;
-    ``removed`` records (removed edge, kept partner) per crossing; red faces
-    carry the set of source fake-face ids they merge."""
+    ``removed`` records (removed edge, kept partner) per crossing;
+    ``colors`` and ``face_members`` follow ``graph.map.face_walks``, and red
+    faces carry the set of source fake-face ids they merge."""
 
     graph: OnePlaneGraph             # crossing-free
     vertex_ids: tuple[int, ...]
     edge_ids: tuple[int, ...]
     removed: tuple[tuple[int, int], ...]
-    faces: FaceSet                   # RED/BLUE classified
+    colors: tuple[FaceClass, ...]    # RED or BLUE per face
     face_members: tuple[frozenset[int], ...]   # source planarization face ids
 
     @property
@@ -57,46 +50,20 @@ def skeleton(g: OnePlaneGraph, strategy: RemovalStrategy = RemovalStrategy.LEX_M
     pairs = _select_removals(g, strategy, explicit)
     # the kept partners need not keep the drawing connected: a vertex all of
     # whose edges are removed is cut off
-    cut = merge_deletion(g, (e for e, _ in pairs))
-    if cut is None:
+    sub = delete_edges(g, (e for e, _ in pairs))
+    if sub is None:
         raise OperationError("DISCONNECTED",
                              "removing the edges disconnects the drawing")
-    res, merge = cut.result, cut.merge
-    sk = res.graph
-
-    src_faces = g.face_set
-    class_faces: dict[int, set[int]] = {}
-    for i in range(len(src_faces)):
-        class_faces.setdefault(merge.find(i), set()).add(i)
-    members = tuple(frozenset(class_faces[c]) for c in cut.face_class)
+    members = sub.face_members
     # a removed segment ends at a crossing, so the faces on its two sides
-    # are distinct fake faces: a class holding a true face holds only it
-    classified = [
-        FaceClass.BLUE if len(ids) == 1
-        and src_faces[next(iter(ids))].classification is FaceClass.TRUE
-        else FaceClass.RED
-        for ids in members
-    ]
-
-    base = sk.face_set
-    colored = FaceSet(
-        tuple(
-            Face(f.index, f.darts, f.vertices, classified[f.index])
-            for f in base
-        ),
-        base.face_of_dart,
-    )
-
-    inv_vertex = {new: old for old, new in res.vertex_map.items()}
-    inv_edge = {new: old for old, new in res.edge_map.items()}
-    return Skeleton(
-        graph=sk,
-        vertex_ids=tuple(inv_vertex[v] for v in range(sk.map.n_vertices)),
-        edge_ids=tuple(inv_edge[e] for e in range(sk.size)),
-        removed=tuple(sorted(pairs)),
-        faces=colored,
-        face_members=members,
-    )
+    # are distinct fake faces; each fake face has one, since its walk turns
+    # at a crossing from one edge to the other.  So the faces left alone are
+    # exactly the true faces.
+    colors = tuple(FaceClass.BLUE if len(ids) == 1 else FaceClass.RED
+                   for ids in members)
+    return Skeleton(graph=sub.graph, vertex_ids=sub.vertex_ids,
+                    edge_ids=sub.edge_ids, removed=tuple(sorted(pairs)),
+                    colors=colors, face_members=members)
 
 
 def _select_removals(g: OnePlaneGraph, strategy: RemovalStrategy, explicit):
@@ -176,5 +143,4 @@ def dual(s: Skeleton) -> DualMap:
         o = pmap.opposite[d]
         if d < o:
             edges.append((fod[d], fod[o]))
-    colors = tuple(f.classification for f in s.faces)
-    return DualMap(colors=colors, edges=tuple(sorted(edges)))
+    return DualMap(colors=s.colors, edges=tuple(sorted(edges)))

@@ -3,13 +3,15 @@ library's own algorithms."""
 
 import random
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 
 from oneplane import flow
-from oneplane.analyze import connectivity_at_least
-from oneplane.build import DEAD, DrawingBuilder
+from oneplane.analyze import NearOptimalReport, connectivity_at_least
+from oneplane.build import BuildResult, DrawingBuilder
 from oneplane.core import (
-    FaceMerge,
+    DrawingError,
+    FaceClass,
     OnePlaneGraph,
     OperationError,
     PlanarMap,
@@ -25,6 +27,7 @@ from oneplane.generators import (
     gen_M,
     k1_triangulate,
 )
+from oneplane.transform import RemovalStrategy, Skeleton, _select_removals
 from oneplane.maximality import (
     InsertionCandidate,
     RedrawResult,
@@ -35,6 +38,282 @@ from oneplane.maximality import (
     _in_face,
     apply_insertion,
 )
+
+
+# ---------------------------------------------------------------------------
+# Face objects and deletion on a builder: the path that ``core.faces`` and
+# ``build.delete_edges`` replaced
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Face:
+    index: int
+    darts: tuple[int, ...]
+    vertices: tuple[int, ...]          # vertex of each walk dart, in walk order
+    classification: FaceClass
+
+    @property
+    def boundary(self) -> frozenset[int]:
+        """The set of vertices visited by the boundary walk."""
+        return frozenset(self.vertices)
+
+    @property
+    def size(self) -> int:
+        return len(self.darts)
+
+    def is_triangle(self) -> bool:
+        return len(self.darts) == 3 and len(self.boundary) == 3
+
+    def is_quadrangle(self) -> bool:
+        return len(self.darts) == 4 and len(self.boundary) == 4
+
+
+@dataclass(frozen=True)
+class FaceSet:
+    faces: tuple[Face, ...]
+    face_of_dart: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.faces)
+
+    def __iter__(self):
+        return iter(self.faces)
+
+    def __getitem__(self, i: int) -> Face:
+        return self.faces[i]
+
+    def of_class(self, cls: FaceClass) -> tuple[Face, ...]:
+        return tuple(f for f in self.faces if f.classification is cls)
+
+    def adjacent_faces(self, pmap: PlanarMap, i: int) -> tuple[int, ...]:
+        """Distinct faces sharing at least one segment with face ``i``."""
+        out = set()
+        for d in self.faces[i].darts:
+            j = self.face_of_dart[pmap.opposite[d]]
+            if j != i:
+                out.add(j)
+        return tuple(sorted(out))
+
+
+def reference_faces(g: OnePlaneGraph) -> FaceSet:
+    """Face walks of the planarization as ``Face`` objects, classified
+    FAKE/TRUE: a face is FAKE iff its boundary walk visits a fake vertex."""
+    pmap = g.map
+    out = []
+    for i, walk in enumerate(pmap.face_walks):
+        verts = tuple(pmap.dart_vertex[d] for d in walk)
+        cls = FaceClass.FAKE if any(pmap.is_fake(v) for v in verts) else FaceClass.TRUE
+        out.append(Face(i, walk, verts, cls))
+    return FaceSet(tuple(out), pmap.face_of_dart)
+
+
+class FaceMerge:
+    """Union-find over the faces of ``g``, merged across every segment of
+    the given edges.  Deleting those edges leaves one face per merge class
+    (while the drawing stays connected); a class is named by one of its
+    faces of ``g``.  Only faces touched by a merge are stored, so merging
+    one edge costs time in its segments, not in the drawing."""
+
+    def __init__(self, g: OnePlaneGraph, edges):
+        self._parent: dict[int, int] = {}
+        fod, opposite = g.map.face_of_dart, g.map.opposite
+        for e in edges:
+            for d in g.edge_darts[e]:
+                a, b = self.find(fod[d]), self.find(fod[opposite[d]])
+                if a != b:
+                    self._parent[max(a, b)] = min(a, b)
+
+    def find(self, face: int) -> int:
+        """The merge class of a face of ``g``."""
+        parent = self._parent
+        while face in parent:
+            up = parent[face]
+            parent[face] = parent.get(up, up)     # path splitting
+            face = up
+        return face
+
+
+DEAD = -2
+
+
+def delete_edge(b: DrawingBuilder, e: int) -> None:
+    """Remove an edge from the builder; a crossing on it is smoothed,
+    restoring the partner edge to a single whole segment."""
+    rec = b._edge(e)
+    crossing = rec[2]
+    # e's darts sit at its endpoints and, when crossed, at its crossing
+    ends = rec if crossing is not None else rec[:2]
+    darts = [d for w in ends for d in b.rotations[w] if b.dart_edge[d] == e]
+    for d in darts:
+        _kill_dart(b, d)
+    b.edges[e] = None
+    if crossing is not None:
+        _smooth(b, crossing)
+
+
+def _kill_dart(b: DrawingBuilder, d: int) -> None:
+    b.rotations[b.dart_vertex[d]].remove(d)
+    b.opposite[d] = DEAD
+
+
+def _smooth(b: DrawingBuilder, c: int) -> None:
+    """Remove a degree-2 fake vertex, merging its two segments."""
+    rot = b.rotations[c]
+    if len(rot) != 2:
+        raise OperationError("BAD_CROSSING",
+                             f"cannot smooth vertex {c} of degree {len(rot)}")
+    t1, t2 = rot
+    e = b.dart_edge[t1]
+    far1 = b.opposite[t1]
+    far2 = b.opposite[t2]
+    b.opposite[far1] = far2
+    b.opposite[far2] = far1
+    b.rotations[c] = []
+    b.opposite[t1] = DEAD
+    b.opposite[t2] = DEAD
+    b.edges[e][2] = None
+
+
+def builder_is_connected(b: DrawingBuilder) -> bool:
+    # smoothed-away fakes (empty rotation) no longer exist; an isolated
+    # true vertex, however, is a real component of its own
+    live = [v for v in range(len(b.kinds))
+            if b.rotations[v] or b.kinds[v] is VertexKind.TRUE]
+    if not live:
+        return False
+    seen = {live[0]}
+    stack = [live[0]]
+    while stack:
+        v = stack.pop()
+        for d in b.rotations[v]:
+            w = b.dart_vertex[b.opposite[d]]
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen & set(live)) == len(live)
+
+
+def builder_delete_edges(g: OnePlaneGraph, edges) -> BuildResult | None:
+    """Delete the edges one at a time on a builder copy of ``g``, then
+    finish; None when the deletion disconnects the drawing."""
+    b = DrawingBuilder.from_graph(g)
+    for e in edges:
+        delete_edge(b, e)
+    return b.finish() if builder_is_connected(b) else None
+
+
+@dataclass(frozen=True)
+class Deletion:
+    """A drawing minus some edges: the finished result with its id maps, the
+    face merge on the source drawing, and the merge class of each face of
+    ``result.graph``."""
+
+    result: BuildResult
+    merge: FaceMerge
+    face_class: tuple[int, ...]
+
+
+def merge_deletion(g: OnePlaneGraph, edges) -> Deletion | None:
+    """``builder_delete_edges`` with each face of the result mapped to its
+    merge class.  None when the deletion disconnects the drawing."""
+    edges = tuple(edges)
+    res = builder_delete_edges(g, edges)
+    if res is None:
+        return None
+    merge = FaceMerge(g, edges)
+    # deletion keeps every surviving dart, so its face in the result is the
+    # merge class of its face in g
+    g_face, h_face = g.map.face_of_dart, res.graph.map.face_of_dart
+    face_class: list[int | None] = [None] * len(res.graph.map.face_walks)
+    for old, new in res.dart_map.items():
+        f, cls = h_face[new], merge.find(g_face[old])
+        if face_class[f] is None:
+            face_class[f] = cls
+        elif face_class[f] != cls:
+            raise DrawingError(
+                f"face {f} left by the deletion spans merge classes "
+                f"{face_class[f]} and {cls}")
+    return Deletion(res, merge, tuple(face_class))
+
+
+def reference_skeleton(g: OnePlaneGraph,
+                       strategy: RemovalStrategy = RemovalStrategy.LEX_MAX,
+                       explicit=None) -> Skeleton:
+    """``transform.skeleton`` by ``merge_deletion``: each face of the result
+    is BLUE when its merge class is one true face of ``g``."""
+    pairs = _select_removals(g, strategy, explicit)
+    cut = merge_deletion(g, (e for e, _ in pairs))
+    if cut is None:
+        raise OperationError("DISCONNECTED",
+                             "removing the edges disconnects the drawing")
+    res, src_faces = cut.result, reference_faces(g)
+    class_faces: dict[int, set[int]] = {}
+    for i in range(len(src_faces)):
+        class_faces.setdefault(cut.merge.find(i), set()).add(i)
+    members = tuple(frozenset(class_faces[c]) for c in cut.face_class)
+    colors = tuple(
+        FaceClass.BLUE if len(ids) == 1
+        and src_faces[next(iter(ids))].classification is FaceClass.TRUE
+        else FaceClass.RED
+        for ids in members)
+    inv_vertex = {new: old for old, new in res.vertex_map.items()}
+    inv_edge = {new: old for old, new in res.edge_map.items()}
+    return Skeleton(
+        graph=res.graph,
+        vertex_ids=tuple(inv_vertex[v] for v in range(res.graph.map.n_vertices)),
+        edge_ids=tuple(inv_edge[e] for e in range(res.graph.size)),
+        removed=tuple(sorted(pairs)),
+        colors=colors,
+        face_members=members,
+    )
+
+
+def reference_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
+    """``analyze.is_near_optimal`` on the faces of ``merge_deletion``: each
+    face of H = g minus its crossed edges is a merge class, and a crossing
+    lies in the class of its four faces."""
+    bad: list[str] = []
+    crossed = [e for e, r in enumerate(g.edges) if r.crossing is not None]
+    cut = merge_deletion(g, crossed)
+    if cut is None:
+        return NearOptimalReport(False, ("non-crossing subgraph is disconnected",))
+    h = cut.result.graph
+    inv_vertex = {new: old for old, new in cut.result.vertex_map.items()}
+    crossing_home: dict[int, list[int]] = {}
+    for c in g.map.fake_vertices:
+        home = cut.merge.find(g.map.face_of_dart[g.map.rotations[c][0]])
+        crossing_home.setdefault(home, []).append(c)
+
+    hf = reference_faces(h)
+    for f in hf:
+        orig = tuple(inv_vertex[v] for v in f.vertices)
+        if f.is_triangle():
+            if crossing_home.get(cut.face_class[f.index]):
+                bad.append(f"triangular face {orig} contains a crossing")
+            continue
+        if not f.is_quadrangle():
+            bad.append(f"face {orig} is neither triangular nor quadrangular")
+            continue
+        inside = crossing_home.get(cut.face_class[f.index], [])
+        if len(inside) != 1:
+            bad.append(f"quadrangular face {orig} holds {len(inside)} crossings")
+            continue
+        v0, v1, v2, v3 = orig
+        want = {frozenset((v0, v2)), frozenset((v1, v3))}
+        e1, e2 = g.edges_at_crossing(inside[0])
+        got = {frozenset(g.edges[e1].ends), frozenset(g.edges[e2].ends)}
+        if got != want:
+            bad.append(f"crossing in face {orig} is not of its diagonals")
+
+    for e in range(h.size):
+        d = h.edge_darts[e][0]
+        f1 = hf.face_of_dart[d]
+        f2 = hf.face_of_dart[h.map.opposite[d]]
+        if f1 != f2 and hf[f1].is_triangle() and hf[f2].is_triangle():
+            u, v = h.edges[e].ends
+            bad.append(
+                f"edge {inv_vertex[u]}-{inv_vertex[v]} shared by two triangles")
+    return NearOptimalReport(not bad, tuple(bad))
 
 
 def brute_force_connectivity(sg: SimpleGraph) -> int:
@@ -241,7 +520,7 @@ def brute_force_is_maximal(g: OnePlaneGraph) -> bool:
     """Try every nonadjacent true pair against every face and every face
     pair sharing an uncrossed edge incident to neither endpoint."""
     pmap = g.map
-    faces = g.face_set
+    faces = reference_faces(g)
     true_vertices = list(pmap.true_vertices)
     boundaries = [
         {v for v in f.boundary if not pmap.is_fake(v)} for f in faces
@@ -273,9 +552,9 @@ def brute_force_is_maximal(g: OnePlaneGraph) -> bool:
 
 def face_set_insertion_candidates(g: OnePlaneGraph) -> tuple[InsertionCandidate, ...]:
     """Every admissible single-edge insertion, read off the ``Face`` objects
-    of ``g.face_set``: those inside each face, then those across each
+    of ``reference_faces(g)``: those inside each face, then those across each
     uncrossed edge, sorted by endpoints, kind, face ids and crossed edge."""
-    fs = g.face_set
+    fs = reference_faces(g)
     pmap = g.map
     on = [frozenset(v for v in f.boundary if not pmap.is_fake(v)) for f in fs]
     across = {}
@@ -295,15 +574,13 @@ def rebuild_min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
     rec = g.edges[e]
     partner = g.crossing_partner(e)
 
-    b = DrawingBuilder.from_graph(g)
-    b.delete_edge(e)
-    if not b.is_connected():
+    res = builder_delete_edges(g, (e,))
+    if res is None:
         return RedrawResult(0, None, None)
-    res = b.finish()
     h = res.graph
     u, v = res.vertex_map[rec.u], res.vertex_map[rec.v]
 
-    fs = h.face_set
+    fs = reference_faces(h)
     for f in fs:
         if u in f.boundary and v in f.boundary:
             route = InsertionCandidate(min(u, v), max(u, v),
@@ -359,14 +636,14 @@ def per_vertex_lambda3(sg: SimpleGraph) -> int:
 
 
 def scan_delete_edge(b: DrawingBuilder, e: int) -> None:
-    """DrawingBuilder.delete_edge finding the edge's live darts by scanning
-    every dart of the builder."""
+    """``delete_edge`` finding the edge's live darts by scanning every dart
+    of the builder."""
     crossing = b.edges[e][2]
     for d in [d for d, de in enumerate(b.dart_edge) if de == e and b.opposite[d] != DEAD]:
-        b._kill_dart(d)
+        _kill_dart(b, d)
     b.edges[e] = None
     if crossing is not None:
-        b._smooth(crossing)
+        _smooth(b, crossing)
 
 
 def cone_cross_quad(b: DrawingBuilder, walk, first_diagonal: int = 0):
@@ -466,7 +743,7 @@ def roundtrip_triangulate_all(g: OnePlaneGraph, triangles: bool) -> OnePlaneGrap
     second builder; each quadrangle's first diagonal joins the pair of
     opposite corners of smaller degree sum in ``g``."""
     b = DrawingBuilder.from_graph(g)
-    for f in g.face_set:
+    for f in reference_faces(g):
         if f.is_quadrangle():
             vs = f.vertices
             deg = [g.map.degree(v) for v in vs]
@@ -484,7 +761,7 @@ def roundtrip_M_triangulated(k: int) -> OnePlaneGraph:
         return _xm1_base().graph()
     g = gen_M(k)
     b = DrawingBuilder.from_graph(g)
-    for f in g.face_set:
+    for f in reference_faces(g):
         walk, quad = list(f.darts), f.vertices
         if f.boundary in (frozenset(range(4)), frozenset(range(4 * k - 4, 4 * k))):
             a = _lowest_diagonal_anchor(quad)
@@ -502,14 +779,14 @@ def roundtrip_XM(k: int) -> OnePlaneGraph:
     if k == 1:
         g = _xm1_base().graph()
         for tri, far, crossed in (((0, 1, 2), 3, (0, 2)), ((0, 1, 3), 2, (1, 3))):
-            fi = next(f.index for f in g.face_set if f.boundary == frozenset(tri))
+            fi = next(f.index for f in reference_faces(g) if f.boundary == frozenset(tri))
             g = k1_triangulate(g, fi)
             g = roundtrip_crossing_diagonal(g, g.map.n_vertices - 1, far, crossed)
         return g
     g = gen_M(k)
     b = DrawingBuilder.from_graph(g)
     cones = []
-    for f in g.face_set:
+    for f in reference_faces(g):
         walk, quad = list(f.darts), f.vertices
         if f.boundary == frozenset(range(4)):
             a = _lowest_diagonal_anchor(quad)
@@ -534,7 +811,7 @@ def roundtrip_crossing_diagonal(g: OnePlaneGraph, u: int, v: int,
     insertion candidate from the face through the smaller endpoint."""
     e = next(i for i, r in enumerate(g.edges)
              if {r.u, r.v} == set(crossed) and r.crossing is None)
-    fs = g.face_set
+    fs = reference_faces(g)
     d = g.edge_darts[e][0]
     f1, f2 = fs.face_of_dart[d], fs.face_of_dart[g.map.opposite[d]]
     if u not in fs[f1].boundary:

@@ -126,8 +126,8 @@ def test_no_maximal_six_vertex_instance_exists():
         b = DrawingBuilder.from_neighbors([[2, 1], [0, 2], [1, 0]])
         b.cone(b.face_walk_from(0))
         g = b.graph()
-        g = k1_triangulate(g, i % len(g.face_set))
-        return k1_triangulate(g, j % len(g.face_set))
+        g = k1_triangulate(g, i % len(g.map.face_walks))
+        return k1_triangulate(g, j % len(g.map.face_walks))
 
     bases = [octahedron()] + [stacked(i, j) for i in range(4) for j in range(6)]
     tried = 0

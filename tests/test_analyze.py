@@ -53,6 +53,7 @@ from .oracles import (
     rebuild_local_connectivity,
     separates,
 )
+from .test_cli import _count_calls
 
 
 
@@ -529,3 +530,14 @@ def test_connectivity_at_least_handles_tiny_graphs():
     assert not connectivity_at_least(k2, 2)
     single = SimpleGraph((7,), ())
     assert not connectivity_at_least(single, 1)
+
+
+def test_connectivity_at_least_reads_disconnection_from_the_flow(monkeypatch):
+    """A disconnected graph is below every positive k; the flow search that
+    numbers its network says so, and no separate search runs first."""
+    searches = _count_calls(monkeypatch, SimpleGraph, "is_connected")
+    two_edges = SimpleGraph((0, 1, 2, 3), ((0, 1), (2, 3)))
+    assert not connectivity_at_least(two_edges, 1)
+    assert not connectivity_at_least(two_edges.without([0]), 2)
+    assert connectivity_at_least(underlying(gen_XM(2)), 4)
+    assert not searches

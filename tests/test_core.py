@@ -19,7 +19,7 @@ from oneplane.core import (
     underlying,
     validate,
 )
-from oneplane.build import DrawingBuilder, plane_graph
+from oneplane.build import DrawingBuilder, delete_edges, plane_graph
 from oneplane.generators import (
     fixture_path, gen_H, gen_HH, gen_M, gen_XH, gen_XM, gen_YH, gen_random_seed,
 )
@@ -27,7 +27,7 @@ from oneplane.analyze import vertex_connectivity
 from oneplane.interchange import load
 from oneplane.maximality import is_immovable, is_maximal
 from oneplane.transform import skeleton
-from .oracles import reference_check, scan_delete_edge
+from .oracles import builder_is_connected, reference_check, scan_delete_edge
 
 T, F = VertexKind.TRUE, VertexKind.FAKE
 
@@ -140,19 +140,17 @@ def test_validate_raises_with_all_violations():
 
 def test_faces_euler_and_classification():
     g = gen_XH(1)
-    fs = faces(g)
-    assert len(fs) == 32                      # forced by Euler: 18-48+F=2
-    assert len(fs.of_class(FaceClass.FAKE)) == 24
-    assert len(fs.of_class(FaceClass.TRUE)) == 8
+    cls = faces(g)
+    assert len(cls) == 32                     # forced by Euler: 18-48+F=2
+    assert cls.count(FaceClass.FAKE) == 24
+    assert cls.count(FaceClass.TRUE) == 8
     # 24 = 4 * cr with the four faces at each crossing pairwise distinct
     for c in g.map.fake_vertices:
-        incident = {fs.face_of_dart[d] for d in g.map.rotations[c]}
+        incident = {g.map.face_of_dart[d] for d in g.map.rotations[c]}
         assert len(incident) == 4
 
     plain = c4()
-    fs = faces(plain)
-    assert len(fs) == 2
-    assert all(f.classification is FaceClass.TRUE for f in fs)
+    assert faces(plain) == (FaceClass.TRUE,) * 2
 
 
 def test_counts():
@@ -189,16 +187,24 @@ def test_delete_edge_agrees_with_scan_oracle(make):
     removals = [(e,) for e in range(g.size)]
     removals.append(tuple(e for e, _ in skeleton(g).removed))
     for edges in removals:
-        fast, slow = DrawingBuilder.from_graph(g), DrawingBuilder.from_graph(g)
+        slow = DrawingBuilder.from_graph(g)
         for e in edges:
-            fast.delete_edge(e)
             scan_delete_edge(slow, e)
-        assert fast.finish() == slow.finish(), edges
+        sub = delete_edges(g, edges)
+        if not builder_is_connected(slow):
+            assert sub is None, edges
+            continue
+        want = slow.finish()
+        inv_vertex = {new: old for old, new in want.vertex_map.items()}
+        inv_edge = {new: old for old, new in want.edge_map.items()}
+        assert sub.graph == want.graph, edges
+        assert sub.vertex_ids == tuple(map(inv_vertex.get, range(len(inv_vertex))))
+        assert sub.edge_ids == tuple(map(inv_edge.get, range(len(inv_edge))))
 
 
 @pytest.mark.parametrize("call", [
-    lambda b: b.delete_edge(-1),
-    lambda b: b.delete_edge(len(b.edges)),
+    lambda b: delete_edges(b.graph(), (-1,)),
+    lambda b: delete_edges(b.graph(), (len(b.edges),)),
     lambda b: b.insert_edge_crossing(0, 1, len(b.edges)),
 ], ids=["delete-minus-one", "delete-past-end", "cross-past-end"])
 def test_builder_rejects_unknown_edge(call):
@@ -237,9 +243,10 @@ def _quad_error_builders():
         for seed in range(8):
             yield DrawingBuilder.from_graph(gen_random_seed(n, seed))
     yield DrawingBuilder.from_neighbors([[1], [0, 2], [1]])   # 4-walk 0,1,2,1
-    b = DrawingBuilder.from_graph(gen_XH(1))
-    b.delete_edge(next(e for e, rec in enumerate(b.edges) if rec[2] is None))
-    yield b                                   # a 4-walk through a crossing
+    g = gen_XH(1)
+    e = next(e for e, rec in enumerate(g.edges) if rec.crossing is None)
+    # a 4-walk through a crossing
+    yield DrawingBuilder.from_graph(delete_edges(g, (e,)).graph)
 
 
 def test_quad_error_agrees_with_cross_quad():
@@ -302,7 +309,8 @@ def test_planarization_count_identities():
 def test_faces_deterministic():
     g1 = gen_YH(2)
     g2 = gen_YH(2)
-    assert [f.darts for f in faces(g1)] == [f.darts for f in faces(g2)]
+    assert g1.map.face_walks == g2.map.face_walks
+    assert faces(g1) == faces(g2)
 
 
 @settings(max_examples=30, deadline=None)

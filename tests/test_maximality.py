@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneplane.core import OperationError, validate
-from oneplane.build import DrawingBuilder, plane_graph
+from oneplane.build import DrawingBuilder, delete_edges, plane_graph
 from oneplane.cli import main
 from oneplane.interchange import dump, load, serialize
-from oneplane import build, core, maximality
+from oneplane import build, maximality
 from oneplane.transform import skeleton
 from oneplane.maximality import (
     InsertionCandidate,
@@ -67,9 +67,7 @@ def test_is_maximal_families(gen, k):
 def test_xh1_minus_a_diagonal_is_not_maximal():
     g = gen_XH(1)
     crossed = next(e for e, r in enumerate(g.edges) if r.crossing is not None)
-    b = DrawingBuilder.from_graph(g)
-    b.delete_edge(crossed)
-    h = b.graph()
+    h = delete_edges(g, (crossed,)).graph
     res = is_maximal(h)
     assert not res.is_maximal
     back = apply_insertion(h, res.witness)
@@ -246,9 +244,9 @@ def _assert_redraw_agrees(g):
 
 @pytest.mark.parametrize("family, k", [("yh", 1), ("yh", 2), ("xh", 1), ("xh", 2),
                                        ("xm", 1), ("xm", 2), ("xm", 3), ("xm", 4),
-                                       ("t", 1)])
+                                       ("t", 1), ("t", 2)])
 def test_redraw_agrees_with_rebuild_oracle_on_families(family, k):
-    _assert_redraw_agrees(load(fixture_path("t1")) if family == "t" else generate(family, k))
+    _assert_redraw_agrees(load(fixture_path(f"t{k}")) if family == "t" else generate(family, k))
 
 
 # (10, 17) saturates to a drawing with a redrawable crossed edge
@@ -268,7 +266,7 @@ def test_redraw_of_a_bridge_agrees_with_rebuild_oracle():
 def test_redraw_builds_no_face_merge(monkeypatch):
     """A redraw reads only the drawing left by the deletion; the face merge
     is built only where its classes are read, as in ``skeleton``."""
-    merges = _count_calls(monkeypatch, build, "FaceMerge")
+    merges = _count_calls(monkeypatch, build, "_merge_classes")
     g = generate("yh", 1)
     for e in range(len(g.edges)):
         min_redraw_crossings(g, e)
@@ -281,7 +279,7 @@ def test_certify_check_builds_no_face_merge(tmp_path, monkeypatch, capsys):
     """Immovability reads the faces around each vertex of the drawing
     itself; no step of the certify check merges faces, also where it
     finds a redrawable edge."""
-    merges = _count_calls(monkeypatch, core.FaceMerge, "__init__")
+    merges = _count_calls(monkeypatch, build, "_merge_classes")
     for family, k in (("yh", 2), ("xh", 1), ("xm", 3)):
         assert main(["check", write(tmp_path, family, k),
                      "--maximal", "--immovable", "--bounds"]) == 0

@@ -61,3 +61,20 @@ def test_only_the_candidate_table_builds_candidates():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         calls |= {(path.name, fn) for fn in _callers(tree, "InsertionCandidate")}
     assert calls == {("maximality.py", "_in_face"), ("maximality.py", "_across")}
+
+
+def test_one_deletion_path():
+    # faces are the map's walks with one class table, and edges leave a
+    # drawing only through build.delete_edges
+    defined, deleting, builder_deletes = set(), set(), []
+    for path in sorted(Path(oneplane.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= {(path.name, node.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)}
+        deleting |= {(path.name, fn) for fn in _callers(tree, "delete_edges")}
+        builder_deletes += _callers(tree, "delete_edge")
+    assert not {name for _, name in defined} & {"Face", "FaceSet", "FaceMerge"}
+    assert builder_deletes == []
+    assert deleting == {("transform.py", "skeleton"), ("analyze.py", "is_near_optimal"),
+                        ("maximality.py", "min_redraw_crossings")}
+    assert not hasattr(oneplane.DrawingBuilder, "delete_edge")

@@ -1,6 +1,6 @@
 import pytest
 
-from oneplane.core import FaceClass, OperationError
+from oneplane.core import FaceClass, OperationError, faces
 from oneplane.build import plane_graph
 from oneplane.transform import RemovalStrategy, dual, skeleton
 from oneplane.analyze import check_color_identities, is_triangulation
@@ -14,17 +14,17 @@ def test_planarization_flags():
     assert is_triangulation(gen_XM(2).map)
     p = gen_YH(1)
     # V=26, E=72 forces F=48 triangles
-    assert len(p.face_set) == 48
+    assert len(p.map.face_walks) == 48
 
 
 def test_skeleton_counts_xh1():
     sk = skeleton(gen_XH(1))
     assert sk.graph.size == 30               # 3n-6 with n=12
-    assert len(sk.faces) == 20               # 2n-4
-    assert len(sk.faces.of_class(FaceClass.BLUE)) == 8
+    assert len(sk.colors) == 20              # 2n-4
+    assert sk.colors.count(FaceClass.BLUE) == 8
     assert is_triangulation(sk.map)
-    for face, members in zip(sk.faces, sk.face_members):
-        if face.classification is FaceClass.RED:
+    for color, members in zip(sk.colors, sk.face_members):
+        if color is FaceClass.RED:
             assert len(members) >= 2
         else:
             assert len(members) == 1
@@ -34,7 +34,7 @@ def test_skeleton_of_crossing_free_drawing_is_identity():
     g = plane_graph([[3, 1], [0, 2], [1, 3], [2, 0]])
     sk = skeleton(g)
     assert sk.graph == g
-    assert all(f.classification is FaceClass.BLUE for f in sk.faces)
+    assert all(c is FaceClass.BLUE for c in sk.colors)
     assert sk.removed == ()
 
 
@@ -46,7 +46,7 @@ def test_dual_xh1():
     assert len(dm.vertices_of_color(FaceClass.BLUE)) == 8
     assert dm.is_regular(3)
     assert len(dm.edges) == 30
-    assert dm.degrees == tuple(f.size for f in sk.faces)
+    assert dm.degrees == tuple(map(len, sk.map.face_walks))
 
 
 def test_dual_yh1():
@@ -55,7 +55,7 @@ def test_dual_yh1():
     assert dm.n == 36
     assert len(dm.vertices_of_color(FaceClass.RED)) == 12
     assert len(dm.vertices_of_color(FaceClass.BLUE)) == 24
-    assert dm.degrees == tuple(f.size for f in sk.faces)
+    assert dm.degrees == tuple(map(len, sk.map.face_walks))
 
 
 @pytest.mark.parametrize("gen,k", [(gen_XH, 1), (gen_XH, 2), (gen_YH, 1), (gen_XM, 2)])
@@ -72,11 +72,9 @@ def test_strategy_independent_counts(gen, k):
     b = skeleton(g, RemovalStrategy.LEX_MIN)
     for s in (a, b):
         assert s.graph.size == 3 * g.n - 6
-    assert len(a.faces) == len(b.faces)
-    assert (len(a.faces.of_class(FaceClass.RED))
-            == len(b.faces.of_class(FaceClass.RED)))
-    assert (len(a.faces.of_class(FaceClass.BLUE))
-            == len(b.faces.of_class(FaceClass.BLUE)))
+    assert len(a.colors) == len(b.colors)
+    assert a.colors.count(FaceClass.RED) == b.colors.count(FaceClass.RED)
+    assert a.colors.count(FaceClass.BLUE) == b.colors.count(FaceClass.BLUE)
     # only provenance differs
     assert {frozenset(p) for p in a.removed} != {frozenset((x, x)) for x, _ in a.removed}
 
@@ -144,21 +142,21 @@ def test_dual_degrees_match_boundary_lengths():
     for g in (gen_XH(1), gen_M(3), gen_XM(2)):
         sk = skeleton(g)
         dm = dual(sk)
-        assert dm.degrees == tuple(f.size for f in sk.faces)
+        assert dm.degrees == tuple(map(len, sk.map.face_walks))
         assert sum(dm.degrees) == 2 * len(dm.edges)
 
 
 def test_red_blue_partition_of_fake_true_faces():
     g = gen_YH(2)
     sk = skeleton(g)
-    fs = g.face_set
-    n_true = len(fs.of_class(FaceClass.TRUE))
-    n_fake = len(fs.of_class(FaceClass.FAKE))
-    blue = sk.faces.of_class(FaceClass.BLUE)
-    red = sk.faces.of_class(FaceClass.RED)
-    assert len(blue) == n_true
-    assert 2 * len(red) <= n_fake
+    cls = faces(g)
+    n_true = cls.count(FaceClass.TRUE)
+    n_fake = cls.count(FaceClass.FAKE)
+    blue = sk.colors.count(FaceClass.BLUE)
+    red = sk.colors.count(FaceClass.RED)
+    assert blue == n_true
+    assert 2 * red <= n_fake
     covered = set()
     for members in sk.face_members:
         covered |= members
-    assert covered == set(range(len(fs)))
+    assert covered == set(range(len(cls)))
