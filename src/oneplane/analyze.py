@@ -90,12 +90,13 @@ class DegreeProfile:
 
 
 def degree_profile(sg: SimpleGraph) -> DegreeProfile:
+    degrees = {v: len(ws) for v, ws in sg.adjacency.items()}
     hist: dict[int, int] = {}
-    for v in sg.vertices:
-        hist[sg.degree(v)] = hist.get(sg.degree(v), 0) + 1
+    for d in degrees.values():
+        hist[d] = hist.get(d, 0) + 1
     # odd vertices of degree <= 9 count as they are; kappa >= 3 makes every
     # G-w 2-connected, so a flow per vertex runs only below it
-    big = [w for w in sg.vertices if sg.degree(w) % 2 == 1 and sg.degree(w) > 9]
+    big = [w for w, d in degrees.items() if d % 2 == 1 and d > 9]
     if big and not connectivity_at_least(sg, 3):
         big = [w for w in big if connectivity_at_least(sg.without([w]), 2)]
     return DegreeProfile(
@@ -284,7 +285,7 @@ def check_face_adjacency(g: OnePlaneGraph) -> CheckResult:
     name = "face-adjacency"
     if not maximality.is_maximal(g).is_maximal:
         return CheckResult(name, CheckStatus.NOT_APPLICABLE, "drawing not maximal")
-    dv, adj, fake = g.map.dart_vertex, g.adjacency, set(g.map.fake_vertices)
+    dv, adj, fake = g.map.dart_vertex, underlying(g).adjacency, set(g.map.fake_vertices)
     for f, walk in enumerate(g.map.face_walks):
         boundary = set(map(dv.__getitem__, walk))
         if len(boundary) < 2:
@@ -294,7 +295,7 @@ def check_face_adjacency(g: OnePlaneGraph) -> CheckResult:
         # u is the one vertex of tv that u is not adjacent to
         if any(len(tv - adj[u]) != 1 for u in tv):
             u, v = next((u, v) for u, v in combinations(sorted(tv), 2)
-                        if not g.has_edge(u, v))
+                        if v not in adj[u])
             return CheckResult(
                 name, CheckStatus.FAIL,
                 f"true vertices {u},{v} share face {f} but are not adjacent")
@@ -306,11 +307,12 @@ def check_crossing_cliques(g: OnePlaneGraph) -> CheckResult:
     name = "crossing-cliques"
     if not maximality.is_maximal(g).is_maximal:
         return CheckResult(name, CheckStatus.NOT_APPLICABLE, "drawing not maximal")
+    sg = underlying(g)
     for c, e1, e2 in g.crossing_pairs:
         quad = (*g.edges[e1].ends, *g.edges[e2].ends)
         for i in range(4):
             for j in range(i + 1, 4):
-                if not g.has_edge(quad[i], quad[j]):
+                if not sg.has_edge(quad[i], quad[j]):
                     return CheckResult(
                         name, CheckStatus.FAIL,
                         f"crossing {c}: {quad[i]},{quad[j]} not adjacent")

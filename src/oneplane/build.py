@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, chain, count
 
 from .core import (
     DrawingError,
@@ -42,10 +42,13 @@ class ConeResult:
 
 @dataclass(frozen=True)
 class BuildResult:
+    """A compacted, validated ``graph`` and the id in the tables it was
+    compacted from of each of its vertices, edges and darts."""
+
     graph: OnePlaneGraph
-    vertex_map: dict[int, int]     # builder vertex id -> final id
-    edge_map: dict[int, int]
-    dart_map: dict[int, int]
+    vertex_ids: tuple[int, ...]
+    edge_ids: tuple[int, ...]
+    dart_ids: tuple[int, ...]
 
 
 class DrawingBuilder:
@@ -340,48 +343,42 @@ class DrawingBuilder:
     # -- finish --------------------------------------------------------------------
 
     def finish(self) -> BuildResult:
-        """Compact ids, validate, and return the immutable graph plus the
-        id maps from builder state to the final graph."""
-        vertex_map: dict[int, int] = {}
-        kinds = []
-        for v, rot in enumerate(self.rotations):
-            if rot or self.kinds[v] is VertexKind.TRUE:
-                vertex_map[v] = len(kinds)
-                kinds.append(self.kinds[v])
-        # canonical dart numbering: rotation-scan order, so structurally
-        # equal drawings compare equal and serialization round-trips exactly
-        dart_map: dict[int, int] = {}
-        for v in vertex_map:
-            for d in self.rotations[v]:
-                dart_map[d] = len(dart_map)
-        edge_map: dict[int, int] = {}
-        edges = []
-        for e, rec in enumerate(self.edges):
-            if rec is not None:
-                edge_map[e] = len(edges)
-                edges.append(rec)
-
-        rotations = tuple(
-            tuple(dart_map[d] for d in self.rotations[v])
-            for v in vertex_map
-        )
-        opposite = [0] * len(dart_map)
-        dart_edge = [0] * len(dart_map)
-        for old, new in dart_map.items():
-            opposite[new] = dart_map[self.opposite[old]]
-            dart_edge[new] = edge_map[self.dart_edge[old]]
-        edge_recs = tuple(
-            EdgeRec(vertex_map[u], vertex_map[v],
-                    None if c is None else vertex_map[c])
-            for u, v, c in edges
-        )
-        g = validate(tuple(kinds), rotations, tuple(opposite), edge_recs,
-                     tuple(dart_edge))
-        return BuildResult(graph=g, vertex_map=vertex_map,
-                           edge_map=edge_map, dart_map=dart_map)
+        """Compact ids, validate, and return the immutable graph with the
+        builder id of each of its vertices, edges and darts."""
+        return BuildResult(*_compact(self.kinds, self.rotations, self.opposite,
+                                     self.dart_edge, self.edges, keep_walks=False))
 
     def graph(self) -> OnePlaneGraph:
         return self.finish().graph
+
+
+def _compact(kinds, rotations, opposite, dart_edge, edges, *, keep_walks):
+    """The validated drawing of the tables, ids compacted, with the old id
+    of each new vertex, edge and dart.
+
+    A fake vertex without darts and an edge recorded as None are dropped;
+    every other record is ``(u, v, crossing)``.  Vertices and edges keep
+    their order and darts are numbered in rotation-scan order, so
+    structurally equal drawings compare equal and serialization round-trips
+    exactly.  ``keep_walks`` is passed to ``validate``."""
+    vertex_ids = [v for v, rot in enumerate(rotations)
+                  if rot or kinds[v] is VertexKind.TRUE]
+    edge_ids = [e for e, rec in enumerate(edges) if rec is not None]
+    dart_ids = list(chain.from_iterable(map(rotations.__getitem__, vertex_ids)))
+    new_vertex = dict(zip(vertex_ids, count()))
+    new_edge = dict(zip(edge_ids, count()))
+    # the rotations are slices of one tuple of the new dart ids, so they
+    # and ``opposite`` share one int object per dart
+    darts = tuple(range(len(dart_ids)))
+    new_dart = dict(zip(dart_ids, darts))
+    ends = list(accumulate(len(rotations[v]) for v in vertex_ids))
+    rots = [darts[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    recs = [EdgeRec(new_vertex[u], new_vertex[v], None if c is None else new_vertex[c])
+            for u, v, c in map(edges.__getitem__, edge_ids)]
+    g = validate([kinds[v] for v in vertex_ids], rots,
+                 [new_dart[opposite[d]] for d in dart_ids], recs,
+                 [new_edge[dart_edge[d]] for d in dart_ids], keep_walks=keep_walks)
+    return g, tuple(vertex_ids), tuple(edge_ids), tuple(dart_ids)
 
 
 def plane_graph(neighbors) -> OnePlaneGraph:
@@ -390,15 +387,11 @@ def plane_graph(neighbors) -> OnePlaneGraph:
 
 
 @dataclass(frozen=True)
-class Subdrawing:
+class Subdrawing(BuildResult):
     """``source`` minus the edges ``removed``, their crossings smoothed:
     the validated ``graph``, and the id in ``source`` of each of its
     vertices, edges and darts.  Vertex and edge ids keep their order."""
 
-    graph: OnePlaneGraph
-    vertex_ids: tuple[int, ...]
-    edge_ids: tuple[int, ...]
-    dart_ids: tuple[int, ...]
     source: OnePlaneGraph
     removed: tuple[int, ...]
 
@@ -445,52 +438,35 @@ def delete_edges(g: OnePlaneGraph, edges) -> Subdrawing | None:
 
     The edges' darts are dropped, and so is a crossing on any of them: a
     kept edge through it becomes one segment, its two far darts opposite
-    each other.  Ids are compacted as ``DrawingBuilder.finish`` numbers
-    them (vertices and edges in id order, darts in rotation-scan order), so
-    equal deletions give equal drawings, and the result is validated once;
-    it keeps the face walks of that check, which every reader walks next.
-    None when the deletion disconnects the drawing."""
+    each other.  ``_compact`` numbers the ids, so equal deletions give
+    equal drawings, and validates once; the result keeps the face walks of
+    that check, which every reader walks next.  None when the deletion
+    disconnects the drawing."""
     removed = tuple(edges)
     recs, pmap, de = g.edges, g.map, g.dart_edge
-    gone = [False] * len(recs)
+    table = [[r.u, r.v, r.crossing] for r in recs]
     for e in removed:
-        if not (0 <= e < len(recs)) or gone[e]:
+        if not (0 <= e < len(recs)) or table[e] is None:
             raise OperationError("UNKNOWN_EDGE", f"no edge {e}")
-        gone[e] = True
-    smoothed = {recs[e].crossing for e in removed} - {None}
+        table[e] = None
+    rotations = [[d for d in rot if table[de[d]] is not None] for rot in pmap.rotations]
     opposite = list(pmap.opposite)
-    for c in smoothed:
+    for c in {recs[e].crossing for e in removed} - {None}:
+        # the crossing goes; the two darts of one edge sit opposite each
+        # other there, so a kept edge's far darts become one segment
         r = pmap.rotations[c]
-        # the two darts of one edge sit opposite each other at a crossing
+        rotations[c] = []
         for t1, t2 in ((r[0], r[2]), (r[1], r[3])):
-            if not gone[de[t1]]:
+            if table[de[t1]] is not None:
                 far1, far2 = opposite[t1], opposite[t2]
                 opposite[far1], opposite[far2] = far2, far1
-
-    vertex_ids = [v for v in range(pmap.n_vertices) if v not in smoothed]
-    dart_ids: list[int] = []
-    rotations = []
-    for v in vertex_ids:
-        kept = [d for d in pmap.rotations[v] if not gone[de[d]]]
-        rotations.append(range(len(dart_ids), len(dart_ids) + len(kept)))
-        dart_ids += kept
-    edge_ids = list(compress(range(len(recs)), [not x for x in gone]))
-
-    new_vertex = dict(zip(vertex_ids, range(len(vertex_ids))))
-    new_edge = dict(zip(edge_ids, range(len(edge_ids))))
-    new_dart = dict(zip(dart_ids, range(len(dart_ids))))
-    edge_recs = [EdgeRec(new_vertex[r.u], new_vertex[r.v],
-                         None if r.crossing in smoothed or r.crossing is None
-                         else new_vertex[r.crossing])
-                 for r in map(recs.__getitem__, edge_ids)]
+                table[de[t1]][2] = None
     try:
-        h = validate([pmap.kinds[v] for v in vertex_ids], rotations,
-                     [new_dart[opposite[d]] for d in dart_ids], edge_recs,
-                     [new_edge[de[d]] for d in dart_ids], keep_walks=True)
+        compacted = _compact(pmap.kinds, rotations, opposite, de, table,
+                             keep_walks=True)
     except ValidationError as err:
         # connectivity is the first invariant tested on a well-formed map
         if err.codes() == {"NOT_CONNECTED"}:
             return None
         raise
-    return Subdrawing(h, tuple(vertex_ids), tuple(edge_ids), tuple(dart_ids),
-                      g, removed)
+    return Subdrawing(*compacted, g, removed)

@@ -236,17 +236,6 @@ class OnePlaneGraph:
             raise OperationError("UNKNOWN_VERTEX", f"no crossing at vertex {fake}")
         return tuple(sorted(self.dart_edge[d] for d in self.map.rotations[fake][:2]))
 
-    @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.map.true_vertices}
-        for rec in self.edges:
-            adj[rec.u].add(rec.v)
-            adj[rec.v].add(rec.u)
-        return {v: frozenset(s) for v, s in adj.items()}
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency.get(u, frozenset())
-
 
 # ---------------------------------------------------------------------------
 # Operations
@@ -283,17 +272,13 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     @cached_property
-    def _index(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in self.vertices]
-        idx = self._index
+    def adjacency(self) -> dict[int, frozenset[int]]:
+        """The neighbors of each vertex, keyed by vertex id in order."""
+        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
         for u, v in self.edges:
-            adj[idx[u]].add(v)
-            adj[idx[v]].add(u)
-        return tuple(frozenset(s) for s in adj)
+            adj[u].add(v)
+            adj[v].add(u)
+        return {v: frozenset(s) for v, s in adj.items()}
 
     @property
     def order(self) -> int:
@@ -304,7 +289,7 @@ class SimpleGraph:
         return len(self.edges)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[self._index[v]]
+        return self.adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))

@@ -18,7 +18,7 @@ from enum import Enum
 from itertools import combinations
 
 from .build import DrawingBuilder, delete_edges
-from .core import OnePlaneGraph, OperationError, VertexKind, once
+from .core import OnePlaneGraph, OperationError, VertexKind, once, underlying
 
 
 class RouteKind(Enum):
@@ -167,7 +167,7 @@ class _Closure:
     def __init__(self, g: OnePlaneGraph):
         self.g = g
         self.b: DrawingBuilder | None = None     # made by the first insertion
-        self.adj = g.adjacency                   # copied to sets by it
+        self.adj = underlying(g).adjacency       # copied to sets by it
         self.face_of = list(g.map.face_of_dart)
         self.walks = dict(enumerate(g.map.face_walks))
         self.on: dict[int, frozenset] = {}

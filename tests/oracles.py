@@ -18,6 +18,7 @@ from oneplane.core import (
     SimpleGraph,
     VertexKind,
     Violation,
+    underlying,
 )
 from oneplane.generators import (
     _first_inner_corner,
@@ -225,7 +226,7 @@ def merge_deletion(g: OnePlaneGraph, edges) -> Deletion | None:
     # merge class of its face in g
     g_face, h_face = g.map.face_of_dart, res.graph.map.face_of_dart
     face_class: list[int | None] = [None] * len(res.graph.map.face_walks)
-    for old, new in res.dart_map.items():
+    for new, old in enumerate(res.dart_ids):
         f, cls = h_face[new], merge.find(g_face[old])
         if face_class[f] is None:
             face_class[f] = cls
@@ -256,12 +257,10 @@ def reference_skeleton(g: OnePlaneGraph,
         and src_faces[next(iter(ids))].classification is FaceClass.TRUE
         else FaceClass.RED
         for ids in members)
-    inv_vertex = {new: old for old, new in res.vertex_map.items()}
-    inv_edge = {new: old for old, new in res.edge_map.items()}
     return Skeleton(
         graph=res.graph,
-        vertex_ids=tuple(inv_vertex[v] for v in range(res.graph.map.n_vertices)),
-        edge_ids=tuple(inv_edge[e] for e in range(res.graph.size)),
+        vertex_ids=res.vertex_ids,
+        edge_ids=res.edge_ids,
         removed=tuple(sorted(pairs)),
         colors=colors,
         face_members=members,
@@ -278,7 +277,6 @@ def reference_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
     if cut is None:
         return NearOptimalReport(False, ("non-crossing subgraph is disconnected",))
     h = cut.result.graph
-    inv_vertex = {new: old for old, new in cut.result.vertex_map.items()}
     crossing_home: dict[int, list[int]] = {}
     for c in g.map.fake_vertices:
         home = cut.merge.find(g.map.face_of_dart[g.map.rotations[c][0]])
@@ -286,7 +284,7 @@ def reference_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
 
     hf = reference_faces(h)
     for f in hf:
-        orig = tuple(inv_vertex[v] for v in f.vertices)
+        orig = tuple(cut.result.vertex_ids[v] for v in f.vertices)
         if f.is_triangle():
             if crossing_home.get(cut.face_class[f.index]):
                 bad.append(f"triangular face {orig} contains a crossing")
@@ -312,7 +310,8 @@ def reference_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
         if f1 != f2 and hf[f1].is_triangle() and hf[f2].is_triangle():
             u, v = h.edges[e].ends
             bad.append(
-                f"edge {inv_vertex[u]}-{inv_vertex[v]} shared by two triangles")
+                f"edge {cut.result.vertex_ids[u]}-{cut.result.vertex_ids[v]} "
+                "shared by two triangles")
     return NearOptimalReport(not bad, tuple(bad))
 
 
@@ -535,8 +534,9 @@ def brute_force_is_maximal(g: OnePlaneGraph) -> bool:
         if f1 != f2:
             shared_edges.append((f1, f2, rec.u, rec.v))
 
+    sg = underlying(g)
     for u, v in combinations(true_vertices, 2):
-        if g.has_edge(u, v):
+        if sg.has_edge(u, v):
             continue
         for b in boundaries:
             if u in b and v in b:
@@ -562,7 +562,8 @@ def face_set_insertion_candidates(g: OnePlaneGraph) -> tuple[InsertionCandidate,
         if rec.crossing is None:
             d = g.edge_darts[e][0]
             across[e] = (fs.face_of_dart[d], fs.face_of_dart[pmap.opposite[d]])
-    out = _in_face(range(len(fs)), on, g.adjacency) + _across(across, on, g.adjacency)
+    adj = underlying(g).adjacency
+    out = _in_face(range(len(fs)), on, adj) + _across(across, on, adj)
     return tuple(sorted(out, key=lambda c: (
         c.u, c.v, c.kind.value, c.faces, -1 if c.cross_edge is None else c.cross_edge)))
 
@@ -578,7 +579,7 @@ def rebuild_min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
     if res is None:
         return RedrawResult(0, None, None)
     h = res.graph
-    u, v = res.vertex_map[rec.u], res.vertex_map[rec.v]
+    u, v = res.vertex_ids.index(rec.u), res.vertex_ids.index(rec.v)
 
     fs = reference_faces(h)
     for f in fs:
@@ -588,7 +589,7 @@ def rebuild_min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
             return RedrawResult(0, route, h)
 
     assert partner is not None
-    p = res.edge_map[partner]
+    p = res.edge_ids.index(partner)
     d = h.edge_darts[p][0]
     f1 = fs.face_of_dart[d]
     f2 = fs.face_of_dart[h.map.opposite[d]]

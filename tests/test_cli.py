@@ -33,6 +33,14 @@ def test_generate_bad_parameter(capsys):
     assert main(["generate", "xh", "--k", "0"]) == 2
 
 
+def test_generate_random(tmp_path, capsys):
+    out = tmp_path / "r.1pg"
+    assert main(["generate", "random", "--n", "9", "--seed", "4", "--out", str(out)]) == 0
+    g = gen_random_seed(9, 4)
+    assert interchange.load(out) == g
+    assert capsys.readouterr().out == f"n=9 cr={g.crossing_count} E={g.size} -> {out}\n"
+
+
 def test_generate_fixture(tmp_path, capsys):
     src = write(tmp_path, "xm", 2)
     assert main(["generate", "fixture", "--path", src]) == 0
@@ -52,6 +60,17 @@ def test_check_pass_and_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "maximal FAIL" in out
     assert "insertable:" in out
+
+
+@pytest.mark.parametrize("flag,line", [
+    ("--immovable", "immovable FAIL (drawing is not maximal)"),
+    ("--bounds", "bounds FAIL (drawing is not maximal)"),
+])
+def test_check_needs_a_maximal_drawing(tmp_path, capsys, flag, line):
+    m2 = write(tmp_path, "m", 2)
+    assert main(["check", m2, flag]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "maximal FAIL" in out and out[-1] == line
 
 
 @pytest.mark.parametrize("seed", [300, 380, 1460])
@@ -160,6 +179,12 @@ def test_fuzz_clean(capsys):
 
 def test_fuzz_bad_range(capsys):
     assert main(["fuzz", "--count", "1", "--n", "oops"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--count", "0"], ["--n", "3..5"]])
+def test_fuzz_rejects_an_empty_batch_or_small_order(capsys, argv):
+    assert main(["fuzz", *argv]) == 2
+    assert capsys.readouterr().err == "error: need count >= 1 and 4 <= lo <= hi\n"
 
 
 def test_fuzz_deterministic_output(capsys):

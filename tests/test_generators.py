@@ -338,7 +338,8 @@ def test_builder_face_walks_match_finished_faces():
             if not builder_is_connected(b):
                 break
             res = b.finish()
-            walks = [tuple(res.dart_map[d] for d in w) for w in b.face_walks()]
+            new = {d: i for i, d in enumerate(res.dart_ids)}
+            walks = [tuple(new[d] for d in w) for w in b.face_walks()]
             assert walks == list(res.graph.map.face_walks)
             states += 1
     assert states > 100

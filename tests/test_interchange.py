@@ -80,6 +80,26 @@ def test_record_arity(old, new):
         parse(doc)
 
 
+# blank, whitespace-only and comment lines put after every record
+SKIPPED = ["", "   ", "# note", "  #indented note", "#"]
+XM2_SPACED = XM2_LINES[:1] + [x for ln in XM2_LINES[1:] for x in [ln, *SKIPPED]]
+
+
+def test_blank_and_comment_lines_in_the_body_are_skipped():
+    assert parse("\n".join(XM2_SPACED) + "\n") == gen_XM(2)
+
+
+@pytest.mark.parametrize("record,message", [
+    ("bogus 1", "unknown record 'bogus'"),
+    ("e x 0 1", "malformed record 'e x 0 1'"),
+], ids=["unknown", "malformed"])
+def test_bad_record_after_skipped_lines_names_its_line(record, message):
+    at = len(XM2_SPACED) - len(SKIPPED)         # just after the last record
+    doc = "\n".join(XM2_SPACED[:at] + [record] + XM2_SPACED[at:]) + "\n"
+    with pytest.raises(ParseError, match=rf"^PARSE_ERROR: {message}.*\(line {at + 1}\)$"):
+        parse(doc)
+
+
 def test_vertex_label_is_the_rest_of_the_line():
     text = serialize(gen_M(1))
     for v, label in ((0, "outer corner"), (2, "x")):

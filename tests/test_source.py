@@ -78,3 +78,14 @@ def test_one_deletion_path():
     assert deleting == {("transform.py", "skeleton"), ("analyze.py", "is_near_optimal"),
                         ("maximality.py", "min_redraw_crossings")}
     assert not hasattr(oneplane.DrawingBuilder, "delete_edge")
+
+
+def test_one_compaction():
+    # drawings are compacted and validated in build._compact (parse keeps
+    # its own path), and a drawing's graph has one adjacency: underlying(g)
+    calls = set()
+    for path in sorted(Path(oneplane.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls |= {(path.name, fn) for fn in _callers(tree, "validate")}
+    assert calls == {("build.py", "_compact"), ("interchange.py", "parse")}
+    assert not {"adjacency", "has_edge"} & set(dir(oneplane.OnePlaneGraph))
