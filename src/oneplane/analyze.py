@@ -126,30 +126,16 @@ def is_triangulation(pmap: PlanarMap) -> bool:
 def is_separating_cycle(pmap: PlanarMap, subset) -> bool:
     """True iff the subset induces a cycle and disconnects the map."""
     s = set(subset)
-    if len(s) < 3:
-        return False
     sg = map_graph(pmap)
-    inside = {v: [w for w in sg.neighbors(v) if w in s] for v in s}
-    if any(len(ns) != 2 for ns in inside.values()):
-        return False
-    # the induced 2-regular graph must be one cycle
-    start = next(iter(s))
-    seen = {start}
-    prev, cur = None, start
-    while True:
-        nxt = [w for w in inside[cur] if w != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-        if cur == start:
-            break
-        if cur in seen:
-            return False
-        seen.add(cur)
-    if seen != s:
+    if unknown := [v for v in s if v not in sg.adjacency]:
+        raise OperationError("UNKNOWN_VERTEX", f"no vertex {unknown[0]}")
+    # a simple graph on 3 or more vertices is a cycle iff it is connected
+    # and 2-regular
+    cycle = sg.without(sg.adjacency.keys() - s)
+    if len(s) < 3 or any(len(ws) != 2 for ws in cycle.adjacency.values()):
         return False
     rest = sg.without(s)
-    return rest.order > 0 and not rest.is_connected()
+    return cycle.is_connected() and rest.order > 0 and not rest.is_connected()
 
 
 @dataclass(frozen=True)

@@ -94,8 +94,7 @@ class DrawingBuilder:
                 key = (w, v)
                 if key in pending:
                     o = pending.pop(key)
-                    b.opposite[o] = d
-                    b.opposite[d] = o
+                    b._link(o, d)
                     e = b._new_edge(w, v, None)
                     b.dart_edge[o] = e
                     b.dart_edge[d] = e
@@ -114,6 +113,11 @@ class DrawingBuilder:
         self.dart_vertex.append(v)
         self.dart_edge.append(e)
         return d
+
+    def _link(self, p: int, q: int) -> None:
+        """Pair darts p and q into one segment."""
+        self.opposite[p] = q
+        self.opposite[q] = p
 
     def _new_edge(self, u: int, v: int, crossing) -> int:
         self.edges.append([u, v, crossing])
@@ -186,8 +190,7 @@ class DrawingBuilder:
         e = self._new_edge(u, v, None)
         p = self._new_dart(u, e)
         q = self._new_dart(v, e)
-        self.opposite[p] = q
-        self.opposite[q] = p
+        self._link(p, q)
         self._splice_before(cu, p)
         self._splice_before(cv, q)
         return e
@@ -253,16 +256,11 @@ class DrawingBuilder:
         t_u = self._new_dart(c, e_new)
         t_v = self._new_dart(c, e_new)
 
-        # split the crossed edge: a--c and c--b
-        self.opposite[d_e] = t_a
-        self.opposite[t_a] = d_e
-        self.opposite[d_b] = t_b
-        self.opposite[t_b] = d_b
-        # the new edge: u--c and c--v
-        self.opposite[p] = t_u
-        self.opposite[t_u] = p
-        self.opposite[q] = t_v
-        self.opposite[t_v] = q
+        # split the crossed edge: a--c and c--b; the new edge: u--c and c--v
+        self._link(d_e, t_a)
+        self._link(d_b, t_b)
+        self._link(p, t_u)
+        self._link(q, t_v)
 
         # transversal rotation at the crossing; derived so that both face
         # splits close up (see module docstring for the walk convention)
@@ -289,8 +287,7 @@ class DrawingBuilder:
             e = self._new_edge(x, vi, None)
             s = self._new_dart(vi, e)
             t = self._new_dart(x, e)
-            self.opposite[s] = t
-            self.opposite[t] = s
+            self._link(s, t)
             self._splice_before(walk[i], s)
             spokes.append((s, t, vi))
         # reversed spoke order at the center keeps the map on the sphere

@@ -83,10 +83,6 @@ def cmd_generate(args) -> int:
     elif args.family == "random":
         g = generators.gen_random_seed(args.n, args.seed)
     else:
-        if args.k < 1:
-            print(f"error: BAD_PARAMETER: k must be >= 1, got {args.k}",
-                  file=sys.stderr)
-            return BAD_INPUT
         g = generators.generate(args.family, args.k)
     _write_out(interchange.serialize(g), args.out)
     if args.out:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
+from itertools import accumulate
 from operator import itemgetter
 
 from .build import DrawingBuilder
@@ -85,54 +86,47 @@ def _k2_on_builder(b: DrawingBuilder, walk, anchor: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Ring tables for H(k) and HH(k)
+# Ring tables for H(k), HH(k) and M(k)
 # ---------------------------------------------------------------------------
 
-def _h_rings(k: int):
-    """Vertex ids per ring: ring j (0-based) has 2^(j+2) vertices."""
-    rings = []
-    nxt = 0
-    for j in range(k):
-        size = 2 ** (j + 2)
-        rings.append(list(range(nxt, nxt + size)))
-        nxt += size
-    return rings
+def _ring_table(sizes, out, into):
+    """Rotation-ordered neighbor lists of concentric cycles of the given
+    sizes, innermost first, numbered ring by ring.
 
-
-def _h_neighbor_table(k: int):
-    """Rotation-ordered neighbor lists of H(k).
-
-    Radials: ring-j vertex i connects to ring-(j+1) vertices 2i and 2i+2,
-    so consecutive inner vertices share the outer target 2i+2 (triangle)
-    and each inner vertex spans the outer path 2i..2i+2 (quadrangle).
+    Vertex i of a ring is joined to vertices ``out(i)`` of the next ring,
+    its next ring neighbor, vertices ``into(i)`` of the previous ring and
+    its previous ring neighbor, in that rotation order; indices are taken
+    modulo the size of the ring they name.
     """
-    rings = _h_rings(k)
-    table = [[] for _ in range(sum(len(r) for r in rings))]
-    for j, ring in enumerate(rings):
-        size = len(ring)
-        for i, v in enumerate(ring):
-            nxt = ring[(i + 1) % size]
-            prv = ring[(i - 1) % size]
+    starts = [0, *accumulate(sizes)]
+    table = []
+    for j, size in enumerate(sizes):
+        for i in range(size):
             rot = []
-            if j + 1 < k:
-                outer = rings[j + 1]
-                rot.append(outer[(2 * i) % len(outer)])
-                rot.append(outer[(2 * i + 2) % len(outer)])
-            rot.append(nxt)
-            if j > 0 and i % 2 == 0:
-                inner = rings[j - 1]
-                rot.append(inner[(i // 2) % len(inner)])
-                rot.append(inner[(i // 2 - 1) % len(inner)])
-            rot.append(prv)
-            table[v] = rot
-    return table, rings
+            if j + 1 < len(sizes):
+                rot += [starts[j + 1] + t % sizes[j + 1] for t in out(i)]
+            rot.append(starts[j] + (i + 1) % size)
+            if j > 0:
+                rot += [starts[j - 1] + s % sizes[j - 1] for s in into(i)]
+            rot.append(starts[j] + (i - 1) % size)
+            table.append(rot)
+    return table
+
+
+def _h_table(k: int):
+    """H(k)'s rings of 4, 8, ..., 2^(k+1) vertices.  Ring vertex i connects
+    to next-ring vertices 2i and 2i+2, so consecutive inner vertices share
+    the outer target 2i+2 (triangle) and each inner vertex spans the outer
+    path 2i..2i+2 (quadrangle)."""
+    _require_k(k)
+    return _ring_table([2 ** (j + 2) for j in range(k)],
+                       lambda i: (2 * i, 2 * i + 2),
+                       lambda i: () if i % 2 else (i // 2, i // 2 - 1))
 
 
 def gen_H(k: int) -> OnePlaneGraph:
     """The plane ring graph H(k); H(1) is the plain 4-cycle."""
-    _require_k(k)
-    table, _ = _h_neighbor_table(k)
-    return DrawingBuilder.from_neighbors(table).graph()
+    return DrawingBuilder.from_neighbors(_h_table(k)).graph()
 
 
 def gen_HH(k: int) -> OnePlaneGraph:
@@ -142,11 +136,9 @@ def gen_HH(k: int) -> OnePlaneGraph:
 
 
 def _hh(k: int) -> DrawingBuilder:
-    _require_k(k)
-    table_a, rings = _h_neighbor_table(k)
-    n_h = len(table_a)
-    per = rings[-1]
-    size = len(per)
+    table_a = _h_table(k)
+    n_h, size = len(table_a), 2 ** (k + 1)
+    per = range(n_h - size, n_h)            # the outer ring of H(k)
     z0 = 2 * n_h
 
     def b_of(v: int) -> int:
@@ -227,20 +219,8 @@ def gen_M(k: int) -> OnePlaneGraph:
 
 def _m(k: int) -> DrawingBuilder:
     _require_k(k)
-    table = []
-    for r in range(k):
-        for i in range(4):
-            nxt = 4 * r + (i + 1) % 4
-            prv = 4 * r + (i - 1) % 4
-            rot = []
-            if r + 1 < k:
-                rot.append(4 * (r + 1) + i)
-            rot.append(nxt)
-            if r > 0:
-                rot.append(4 * (r - 1) + i)
-            rot.append(prv)
-            table.append(rot)
-    return DrawingBuilder.from_neighbors(table)
+    return DrawingBuilder.from_neighbors(
+        _ring_table([4] * k, lambda i: (i,), lambda i: (i,)))
 
 
 def gen_XM(k: int) -> OnePlaneGraph:

@@ -325,8 +325,6 @@ def min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
     joined crossing-free); otherwise 1, achieved by restoring the original
     route across the old crossing partner.
     """
-    if not (0 <= e < len(g.edges)):
-        raise OperationError("UNKNOWN_EDGE", f"no edge {e}")
     sub = delete_edges(g, (e,))
     if sub is None:
         return RedrawResult(0, None, None)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from oneplane import flow
-from oneplane.analyze import NearOptimalReport, connectivity_at_least
+from oneplane.analyze import NearOptimalReport, connectivity_at_least, map_graph
 from oneplane.build import BuildResult, DrawingBuilder
 from oneplane.core import (
     DrawingError,
@@ -985,3 +985,81 @@ def _reference_segments_of(pmap: PlanarMap, darts, opposite):
         dset.discard(o)
         segs.append(d)
     return segs
+
+
+# ---------------------------------------------------------------------------
+# Ring tables and the cycle walk: the loops that ``generators._ring_table``
+# and ``analyze.is_separating_cycle``'s induced-subgraph test replaced
+# ---------------------------------------------------------------------------
+
+def loop_h_table(k: int) -> list[list[int]]:
+    """Rotation-ordered neighbor lists of H(k), ring by ring: ring j has
+    2^(j+2) vertices, and ring-j vertex i connects to ring-(j+1) vertices
+    2i and 2i+2."""
+    rings, nxt = [], 0
+    for j in range(k):
+        rings.append(list(range(nxt, nxt + 2 ** (j + 2))))
+        nxt += 2 ** (j + 2)
+    table = [[] for _ in range(nxt)]
+    for j, ring in enumerate(rings):
+        size = len(ring)
+        for i, v in enumerate(ring):
+            rot = []
+            if j + 1 < k:
+                outer = rings[j + 1]
+                rot.append(outer[(2 * i) % len(outer)])
+                rot.append(outer[(2 * i + 2) % len(outer)])
+            rot.append(ring[(i + 1) % size])
+            if j > 0 and i % 2 == 0:
+                inner = rings[j - 1]
+                rot.append(inner[(i // 2) % len(inner)])
+                rot.append(inner[(i // 2 - 1) % len(inner)])
+            rot.append(ring[(i - 1) % size])
+            table[v] = rot
+    return table
+
+
+def loop_m_table(k: int) -> list[list[int]]:
+    """Rotation-ordered neighbor lists of the prism M(k): k quadrangles,
+    vertex i of ring r joined to vertex i of rings r - 1 and r + 1."""
+    table = []
+    for r in range(k):
+        for i in range(4):
+            rot = []
+            if r + 1 < k:
+                rot.append(4 * (r + 1) + i)
+            rot.append(4 * r + (i + 1) % 4)
+            if r > 0:
+                rot.append(4 * (r - 1) + i)
+            rot.append(4 * r + (i - 1) % 4)
+            table.append(rot)
+    return table
+
+
+def walk_separating_cycle(pmap: PlanarMap, subset) -> bool:
+    """``is_separating_cycle`` walking the induced 2-regular graph from one
+    vertex and back."""
+    s = set(subset)
+    if len(s) < 3:
+        return False
+    sg = map_graph(pmap)
+    inside = {v: [w for w in sg.neighbors(v) if w in s] for v in s}
+    if any(len(ns) != 2 for ns in inside.values()):
+        return False
+    start = next(iter(s))
+    seen = {start}
+    prev, cur = None, start
+    while True:
+        nxt = [w for w in inside[cur] if w != prev]
+        if not nxt:
+            break
+        prev, cur = cur, nxt[0]
+        if cur == start:
+            break
+        if cur in seen:
+            return False
+        seen.add(cur)
+    if seen != s:
+        return False
+    rest = sg.without(s)
+    return rest.order > 0 and not rest.is_connected()

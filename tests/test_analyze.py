@@ -52,6 +52,7 @@ from .oracles import (
     per_vertex_lambda3,
     rebuild_local_connectivity,
     separates,
+    walk_separating_cycle,
 )
 from .test_cli import _count_calls
 
@@ -384,6 +385,28 @@ def test_is_triangulation_and_separating_cycle():
     assert is_separating_cycle(p.map, s)
     assert not is_separating_cycle(p.map, [0])
     assert not is_separating_cycle(p.map, [0, 1])
+
+
+def test_separating_cycle_agrees_with_cycle_walk():
+    # every vertex subset of 3..5 vertices of the small maps, 3..4 of the
+    # larger ones; both kinds of answer occur
+    cases = [(skeleton(gen_XH(1)).map, 5), (gen_M_triangulated(3).map, 5),
+             (gen_M(2).map, 5), (skeleton(gen_YH(1)).map, 4), (gen_XM(2).map, 4)]
+    found = 0
+    for pmap, top in cases:
+        for r in range(3, top + 1):
+            for s in combinations(range(pmap.n_vertices), r):
+                walked = walk_separating_cycle(pmap, s)
+                assert is_separating_cycle(pmap, s) == walked, s
+                found += walked
+    assert found == 66
+
+
+@pytest.mark.parametrize("subset", [[0, 1, 8], [-1, 0, 1], [8]])
+def test_separating_cycle_rejects_an_unknown_vertex(subset):
+    with pytest.raises(OperationError) as exc:
+        is_separating_cycle(gen_M(2).map, subset)
+    assert exc.value.code == "UNKNOWN_VERTEX"
 
 
 def test_regularity_checks():

@@ -3,7 +3,7 @@ import argparse
 import pytest
 
 from oneplane.cli import main
-from oneplane.generators import fixture_path, gen_random_seed, generate
+from oneplane.generators import FAMILIES, fixture_path, gen_random_seed, generate
 from oneplane import analyze, cli, flow, interchange, maximality
 from oneplane.core import underlying
 
@@ -30,7 +30,9 @@ def test_generate_stdout(capsys):
 
 
 def test_generate_bad_parameter(capsys):
-    assert main(["generate", "xh", "--k", "0"]) == 2
+    for family in FAMILIES:
+        assert main(["generate", family, "--k", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: BAD_PARAMETER: k must be >= 1, got 0\n")
 
 
 def test_generate_random(tmp_path, capsys):

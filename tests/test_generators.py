@@ -10,6 +10,8 @@ from oneplane.maximality import SaturationPolicy, saturate
 from oneplane.interchange import load, serialize
 from oneplane.generators import (
     FAMILIES,
+    _h_table,
+    _m,
     expected_stats,
     gen_H,
     gen_HH,
@@ -30,6 +32,8 @@ from .oracles import (
     builder_is_connected,
     cone_cross_quad,
     delete_edge,
+    loop_h_table,
+    loop_m_table,
     reference_faces,
     rescan_random_seed,
     roundtrip_M_triangulated,
@@ -164,6 +168,13 @@ def test_face_ops_reject_unknown_face(op):
         with pytest.raises(OperationError) as exc:
             op(g, i)
         assert exc.value.code == "UNKNOWN_FACE", i
+
+
+def test_ring_table_matches_loop_tables():
+    # H's table directly; M's through the builder that _m makes of it
+    for k in range(1, 9):
+        assert _h_table(k) == loop_h_table(k)
+        assert vars(_m(k)) == vars(DrawingBuilder.from_neighbors(loop_m_table(k)))
 
 
 def test_m_family():

@@ -148,10 +148,13 @@ def test_min_redraw_crossed_diagonals():
     assert min_redraw_crossings(g2, diag).crossings == 1
 
 
-def test_min_redraw_unknown_edge():
+@pytest.mark.parametrize("e", [-1, 36, 999])
+def test_min_redraw_unknown_edge(e):
+    g = gen_XH(1)
+    assert g.size == 36
     with pytest.raises(OperationError) as exc:
-        min_redraw_crossings(gen_XH(1), 999)
-    assert exc.value.code == "UNKNOWN_EDGE"
+        min_redraw_crossings(g, e)
+    assert str(exc.value) == f"UNKNOWN_EDGE: no edge {e}"
 
 
 def test_immovable_families():

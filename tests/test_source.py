@@ -89,3 +89,23 @@ def test_one_compaction():
         calls |= {(path.name, fn) for fn in _callers(tree, "validate")}
     assert calls == {("build.py", "_compact"), ("interchange.py", "parse")}
     assert not {"adjacency", "has_edge"} & set(dir(oneplane.OnePlaneGraph))
+
+
+def test_one_ring_table_and_one_segment_link():
+    # the ring families' rotations are written by one loop nest,
+    # generators._ring_table, and DrawingBuilder._link alone pairs darts
+    src = Path(oneplane.__file__).parent
+    tree = ast.parse((src / "generators.py").read_text(encoding="utf-8"))
+    nested = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              for loop in ast.walk(fn) if isinstance(loop, ast.For)
+              if any(isinstance(inner, ast.For) for inner in ast.walk(loop) if inner is not loop)}
+    assert nested == {"_ring_table"}
+    assert set(_callers(tree, "_ring_table")) == {"_h_table", "_m"}
+
+    tree = ast.parse((src / "build.py").read_text(encoding="utf-8"))
+    linking = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Assign)
+               for target in node.targets for item in ast.walk(target)
+               if isinstance(item, ast.Subscript) and isinstance(item.value, ast.Attribute)
+               and item.value.attr == "opposite"}
+    assert linking == {"_link"}
