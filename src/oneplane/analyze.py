@@ -62,8 +62,10 @@ def connectivity_at_least(sg: SimpleGraph, k: int) -> bool:
         raise
 
 
+@once
 def map_graph(pmap: PlanarMap) -> SimpleGraph:
-    """Adjacency structure of a plane map (parallel segments collapse)."""
+    """Adjacency structure of a plane map (parallel segments collapse),
+    built once per map."""
     edges = set()
     for d in range(pmap.n_darts):
         o = pmap.opposite[d]

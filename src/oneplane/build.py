@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain
 
 from .core import (
     DrawingError,
@@ -343,13 +343,13 @@ class DrawingBuilder:
         """Compact ids, validate, and return the immutable graph with the
         builder id of each of its vertices, edges and darts."""
         return BuildResult(*_compact(self.kinds, self.rotations, self.opposite,
-                                     self.dart_edge, self.edges, keep_walks=False))
+                                     self.dart_edge, self.edges))
 
     def graph(self) -> OnePlaneGraph:
         return self.finish().graph
 
 
-def _compact(kinds, rotations, opposite, dart_edge, edges, *, keep_walks):
+def _compact(kinds, rotations, opposite, dart_edge, edges):
     """The validated drawing of the tables, ids compacted, with the old id
     of each new vertex, edge and dart.
 
@@ -357,24 +357,24 @@ def _compact(kinds, rotations, opposite, dart_edge, edges, *, keep_walks):
     every other record is ``(u, v, crossing)``.  Vertices and edges keep
     their order and darts are numbered in rotation-scan order, so
     structurally equal drawings compare equal and serialization round-trips
-    exactly.  ``keep_walks`` is passed to ``validate``."""
+    exactly."""
     vertex_ids = [v for v, rot in enumerate(rotations)
                   if rot or kinds[v] is VertexKind.TRUE]
     edge_ids = [e for e, rec in enumerate(edges) if rec is not None]
     dart_ids = list(chain.from_iterable(map(rotations.__getitem__, vertex_ids)))
-    new_vertex = dict(zip(vertex_ids, count()))
-    new_edge = dict(zip(edge_ids, count()))
-    # the rotations are slices of one tuple of the new dart ids, so they
-    # and ``opposite`` share one int object per dart
-    darts = tuple(range(len(dart_ids)))
-    new_dart = dict(zip(dart_ids, darts))
+    # new vertex, edge and dart ids all come from one tuple, of which the
+    # rotations are slices, so the drawing's tables share one int per id
+    ids = tuple(range(max(len(dart_ids), len(vertex_ids), len(edge_ids))))
+    new_vertex = dict(zip(vertex_ids, ids))
+    new_edge = dict(zip(edge_ids, ids))
+    new_dart = dict(zip(dart_ids, ids))
     ends = list(accumulate(len(rotations[v]) for v in vertex_ids))
-    rots = [darts[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    rots = [ids[a:b] for a, b in zip([0] + ends[:-1], ends)]
     recs = [EdgeRec(new_vertex[u], new_vertex[v], None if c is None else new_vertex[c])
             for u, v, c in map(edges.__getitem__, edge_ids)]
     g = validate([kinds[v] for v in vertex_ids], rots,
                  [new_dart[opposite[d]] for d in dart_ids], recs,
-                 [new_edge[dart_edge[d]] for d in dart_ids], keep_walks=keep_walks)
+                 [new_edge[dart_edge[d]] for d in dart_ids])
     return g, tuple(vertex_ids), tuple(edge_ids), tuple(dart_ids)
 
 
@@ -436,8 +436,8 @@ def delete_edges(g: OnePlaneGraph, edges) -> Subdrawing | None:
     The edges' darts are dropped, and so is a crossing on any of them: a
     kept edge through it becomes one segment, its two far darts opposite
     each other.  ``_compact`` numbers the ids, so equal deletions give
-    equal drawings, and validates once; the result keeps the face walks of
-    that check, which every reader walks next.  None when the deletion
+    equal drawings, and validates once; like every validated drawing, the
+    result keeps the face walks of that check.  None when the deletion
     disconnects the drawing."""
     removed = tuple(edges)
     recs, pmap, de = g.edges, g.map, g.dart_edge
@@ -459,8 +459,7 @@ def delete_edges(g: OnePlaneGraph, edges) -> Subdrawing | None:
                 opposite[far1], opposite[far2] = far2, far1
                 table[de[t1]][2] = None
     try:
-        compacted = _compact(pmap.kinds, rotations, opposite, de, table,
-                             keep_walks=True)
+        compacted = _compact(pmap.kinds, rotations, opposite, de, table)
     except ValidationError as err:
         # connectivity is the first invariant tested on a well-formed map
         if err.codes() == {"NOT_CONNECTED"}:

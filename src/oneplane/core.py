@@ -98,13 +98,41 @@ class PlanarMap:
     def n_segments(self) -> int:
         return len(self.opposite) // 2
 
+    def _scan(self) -> tuple[list[int], list[int] | None]:
+        """The darts as the rotations hold them, in id order, and the place
+        of each in the rotations read in vertex order, or None when that is
+        its id, as in every drawing ``parse`` and ``build._compact`` make.
+        The tables below take every dart, vertex and face id they keep from
+        the first list, id ``i`` from item ``i``, so they hold no int of
+        their own.  Like them, it presumes the rotations hold each dart id
+        once, which validation checks before reading any of them."""
+        flat = list(chain.from_iterable(self.rotations))
+        ids = sorted(flat)
+        if ids == flat:
+            return ids, None
+        return ids, sorted(range(len(flat)), key=flat.__getitem__)
+
+    @cached_property
+    def _vertex_tables(self) -> tuple[tuple[int, ...], ...]:
+        ids, order = self._scan()
+        n, fake = self.n_vertices, VertexKind.FAKE
+        vids = ids[:n] + list(range(len(ids), n))
+        owner = [v for v, rot in zip(vids, self.rotations) for _ in rot]
+        return (tuple(owner if order is None else map(owner.__getitem__, order)),
+                tuple([v for v, k in zip(vids, self.kinds) if k is not fake]),
+                tuple([v for v, k in zip(vids, self.kinds) if k is fake]))
+
     @cached_property
     def dart_vertex(self) -> tuple[int, ...]:
-        owner = [-1] * self.n_darts
-        for v, rot in enumerate(self.rotations):
-            for d in rot:
-                owner[d] = v
-        return tuple(owner)
+        return self._vertex_tables[0]
+
+    @cached_property
+    def true_vertices(self) -> tuple[int, ...]:
+        return self._vertex_tables[1]
+
+    @cached_property
+    def fake_vertices(self) -> tuple[int, ...]:
+        return self._vertex_tables[2]
 
     @cached_property
     def face_walks(self) -> tuple[tuple[int, ...], ...]:
@@ -118,19 +146,19 @@ class PlanarMap:
 
     @cached_property
     def _faces(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        ids, order = self._scan()
         # phi[d]: the dart after d on its face, the rotation successor of
         # opposite[d]
-        nxt = [-1] * self.n_darts
-        for rot in self.rotations:
-            for d, e in zip(rot, rot[1:] + rot[:1]):
-                nxt[d] = e
-        phi = [nxt[o] for o in self.opposite]
+        nxt = list(chain.from_iterable(rot[1:] + rot[:1] for rot in self.rotations))
+        if order is not None:
+            nxt = list(map(nxt.__getitem__, order))
+        phi = list(map(nxt.__getitem__, self.opposite))
         owner = [-1] * self.n_darts
         walks = []
-        for d0 in range(self.n_darts):
+        for d0 in ids:
             if owner[d0] >= 0:
                 continue
-            f = len(walks)
+            f = ids[len(walks)]
             walk = []
             d = d0
             while owner[d] < 0:
@@ -145,14 +173,6 @@ class PlanarMap:
 
     def is_fake(self, v: int) -> bool:
         return self.kinds[v] is VertexKind.FAKE
-
-    @cached_property
-    def fake_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, k in enumerate(self.kinds) if k is VertexKind.FAKE)
-
-    @cached_property
-    def true_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, k in enumerate(self.kinds) if k is VertexKind.TRUE)
 
     def is_connected(self) -> bool:
         """One breadth-first sweep from vertex 0, a frontier at a time."""
@@ -357,23 +377,23 @@ def faces(g: OnePlaneGraph) -> tuple[FaceClass, ...]:
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate(kinds, rotations, opposite, edges, dart_edge, *,
-             keep_walks: bool = False) -> OnePlaneGraph:
+def validate(kinds, rotations, opposite, edges, dart_edge) -> OnePlaneGraph:
     """Check every type invariant of a candidate drawing.
 
     Returns the validated OnePlaneGraph, or raises ValidationError listing
     all violated invariants (not just the first) so fuzzing failures are
-    fully diagnosable.  With ``keep_walks`` the drawing keeps the face walks
-    the check computed, for a caller that reads them next; without, it holds
-    none until asked, so a parsed document stays small.
+    fully diagnosable.  The drawing's map is the one the check ran on, so it
+    keeps what the check computed: ``face_walks``, ``face_of_dart``,
+    ``dart_vertex`` and the true and fake vertex tuples.  A caller keeps it
+    small by handing in rotations and ``opposite`` that share one int object
+    per dart, as ``parse`` and ``build._compact`` do; the walks then share
+    them too.
     """
     tables = _tables(kinds, rotations, opposite, edges, dart_edge)
     pmap = PlanarMap(*tables[:3])
     violations = _check(pmap, *tables[3:])
     if violations:
         raise ValidationError(violations)
-    if not keep_walks:
-        pmap = PlanarMap(*tables[:3])
     return OnePlaneGraph(map=pmap, edges=tables[3], dart_edge=tables[4])
 
 

@@ -141,10 +141,14 @@ def parse(text: str) -> OnePlaneGraph:
             raise ParseError(f"rot record for unknown vertex {v}")
     rotations = [rot_tokens.get(v, ()) for v in range(len(kinds))]
     dart_edge, opposite = _segments(rotations, len(edges))
-    # dart ids run through the rotations in vertex order
+    # dart ids run through the rotations in vertex order; the rotations are
+    # slices of one tuple of ids, and ``opposite`` and ``dart_edge`` are
+    # mapped through it, so the drawing holds one int object per id
+    ids = tuple(range(max(len(opposite), len(edges))))
     ends = list(accumulate(map(len, rotations)))
-    return validate(kinds, list(map(range, [0] + ends[:-1], ends)), opposite, edges,
-                    dart_edge)
+    return validate(kinds, [ids[a:b] for a, b in zip([0] + ends[:-1], ends)],
+                    tuple(map(ids.__getitem__, opposite)), edges,
+                    tuple(map(ids.__getitem__, dart_edge)))
 
 
 def _segments(rotations, n_edges: int) -> tuple[list[int], list[int]]:

@@ -98,14 +98,57 @@ class FaceSet:
 
 def reference_faces(g: OnePlaneGraph) -> FaceSet:
     """Face walks of the planarization as ``Face`` objects, classified
-    FAKE/TRUE: a face is FAKE iff its boundary walk visits a fake vertex."""
+    FAKE/TRUE: a face is FAKE iff its boundary walk visits a fake vertex.
+    The walks and vertices come from the scatter oracles below, not from the
+    map's own tables."""
     pmap = g.map
+    walks, face_of_dart = scatter_faces(pmap)
+    dart_vertex, _, fake = scatter_vertex_tables(pmap)
     out = []
-    for i, walk in enumerate(pmap.face_walks):
-        verts = tuple(pmap.dart_vertex[d] for d in walk)
-        cls = FaceClass.FAKE if any(pmap.is_fake(v) for v in verts) else FaceClass.TRUE
+    for i, walk in enumerate(walks):
+        verts = tuple(dart_vertex[d] for d in walk)
+        cls = FaceClass.FAKE if set(verts) & set(fake) else FaceClass.TRUE
         out.append(Face(i, walk, verts, cls))
-    return FaceSet(tuple(out), pmap.face_of_dart)
+    return FaceSet(tuple(out), face_of_dart)
+
+
+def scatter_faces(pmap: PlanarMap) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(face walks, face of each dart), as ``PlanarMap._faces`` computed
+    them before it read its successors from the rotations in scan order and
+    took its ids from their int objects: each dart's rotation successor is
+    scattered into a table one dart at a time, and a walk starts at every
+    dart, in id order, that no earlier walk holds."""
+    nxt = [-1] * pmap.n_darts
+    for rot in pmap.rotations:
+        for d, e in zip(rot, rot[1:] + rot[:1]):
+            nxt[d] = e
+    phi = [nxt[o] for o in pmap.opposite]
+    owner = [-1] * pmap.n_darts
+    walks = []
+    for d0 in range(pmap.n_darts):
+        if owner[d0] >= 0:
+            continue
+        f = len(walks)
+        walk = []
+        d = d0
+        while owner[d] < 0:
+            owner[d] = f
+            walk.append(d)
+            d = phi[d]
+        walks.append(tuple(walk))
+    return tuple(walks), tuple(owner)
+
+
+def scatter_vertex_tables(pmap: PlanarMap) -> tuple[tuple[int, ...], ...]:
+    """(dart_vertex, true_vertices, fake_vertices), one dart and one vertex
+    at a time, as ``PlanarMap`` computed them before ``_vertex_tables``."""
+    owner = [-1] * pmap.n_darts
+    for v, rot in enumerate(pmap.rotations):
+        for d in rot:
+            owner[d] = v
+    return (tuple(owner),
+            tuple(v for v, k in enumerate(pmap.kinds) if k is VertexKind.TRUE),
+            tuple(v for v, k in enumerate(pmap.kinds) if k is VertexKind.FAKE))
 
 
 class FaceMerge:

@@ -402,6 +402,15 @@ def test_separating_cycle_agrees_with_cycle_walk():
     assert found == 66
 
 
+def test_separating_cycle_builds_one_map_graph(monkeypatch):
+    # map_graph is memoised per map, so asking twice builds it once
+    pmap = skeleton(gen_XH(1)).map
+    built = _count_calls(monkeypatch, analyze, "SimpleGraph")
+    assert is_separating_cycle(pmap, [0, 1, 2]) == is_separating_cycle(pmap, [3, 4, 5])
+    assert len(built) == 1
+    assert map_graph(pmap) is map_graph(pmap)
+
+
 @pytest.mark.parametrize("subset", [[0, 1, 8], [-1, 0, 1], [8]])
 def test_separating_cycle_rejects_an_unknown_vertex(subset):
     with pytest.raises(OperationError) as exc:

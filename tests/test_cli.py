@@ -1,11 +1,12 @@
 import argparse
+from functools import cached_property
 
 import pytest
 
 from oneplane.cli import main
 from oneplane.generators import FAMILIES, fixture_path, gen_random_seed, generate
 from oneplane import analyze, cli, flow, interchange, maximality
-from oneplane.core import underlying
+from oneplane.core import PlanarMap, underlying
 
 
 def write(tmp_path, family, k):
@@ -139,6 +140,36 @@ def test_check_computes_each_fact_once(tmp_path, monkeypatch, capsys):
     flows.clear()
     assert analyze.vertex_connectivity(underlying(generate("yh", 2))) == 3
     assert in_check == len(fans) + len(flows) > 0
+
+
+def _count_face_walks(monkeypatch):
+    """The maps whose faces are walked from now on, one item per walk."""
+    walked = []
+    walk = PlanarMap._faces.func
+
+    def counted(pmap):
+        walked.append(pmap)
+        return walk(pmap)
+    prop = cached_property(counted)
+    prop.__set_name__(PlanarMap, "_faces")
+    monkeypatch.setattr(PlanarMap, "_faces", prop)
+    return walked
+
+
+@pytest.mark.parametrize("family", ["yh2", "t1"])
+def test_check_walks_the_faces_once(tmp_path, monkeypatch, capsys, family):
+    # validation keeps the walks it computed, and every later reader uses them
+    path = write(tmp_path, "yh", 2) if family == "yh2" else str(fixture_path("t1"))
+    walked = _count_face_walks(monkeypatch)
+    assert main(["check", path, "--maximal", "--immovable", "--bounds"]) == 0
+    assert len(walked) == 1
+
+
+def test_fuzz_walks_each_drawing_once(monkeypatch, capsys):
+    # one walk each for the random drawing, its saturation and the skeleton
+    walked = _count_face_walks(monkeypatch)
+    assert main(["fuzz", "--count", "1", "--n", "70..70", "--seed", "3"]) == 0
+    assert len(walked) == len({id(m) for m in walked}) == 3
 
 
 def test_main_builds_one_parser(tmp_path, monkeypatch, capsys):

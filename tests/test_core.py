@@ -2,6 +2,7 @@ import copy
 import random
 import sys
 import threading
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from oneplane.core import (
     EdgeRec,
     FaceClass,
     OperationError,
+    PlanarMap,
     ValidationError,
     VertexKind,
     Violation,
@@ -25,10 +27,17 @@ from oneplane.generators import (
     fixture_path, gen_H, gen_HH, gen_M, gen_XH, gen_XM, gen_YH, gen_random_seed,
 )
 from oneplane.analyze import vertex_connectivity
-from oneplane.interchange import load
-from oneplane.maximality import is_immovable, is_maximal
+from oneplane.interchange import load, parse, serialize
+from oneplane.maximality import SaturationPolicy, is_immovable, is_maximal, saturate
 from oneplane.transform import skeleton
-from .oracles import builder_is_connected, reference_check, scan_delete_edge
+from .oracles import (
+    builder_is_connected,
+    reference_check,
+    reference_faces,
+    scan_delete_edge,
+    scatter_faces,
+    scatter_vertex_tables,
+)
 
 T, F = VertexKind.TRUE, VertexKind.FAKE
 
@@ -325,6 +334,62 @@ def test_faces_deterministic():
     g2 = gen_YH(2)
     assert g1.map.face_walks == g2.map.face_walks
     assert faces(g1) == faces(g2)
+
+
+def _relabeled(g, seed):
+    """g's tables with its dart ids shuffled: the same drawing, its darts
+    no longer numbered in rotation-scan order."""
+    pmap = g.map
+    new = list(range(pmap.n_darts))
+    random.Random(seed).shuffle(new)
+    opposite, dart_edge = [0] * pmap.n_darts, [0] * pmap.n_darts
+    for d, (o, e) in enumerate(zip(pmap.opposite, g.dart_edge)):
+        opposite[new[d]], dart_edge[new[d]] = new[o], e
+    return (pmap.kinds, [[new[d] for d in rot] for rot in pmap.rotations], opposite,
+            g.edges, dart_edge)
+
+
+MAP_SOURCES = {
+    "c4": c4, "h2": lambda: gen_H(2), "xh1": lambda: gen_XH(1), "yh2": lambda: gen_YH(2),
+    "xm3": lambda: gen_XM(3), "t1": lambda: load(fixture_path("t1")),
+    "skeleton-xh1": lambda: skeleton(gen_XH(1)).graph,
+    "random": lambda: gen_random_seed(23, 5),
+    "saturated": lambda: saturate(gen_random_seed(31, 2), SaturationPolicy.SEEDED, seed=2),
+}
+
+
+@pytest.mark.parametrize("make", MAP_SOURCES.values(), ids=MAP_SOURCES.keys())
+def test_map_tables_agree_with_scatter_oracles(make):
+    # in scan order and shuffled, the walks, dart owners and vertex kinds
+    # equal those scattered one dart at a time; shuffled tables validate
+    g = make()
+    shuffled = _relabeled(g, 7)
+    assert check(*shuffled) == []
+    for pmap in (g.map, PlanarMap(*map(tuple, shuffled[:2]), tuple(shuffled[2])),
+                 validate(*shuffled).map):
+        assert (pmap.face_walks, pmap.face_of_dart) == scatter_faces(pmap)
+        assert (pmap.dart_vertex, pmap.true_vertices, pmap.fake_vertices) \
+            == scatter_vertex_tables(pmap)
+
+
+@pytest.mark.parametrize("make", [lambda: parse(serialize(gen_YH(2))),
+                                  lambda: load(fixture_path("t2")), lambda: gen_YH(2),
+                                  lambda: gen_YH(3)],
+                         ids=["parsed-yh2", "parsed-t2", "generated-yh2", "generated-yh3"])
+def test_a_drawing_holds_one_int_object_per_dart(make):
+    # a validated drawing keeps its face walks; they, opposite and the other
+    # dart tables hold the rotations' int object of each dart.  CPython
+    # shares ints up to 256 anyway, so the test needs more darts than that
+    # (and YH(3), whose walks start and whose faces number past 256).
+    g = make()
+    pmap = g.map
+    assert pmap.n_darts > 256
+    held = {d: d for d in chain.from_iterable(pmap.rotations)}
+    assert all(o is held[o] for o in pmap.opposite)
+    assert all(d is held[d] for walk in pmap.face_walks for d in walk)
+    assert all(f is held[f] for f in pmap.face_of_dart)
+    assert all(v is held[v] for v in pmap.dart_vertex)
+    assert pmap.face_walks == tuple(f.darts for f in reference_faces(g))
 
 
 @settings(max_examples=30, deadline=None)

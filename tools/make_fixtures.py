@@ -23,6 +23,13 @@ from oneplane.generators import _triangulate_all
 from oneplane import interchange
 
 
+def _require(holds: bool, what: str) -> None:
+    """Stop with an error naming what a fixture lacks; an explicit test, so
+    that ``python -O`` keeps it."""
+    if not holds:
+        raise RuntimeError(f"fixture check failed: {what}")
+
+
 def _ring_graph(rings, radii, offsets, edges):
     pos = {}
     for (ring, radius, off) in zip(rings, radii, offsets):
@@ -67,7 +74,8 @@ def make_t1():
         add(4 + j, 12 + j)
     base = _ring_graph(rings, radii, offsets, edges)
     sizes = [len(w) for w in base.face_walks()]
-    assert sizes.count(3) == 8 and sizes.count(4) == 18
+    _require(sizes.count(3) == 8 and sizes.count(4) == 18,
+             "t1's base needs 8 triangles and 18 quadrangles")
     return _triangulate_all(base, triangles=False).graph()
 
 
@@ -99,7 +107,8 @@ def make_t2():
         add(12 + m, 28 + m)
     base = _ring_graph(rings, radii, offsets, edges)
     sizes = [len(w) for w in base.face_walks()]
-    assert sizes.count(3) == 24 and sizes.count(4) == 42
+    _require(sizes.count(3) == 24 and sizes.count(4) == 42,
+             "t2's base needs 24 triangles and 42 quadrangles")
     return _triangulate_all(base, triangles=False).graph()
 
 
@@ -110,9 +119,10 @@ def main():
     for name, maker, want_n, want_cr in (("t1", make_t1, 24, 18),
                                          ("t2", make_t2, 56, 42)):
         g = maker()
-        assert g.n == want_n and g.crossing_count == want_cr
-        assert is_maximal(g).is_maximal
-        assert vertex_connectivity(underlying(g)) == 7
+        _require(g.n == want_n and g.crossing_count == want_cr,
+                 f"{name} needs n={want_n} and cr={want_cr}")
+        _require(is_maximal(g).is_maximal, f"{name} must be maximal")
+        _require(vertex_connectivity(underlying(g)) == 7, f"{name} must be 7-connected")
         path = outdir / f"{name}.1pg"
         interchange.dump(g, path)
         print(f"{path}: n={g.n} cr={g.crossing_count} E={g.size} kappa=7 maximal")
