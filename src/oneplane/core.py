@@ -178,12 +178,10 @@ class PlanarMap:
         """One breadth-first sweep from vertex 0, a frontier at a time."""
         if not self.kinds:
             return False
-        head = self.dart_vertex.__getitem__
-        rotations, opposite = self.rotations, self.opposite
+        head, rotations, opposite = self.dart_vertex, self.rotations, self.opposite
         seen, frontier = {0}, {0}
         while frontier:
-            darts = chain.from_iterable(map(rotations.__getitem__, frontier))
-            frontier = set(map(head, map(opposite.__getitem__, darts))) - seen
+            frontier = {head[opposite[d]] for v in frontier for d in rotations[v]} - seen
             seen |= frontier
         return len(seen) == len(self.kinds)
 
@@ -448,7 +446,7 @@ def _check(pmap: PlanarMap, edges, dart_edge) -> list[Violation]:
     # Fixed-point-free involution.
     if structurally_ok and not (
             _in_range(opposite, n_darts)
-            and list(map(opposite.__getitem__, opposite)) == darts
+            and [opposite[o] for o in opposite] == darts
             and not any(map(eq, opposite, darts))):
         for d, o in enumerate(opposite):
             if not (0 <= o < n_darts) or opposite[o] != d or o == d:
@@ -478,7 +476,8 @@ def _check(pmap: PlanarMap, edges, dart_edge) -> list[Violation]:
         bad(Violation("BAD_EDGE_TABLE", f"dart {d} maps to unknown edge {e}"))
         return violations
 
-    head = list(map(pmap.dart_vertex.__getitem__, opposite))
+    tail = pmap.dart_vertex
+    head = [tail[o] for o in opposite]
     us = [rec.u for rec in edges]
     vs = [rec.v for rec in edges]
     edges_ok = _edge_table_holds(pmap, dart_edge, head, us, vs,
@@ -536,7 +535,7 @@ def _edge_table_holds(pmap: PlanarMap, dart_edge, head, us, vs, crossings) -> bo
             and fake.issuperset(c for _, c in crossed)
             and 2 * len(us) + 2 * len(crossed) == n_darts):
         return False
-    if tuple(map(dart_edge.__getitem__, pmap.opposite)) != dart_edge:
+    if tuple([dart_edge[o] for o in pmap.opposite]) != dart_edge:
         return False            # a segment joins two edges
     # the far end of the segment at u, and at v: the other endpoint, or the
     # crossing; a crossing's own darts lead to u and to v

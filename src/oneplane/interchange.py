@@ -147,8 +147,7 @@ def parse(text: str) -> OnePlaneGraph:
     ids = tuple(range(max(len(opposite), len(edges))))
     ends = list(accumulate(map(len, rotations)))
     return validate(kinds, [ids[a:b] for a, b in zip([0] + ends[:-1], ends)],
-                    tuple(map(ids.__getitem__, opposite)), edges,
-                    tuple(map(ids.__getitem__, dart_edge)))
+                    [ids[o] for o in opposite], edges, [ids[e] for e in dart_edge])
 
 
 def _segments(rotations, n_edges: int) -> tuple[list[int], list[int]]:
