@@ -98,27 +98,24 @@ class PlanarMap:
     def n_segments(self) -> int:
         return len(self.opposite) // 2
 
-    def _scan(self) -> tuple[list[int], list[int] | None]:
-        """The darts as the rotations hold them, in id order, and the place
-        of each in the rotations read in vertex order, or None when that is
-        its id, as in every drawing ``parse`` and ``build._compact`` make.
-        The tables below take every dart, vertex and face id they keep from
-        the first list, id ``i`` from item ``i``, so they hold no int of
-        their own.  Like them, it presumes the rotations hold each dart id
-        once, which validation checks before reading any of them."""
-        flat = list(chain.from_iterable(self.rotations))
-        ids = sorted(flat)
-        if ids == flat:
-            return ids, None
-        return ids, sorted(range(len(flat)), key=flat.__getitem__)
+    @cached_property
+    def _darts(self) -> list[int]:
+        """Every dart id the rotations hold, in id order, as the rotations'
+        own int objects.  The tables below take every dart, vertex and face
+        id they keep from it, id ``i`` from item ``i``, so they hold no int
+        of their own; validation reads it to see that the rotations hold
+        each dart id once, which those tables presume."""
+        return sorted(chain.from_iterable(self.rotations))
 
     @cached_property
     def _vertex_tables(self) -> tuple[tuple[int, ...], ...]:
-        ids, order = self._scan()
-        n, fake = self.n_vertices, VertexKind.FAKE
+        ids, n, fake = self._darts, self.n_vertices, VertexKind.FAKE
         vids = ids[:n] + list(range(len(ids), n))
-        owner = [v for v, rot in zip(vids, self.rotations) for _ in rot]
-        return (tuple(owner if order is None else map(owner.__getitem__, order)),
+        owner = [-1] * self.n_darts
+        for v, rot in zip(vids, self.rotations):
+            for d in rot:
+                owner[d] = v
+        return (tuple(owner),
                 tuple([v for v, k in zip(vids, self.kinds) if k is not fake]),
                 tuple([v for v, k in zip(vids, self.kinds) if k is fake]))
 
@@ -146,13 +143,14 @@ class PlanarMap:
 
     @cached_property
     def _faces(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        ids, order = self._scan()
+        ids = self._darts
         # phi[d]: the dart after d on its face, the rotation successor of
         # opposite[d]
-        nxt = list(chain.from_iterable(rot[1:] + rot[:1] for rot in self.rotations))
-        if order is not None:
-            nxt = list(map(nxt.__getitem__, order))
-        phi = list(map(nxt.__getitem__, self.opposite))
+        nxt = [-1] * self.n_darts
+        for rot in self.rotations:
+            for d, e in zip(rot, rot[1:] + rot[:1]):
+                nxt[d] = e
+        phi = [nxt[o] for o in self.opposite]
         owner = [-1] * self.n_darts
         walks = []
         for d0 in ids:
@@ -426,12 +424,11 @@ def _check(pmap: PlanarMap, edges, dart_edge) -> list[Violation]:
 
     # Dart partition: every dart id appears once across all rotations.
     darts = list(range(n_darts))
-    flat = list(chain.from_iterable(rotations))
-    structurally_ok = flat == darts or sorted(flat) == darts
+    structurally_ok = pmap._darts == darts
     if not structurally_ok:
         seen = [0] * n_darts
         structurally_ok = True
-        for d in flat:
+        for d in chain.from_iterable(rotations):
             if not (0 <= d < n_darts):
                 bad(Violation("BAD_INVOLUTION", f"dart id {d} out of range"))
                 structurally_ok = False

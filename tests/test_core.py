@@ -360,8 +360,8 @@ MAP_SOURCES = {
 
 @pytest.mark.parametrize("make", MAP_SOURCES.values(), ids=MAP_SOURCES.keys())
 def test_map_tables_agree_with_scatter_oracles(make):
-    # in scan order and shuffled, the walks, dart owners and vertex kinds
-    # equal those scattered one dart at a time; shuffled tables validate
+    # numbered in scan order and shuffled, the walks, dart owners and
+    # vertex kinds equal those of the oracles; shuffled tables validate
     g = make()
     shuffled = _relabeled(g, 7)
     assert check(*shuffled) == []
@@ -374,13 +374,16 @@ def test_map_tables_agree_with_scatter_oracles(make):
 
 @pytest.mark.parametrize("make", [lambda: parse(serialize(gen_YH(2))),
                                   lambda: load(fixture_path("t2")), lambda: gen_YH(2),
-                                  lambda: gen_YH(3)],
-                         ids=["parsed-yh2", "parsed-t2", "generated-yh2", "generated-yh3"])
+                                  lambda: gen_YH(3),
+                                  lambda: validate(*_relabeled(gen_YH(3), 5))],
+                         ids=["parsed-yh2", "parsed-t2", "generated-yh2", "generated-yh3",
+                              "shuffled-yh3"])
 def test_a_drawing_holds_one_int_object_per_dart(make):
     # a validated drawing keeps its face walks; they, opposite and the other
     # dart tables hold the rotations' int object of each dart.  CPython
     # shares ints up to 256 anyway, so the test needs more darts than that
-    # (and YH(3), whose walks start and whose faces number past 256).
+    # (and YH(3), whose walks start and whose faces number past 256).  With
+    # its darts shuffled out of scan order it shares them all the same.
     g = make()
     pmap = g.map
     assert pmap.n_darts > 256
