@@ -99,72 +99,62 @@ class PlanarMap:
         return len(self.opposite) // 2
 
     @cached_property
-    def _darts(self) -> list[int]:
-        """Every dart id the rotations hold, in id order, as the rotations'
-        own int objects.  The tables below take every dart, vertex and face
-        id they keep from it, id ``i`` from item ``i``, so they hold no int
-        of their own; validation reads it to see that the rotations hold
-        each dart id once, which those tables presume."""
-        return sorted(chain.from_iterable(self.rotations))
-
-    @cached_property
-    def _vertex_tables(self) -> tuple[tuple[int, ...], ...]:
-        ids, n, fake = self._darts, self.n_vertices, VertexKind.FAKE
-        vids = ids[:n] + list(range(len(ids), n))
-        owner = [-1] * self.n_darts
-        for v, rot in zip(vids, self.rotations):
-            for d in rot:
-                owner[d] = v
-        return (tuple(owner),
-                tuple([v for v, k in zip(vids, self.kinds) if k is not fake]),
-                tuple([v for v, k in zip(vids, self.kinds) if k is fake]))
-
-    @cached_property
     def dart_vertex(self) -> tuple[int, ...]:
-        return self._vertex_tables[0]
+        return self._tables[0]
 
     @cached_property
     def true_vertices(self) -> tuple[int, ...]:
-        return self._vertex_tables[1]
+        return self._tables[1]
 
     @cached_property
     def fake_vertices(self) -> tuple[int, ...]:
-        return self._vertex_tables[2]
+        return self._tables[2]
 
     @cached_property
     def face_walks(self) -> tuple[tuple[int, ...], ...]:
         """Canonical face walks: each starts at its minimum dart, faces
         ordered by that dart."""
-        return self._faces[0]
+        return self._tables[3]
 
     @cached_property
     def face_of_dart(self) -> tuple[int, ...]:
-        return self._faces[1]
+        return self._tables[4]
 
     @cached_property
-    def _faces(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        ids = self._darts
-        # phi[d]: the dart after d on its face, the rotation successor of
-        # opposite[d]
-        nxt = [-1] * self.n_darts
-        for rot in self.rotations:
+    def _tables(self) -> tuple:
+        """(dart_vertex, true_vertices, fake_vertices, face_walks,
+        face_of_dart), from one scatter of the rotations.  Every dart,
+        vertex and face id they keep is the rotations' own int object (id
+        ``i`` is item ``i`` of their sorted darts), so they hold no int of
+        their own.  It presumes the rotations hold each dart id once, which
+        validation checks before reading any of them."""
+        ids = sorted(chain.from_iterable(self.rotations))
+        n, fake = self.n_vertices, VertexKind.FAKE
+        vids = ids[:n] + list(range(len(ids), n))
+        # nxt[d]: the rotation successor of d; the dart after d on its face
+        # is nxt[opposite[d]]
+        vertex, nxt = [-1] * self.n_darts, [-1] * self.n_darts
+        for v, rot in zip(vids, self.rotations):
             for d, e in zip(rot, rot[1:] + rot[:1]):
-                nxt[d] = e
+                vertex[d], nxt[d] = v, e
         phi = [nxt[o] for o in self.opposite]
-        owner = [-1] * self.n_darts
+        face = [-1] * self.n_darts
         walks = []
         for d0 in ids:
-            if owner[d0] >= 0:
+            if face[d0] >= 0:
                 continue
             f = ids[len(walks)]
             walk = []
             d = d0
-            while owner[d] < 0:
-                owner[d] = f
+            while face[d] < 0:
+                face[d] = f
                 walk.append(d)
                 d = phi[d]
             walks.append(tuple(walk))
-        return tuple(walks), tuple(owner)
+        return (tuple(vertex),
+                tuple([v for v, k in zip(vids, self.kinds) if k is not fake]),
+                tuple([v for v, k in zip(vids, self.kinds) if k is fake]),
+                tuple(walks), tuple(face))
 
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
@@ -422,13 +412,16 @@ def _check(pmap: PlanarMap, edges, dart_edge) -> list[Violation]:
         bad(Violation("BAD_INVOLUTION", "vertex kind/rotation tables differ in length"))
         return violations
 
-    # Dart partition: every dart id appears once across all rotations.
+    # Dart partition: every dart id appears once across all rotations, in
+    # one comparison when darts are numbered in rotation-scan order, as in
+    # every drawing ``parse`` and ``build._compact`` make.
     darts = list(range(n_darts))
-    structurally_ok = pmap._darts == darts
+    flat = list(chain.from_iterable(rotations))
+    structurally_ok = flat == darts
     if not structurally_ok:
         seen = [0] * n_darts
         structurally_ok = True
-        for d in chain.from_iterable(rotations):
+        for d in flat:
             if not (0 <= d < n_darts):
                 bad(Violation("BAD_INVOLUTION", f"dart id {d} out of range"))
                 structurally_ok = False
@@ -436,9 +429,10 @@ def _check(pmap: PlanarMap, edges, dart_edge) -> list[Violation]:
                 seen[d] += 1
         if structurally_ok:
             dups = [d for d, c in enumerate(seen) if c != 1]
-            bad(Violation("BAD_INVOLUTION",
-                          f"darts must appear in exactly one rotation: {dups[:8]}"))
-            structurally_ok = False
+            if dups:
+                bad(Violation("BAD_INVOLUTION",
+                              f"darts must appear in exactly one rotation: {dups[:8]}"))
+                structurally_ok = False
 
     # Fixed-point-free involution.
     if structurally_ok and not (

@@ -145,14 +145,14 @@ def test_check_computes_each_fact_once(tmp_path, monkeypatch, capsys):
 def _count_face_walks(monkeypatch):
     """The maps whose faces are walked from now on, one item per walk."""
     walked = []
-    walk = PlanarMap._faces.func
+    walk = PlanarMap._tables.func
 
     def counted(pmap):
         walked.append(pmap)
         return walk(pmap)
     prop = cached_property(counted)
-    prop.__set_name__(PlanarMap, "_faces")
-    monkeypatch.setattr(PlanarMap, "_faces", prop)
+    prop.__set_name__(PlanarMap, "_tables")
+    monkeypatch.setattr(PlanarMap, "_tables", prop)
     return walked
 
 

@@ -147,9 +147,11 @@ def test_edge_multicrossed():
      Violation("BAD_INVOLUTION", "vertex kind/rotation tables differ in length")),
     (lambda t: {"rotations": ((t["rotations"][0][0], 8),) + t["rotations"][1:]},
      Violation("BAD_INVOLUTION", "dart id 8 out of range")),
+    (lambda t: {"rotations": ((t["rotations"][0][0],) * 2,) + t["rotations"][1:]},
+     Violation("BAD_INVOLUTION", "darts must appear in exactly one rotation: [0, 1]")),
     (lambda t: {"dart_edge": t["dart_edge"][:-1]},
      Violation("BAD_EDGE_TABLE", "dart-to-edge table has wrong length")),
-], ids=["kind-rotation-lengths", "dart-out-of-range", "dart-edge-length"])
+], ids=["kind-rotation-lengths", "dart-out-of-range", "dart-repeated", "dart-edge-length"])
 def test_check_names_a_malformed_table(change, want):
     g = c4()          # 8 darts
     tables = {"kinds": g.map.kinds, "rotations": g.map.rotations,
