@@ -100,28 +100,28 @@ class PlanarMap:
 
     @cached_property
     def dart_vertex(self) -> tuple[int, ...]:
-        return self._tables[0]
+        return self._derived[0]
 
     @cached_property
     def true_vertices(self) -> tuple[int, ...]:
-        return self._tables[1]
+        return self._derived[1]
 
     @cached_property
     def fake_vertices(self) -> tuple[int, ...]:
-        return self._tables[2]
+        return self._derived[2]
 
     @cached_property
     def face_walks(self) -> tuple[tuple[int, ...], ...]:
         """Canonical face walks: each starts at its minimum dart, faces
         ordered by that dart."""
-        return self._tables[3]
+        return self._derived[3]
 
     @cached_property
     def face_of_dart(self) -> tuple[int, ...]:
-        return self._tables[4]
+        return self._derived[4]
 
     @cached_property
-    def _tables(self) -> tuple:
+    def _derived(self) -> tuple:
         """(dart_vertex, true_vertices, fake_vertices, face_walks,
         face_of_dart), from one scatter of the rotations.  Every dart,
         vertex and face id they keep is the rotations' own int object (id

@@ -114,7 +114,7 @@ def reference_faces(g: OnePlaneGraph) -> FaceSet:
 
 def scatter_faces(pmap: PlanarMap) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """(face walks, face of each dart), with walk starts and face ids of
-    their own rather than the rotations' int objects ``PlanarMap._tables``
+    their own rather than the rotations' int objects ``PlanarMap._derived``
     takes: each dart's rotation successor is scattered into a table one
     dart at a time, and a walk starts at every dart, in id order, that no
     earlier walk holds."""
@@ -142,7 +142,7 @@ def scatter_faces(pmap: PlanarMap) -> tuple[tuple[tuple[int, ...], ...], tuple[i
 def scatter_vertex_tables(pmap: PlanarMap) -> tuple[tuple[int, ...], ...]:
     """(dart_vertex, true_vertices, fake_vertices), one dart and one vertex
     at a time, with vertex ids of their own, as ``PlanarMap`` computed them
-    before ``_tables``."""
+    before ``_derived``."""
     owner = [-1] * pmap.n_darts
     for v, rot in enumerate(pmap.rotations):
         for d in rot:

@@ -145,14 +145,14 @@ def test_check_computes_each_fact_once(tmp_path, monkeypatch, capsys):
 def _count_face_walks(monkeypatch):
     """The maps whose faces are walked from now on, one item per walk."""
     walked = []
-    walk = PlanarMap._tables.func
+    walk = PlanarMap._derived.func
 
     def counted(pmap):
         walked.append(pmap)
         return walk(pmap)
     prop = cached_property(counted)
-    prop.__set_name__(PlanarMap, "_tables")
-    monkeypatch.setattr(PlanarMap, "_tables", prop)
+    prop.__set_name__(PlanarMap, "_derived")
+    monkeypatch.setattr(PlanarMap, "_derived", prop)
     return walked
 
 
