@@ -8,10 +8,10 @@ instead of silently passing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from . import flow, maximality
 from .build import delete_edges
@@ -79,8 +79,7 @@ def map_graph(pmap: PlanarMap) -> SimpleGraph:
 # Degree statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     histogram: dict[int, int]      # omega(k)
     min_degree: int                # d_p
     lambda1: int                   # degree-2 vertices
@@ -140,8 +139,7 @@ def is_separating_cycle(pmap: PlanarMap, subset) -> bool:
     return cycle.is_connected() and rest.order > 0 and not rest.is_connected()
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     is_56_regular: bool            # implies 5-connected
     hakimi_condition: bool         # floor(7*omega(4)/3)+omega(5) < 14, d_p >= 4
     min_degree: int
@@ -182,8 +180,7 @@ def regularity_checks(pmap: PlanarMap) -> RegularityReport:
 # Near-optimal predicate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NearOptimalReport:
+class NearOptimalReport(NamedTuple):
     is_near_optimal: bool
     violations: tuple[str, ...]
 
@@ -252,8 +249,7 @@ class CheckStatus(Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: CheckStatus
     detail: str = ""
@@ -428,8 +424,7 @@ def check_color_identities(g: OnePlaneGraph, sk: Skeleton | None = None) -> list
 # Bound certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     bound_id: str
     applicable: bool
     lhs: Fraction
@@ -443,8 +438,7 @@ class BoundEntry:
         return f"{self.bound_id} {self.lhs} {self.op} {self.rhs} {status}"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     n: int
     crossings: int
     size: int

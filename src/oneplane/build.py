@@ -17,9 +17,9 @@ the one whose walk dart comes first in its rotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
+from typing import NamedTuple
 
 from .core import (
     DrawingError,
@@ -32,16 +32,14 @@ from .core import (
 )
 
 
-@dataclass
-class ConeResult:
+class ConeResult(NamedTuple):
     center: int
     # one triple per chosen corner, in corner order:
     # (spoke dart at the rim vertex, spoke dart at the center, rim vertex)
     spokes: list[tuple[int, int, int]]
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     """A compacted, validated ``graph`` and the id in the tables it was
     compacted from of each of its vertices, edges and darts."""
 
@@ -383,14 +381,19 @@ def plane_graph(neighbors) -> OnePlaneGraph:
     return DrawingBuilder.from_neighbors(neighbors).graph()
 
 
-@dataclass(frozen=True)
-class Subdrawing(BuildResult):
+class _SubdrawingFields(NamedTuple):
+    graph: OnePlaneGraph
+    vertex_ids: tuple[int, ...]
+    edge_ids: tuple[int, ...]
+    dart_ids: tuple[int, ...]
+    source: OnePlaneGraph
+    removed: tuple[int, ...]
+
+
+class Subdrawing(_SubdrawingFields):
     """``source`` minus the edges ``removed``, their crossings smoothed:
     the validated ``graph``, and the id in ``source`` of each of its
     vertices, edges and darts.  Vertex and edge ids keep their order."""
-
-    source: OnePlaneGraph
-    removed: tuple[int, ...]
 
     @cached_property
     def face_members(self) -> tuple[frozenset[int], ...]:

@@ -9,11 +9,11 @@ vertex.  All structures are immutable after validation and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
 from itertools import chain
 from operator import eq
+from typing import NamedTuple
 
 
 class VertexKind(Enum):
@@ -38,8 +38,7 @@ class DrawingError(Exception):
     code = "ERROR"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     detail: str
 
@@ -72,8 +71,16 @@ class OperationError(DrawingError):
 # Planar map
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlanarMap:
+# A type that caches derived tables subclasses the NamedTuple of its
+# fields: the subclass gives its instances the ``__dict__`` that
+# ``cached_property`` and ``once`` keep those tables in.
+class _PlanarMapFields(NamedTuple):
+    kinds: tuple[VertexKind, ...]
+    rotations: tuple[tuple[int, ...], ...]
+    opposite: tuple[int, ...]
+
+
+class PlanarMap(_PlanarMapFields):
     """A connected combinatorial map on the sphere.
 
     ``rotations[v]`` lists the darts leaving ``v`` in cyclic (clockwise)
@@ -81,10 +88,6 @@ class PlanarMap:
     darts of each segment.  Faces are the orbits of
     ``d -> rotation-successor of opposite[d]``.
     """
-
-    kinds: tuple[VertexKind, ...]
-    rotations: tuple[tuple[int, ...], ...]
-    opposite: tuple[int, ...]
 
     @property
     def n_vertices(self) -> int:
@@ -181,8 +184,7 @@ class PlanarMap:
 # One-plane graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class EdgeRec:
+class EdgeRec(NamedTuple):
     u: int
     v: int
     crossing: int | None = None     # fake vertex id, when the edge is crossed
@@ -192,13 +194,14 @@ class EdgeRec:
         return (self.u, self.v)
 
 
-@dataclass(frozen=True)
-class OnePlaneGraph:
-    """A validated 1-plane drawing: planarization plus edge table."""
-
+class _OnePlaneGraphFields(NamedTuple):
     map: PlanarMap
     edges: tuple[EdgeRec, ...]
     dart_edge: tuple[int, ...]
+
+
+class OnePlaneGraph(_OnePlaneGraphFields):
+    """A validated 1-plane drawing: planarization plus edge table."""
 
     # -- basic counts -------------------------------------------------------
 
@@ -270,12 +273,13 @@ def _require_true_vertex(g: OnePlaneGraph, v: int) -> None:
 # Underlying abstract graph
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Plain adjacency structure over an arbitrary (sorted) vertex id set."""
-
+class _SimpleGraphFields(NamedTuple):
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+
+
+class SimpleGraph(_SimpleGraphFields):
+    """Plain adjacency structure over an arbitrary (sorted) vertex id set."""
 
     @cached_property
     def adjacency(self) -> dict[int, frozenset[int]]:

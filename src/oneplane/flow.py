@@ -4,7 +4,7 @@ they run.  ``analyze`` holds the public entry points."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import OperationError, SimpleGraph, once
 
@@ -35,10 +35,11 @@ def menger(sg: SimpleGraph):
     n = sg.order
     if n < 2:
         raise OperationError("BAD_PARAMETER", "connectivity needs at least 2 vertices")
-    s = min(sg.vertices, key=lambda v: (sg.degree(v), v))
+    adj = sg.adjacency
+    _, s = min((len(ws), v) for v, ws in adj.items())
     order, index = [s], {s: 0}
     for v in order:
-        for w in sorted(sg.neighbors(v)):
+        for w in sorted(adj[v]):
             if w not in index:
                 index[w] = len(order)
                 order.append(w)
@@ -46,7 +47,7 @@ def menger(sg: SimpleGraph):
         raise OperationError("DISCONNECTED", "graph is not connected")
 
     net = split_network(sg, index)
-    nb = sg.neighbors(s)
+    nb = adj[s]
     best, cut = len(nb), None
     settled = net.cap0[:]               # sink arcs of settled vertices open
 
@@ -61,20 +62,19 @@ def menger(sg: SimpleGraph):
         settled[4 * i + 2] = 1          # v_out -> sink
     for i in range(len(nb) + 1, n):
         t = order[i]
-        if (sum(index[w] < i for w in sg.neighbors(t)) < best
+        if (sum(index[w] < i for w in adj[t]) < best
                 and fan(net, settled, 2 * i + 1, best) < best):
             flow(s, t)
         settled[4 * i + 2] = 1
     nbl = sorted(nb)
     for i, x in enumerate(nbl):
         for y in nbl[i + 1:]:
-            if not sg.has_edge(x, y):
+            if y not in adj[x]:
                 flow(x, y)
     return best, nb, cut
 
 
-@dataclass(frozen=True)
-class SplitNetwork:
+class SplitNetwork(NamedTuple):
     """Residual network of a graph with every vertex split in two: node 2i
     is the in-copy of the vertex with ``index`` i and 2i+1 its out-copy,
     joined by a unit arc (arc 4i); each edge uv gives unit arcs u_out->v_in

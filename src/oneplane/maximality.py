@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import NamedTuple
 
 from .build import DrawingBuilder, delete_edges
 from .core import OnePlaneGraph, OperationError, VertexKind, once, underlying
@@ -31,8 +31,7 @@ class SaturationPolicy(Enum):
     SEEDED = "seeded"
 
 
-@dataclass(frozen=True)
-class InsertionCandidate:
+class InsertionCandidate(NamedTuple):
     u: int
     v: int
     kind: RouteKind
@@ -45,21 +44,18 @@ class InsertionCandidate:
         return 0 if self.kind is RouteKind.ONE_FACE else 1
 
 
-@dataclass(frozen=True)
-class MaximalityResult:
+class MaximalityResult(NamedTuple):
     is_maximal: bool
     witness: InsertionCandidate | None
 
 
-@dataclass(frozen=True)
-class RedrawResult:
+class RedrawResult(NamedTuple):
     crossings: int
     route: InsertionCandidate | None     # ids refer to `without`
     without: OnePlaneGraph | None        # the drawing with the edge deleted
 
 
-@dataclass(frozen=True)
-class ImmovabilityResult:
+class ImmovabilityResult(NamedTuple):
     is_immovable: bool
     witness: tuple[int, RedrawResult] | None   # (edge id, crossing-free redraw)
 

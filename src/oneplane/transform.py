@@ -3,9 +3,9 @@ from each crossing pair, and the colored dual of the skeleton."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .build import delete_edges
 from .core import FaceClass, OnePlaneGraph, OperationError, PlanarMap, once
@@ -17,21 +17,22 @@ class RemovalStrategy(Enum):
     EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """A plane subdrawing keeping one edge per crossing pair.
-
-    ``vertex_ids``/``edge_ids`` map skeleton ids back to the source drawing;
-    ``removed`` records (removed edge, kept partner) per crossing;
-    ``colors`` and ``face_members`` follow ``graph.map.face_walks``, and red
-    faces carry the set of source fake-face ids they merge."""
-
+class _SkeletonFields(NamedTuple):
     graph: OnePlaneGraph             # crossing-free
     vertex_ids: tuple[int, ...]
     edge_ids: tuple[int, ...]
     removed: tuple[tuple[int, int], ...]
     colors: tuple[FaceClass, ...]    # RED or BLUE per face
     face_members: tuple[frozenset[int], ...]   # source planarization face ids
+
+
+class Skeleton(_SkeletonFields):
+    """A plane subdrawing keeping one edge per crossing pair.
+
+    ``vertex_ids``/``edge_ids`` map skeleton ids back to the source drawing;
+    ``removed`` records (removed edge, kept partner) per crossing;
+    ``colors`` and ``face_members`` follow ``graph.map.face_walks``, and red
+    faces carry the set of source fake-face ids they merge."""
 
     @property
     def map(self) -> PlanarMap:
@@ -96,13 +97,14 @@ def _select_removals(g: OnePlaneGraph, strategy: RemovalStrategy, explicit):
 # Dual
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DualMap:
-    """Dual of a skeleton: one vertex per face (colored), one edge per
-    skeleton edge, multi-adjacency preserved."""
-
+class _DualMapFields(NamedTuple):
     colors: tuple[FaceClass, ...]
     edges: tuple[tuple[int, int], ...]
+
+
+class DualMap(_DualMapFields):
+    """Dual of a skeleton: one vertex per face (colored), one edge per
+    skeleton edge, multi-adjacency preserved."""
 
     @property
     def n(self) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -536,8 +535,8 @@ def test_property_suite_reports_failing_bound_rows(monkeypatch):
     failing = analyze.BoundEntry("cr-max", True, Fraction(5), "<=", Fraction(4), False)
     skipped = analyze.BoundEntry("cr-k7", False, Fraction(6), ">=", Fraction(9), None)
     real = verify_bounds(g)
-    monkeypatch.setattr(analyze, "verify_bounds", lambda _: dataclasses.replace(
-        real, entries=real.entries + (failing, skipped)))
+    monkeypatch.setattr(analyze, "verify_bounds", lambda _: real._replace(
+        entries=real.entries + (failing, skipped)))
     assert property_suite(g) == ["cr-max 5 <= 4 FAIL"]
 
 

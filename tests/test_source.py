@@ -1,6 +1,9 @@
 """Rules the library source keeps."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import oneplane
@@ -20,6 +23,31 @@ def test_library_has_no_assert():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_library_does_not_import_dataclasses():
+    # records are NamedTuples: a dataclass decorator compiles its methods
+    # at import, and the module pulls in inspect, ast, dis and tokenize
+    found = []
+    for path in sorted(Path(oneplane.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name and name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # in a fresh interpreter, which preloads neither
+    src = str(Path(oneplane.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys; import oneplane.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_generators_import_only_build_and_core():
