@@ -102,7 +102,8 @@ def split_network(sg: SimpleGraph, index: dict[int, int]) -> SplitNetwork:
     """The network of ``sg`` with its vertices numbered by ``index``, which
     lists them in that order."""
     n = len(index)
-    nbrs = [sorted(map(index.__getitem__, sg.neighbors(v))) for v in index]
+    adj = sg.adjacency
+    nbrs = [sorted(map(index.__getitem__, adj[v])) for v in index]
     head = [x for i in range(n) for x in (2 * i + 1, 2 * i, 2 * n, 2 * i + 1)]
     head += [x for i, ns in enumerate(nbrs) for j in ns for x in (2 * j, 2 * i + 1)]
     ins = [[4 * i] for i in range(n)]
