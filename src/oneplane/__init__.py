@@ -26,13 +26,7 @@ from .core import (
     validate,
 )
 from .build import DrawingBuilder, Subdrawing, delete_edges, plane_graph
-from .transform import (
-    DualMap,
-    RemovalStrategy,
-    Skeleton,
-    dual,
-    skeleton,
-)
+from .transform import DualMap, dual, skeleton
 from .analyze import (
     BoundEntry,
     BoundReport,

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import flow, maximality
-from .build import delete_edges
+from .build import Subdrawing, delete_edges
 from .core import (
     DrawingError,
     FaceClass,
@@ -27,7 +27,7 @@ from .core import (
     once,
     underlying,
 )
-from .transform import DualMap, Skeleton, dual, skeleton
+from .transform import DualMap, dual, skeleton
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +378,13 @@ def _g_k_applicability(g: OnePlaneGraph, k: int) -> str:
 # Red/blue counting identities
 # ---------------------------------------------------------------------------
 
-def check_color_identities(g: OnePlaneGraph, sk: Skeleton | None = None) -> list[str]:
-    """Red/blue counting identities of a maximal drawing; the triangulation
-    identities are included when the planarization is triangulated.
-    Returns violation strings (empty = all hold)."""
+def check_color_identities(sk: Subdrawing) -> list[str]:
+    """Red/blue counting identities of a maximal drawing, read on its
+    skeleton ``sk``; the triangulation identities are included when the
+    planarization is triangulated.  Returns violation strings (empty = all
+    hold)."""
     bad: list[str] = []
-    if sk is None:
-        sk = skeleton(g)
+    g = sk.source
     dm = dual(sk)
     cls = faces(g)
     n_fake = cls.count(FaceClass.FAKE)
@@ -403,7 +403,7 @@ def check_color_identities(g: OnePlaneGraph, sk: Skeleton | None = None) -> list
     n = g.n
     cr = g.crossing_count
     if is_triangulation(g.map):
-        if not is_triangulation(sk.map):
+        if not is_triangulation(sk.graph.map):
             bad.append("skeleton of a triangulated planarization is not a triangulation")
         if sk.graph.size != 3 * n - 6:
             bad.append(f"skeleton has {sk.graph.size} edges, expected {3 * n - 6}")
@@ -546,7 +546,7 @@ def property_suite(g: OnePlaneGraph) -> list[str]:
             bad.append(f"{res.name}: {res.detail}")
 
     if tri:
-        bad.extend(check_color_identities(g, sk))
+        bad.extend(check_color_identities(sk))
 
     bad.extend(e.line() for e in rep.entries if e.applicable and not e.passed)
     return bad

@@ -24,8 +24,10 @@ from typing import NamedTuple
 from .core import (
     DrawingError,
     EdgeRec,
+    FaceClass,
     OnePlaneGraph,
     OperationError,
+    PlanarMap,
     ValidationError,
     VertexKind,
     validate,
@@ -37,16 +39,6 @@ class ConeResult(NamedTuple):
     # one triple per chosen corner, in corner order:
     # (spoke dart at the rim vertex, spoke dart at the center, rim vertex)
     spokes: list[tuple[int, int, int]]
-
-
-class BuildResult(NamedTuple):
-    """A compacted, validated ``graph`` and the id in the tables it was
-    compacted from of each of its vertices, edges and darts."""
-
-    graph: OnePlaneGraph
-    vertex_ids: tuple[int, ...]
-    edge_ids: tuple[int, ...]
-    dart_ids: tuple[int, ...]
 
 
 class DrawingBuilder:
@@ -148,8 +140,8 @@ class DrawingBuilder:
         return walk
 
     def face_walks(self) -> list[list[int]]:
-        """The faces of ``graph()``, in its order: each walk starts at its
-        first dart in (vertex, rotation position) order, as ``finish()``."""
+        """The faces of the drawing ``finish()`` returns, in its order: each
+        walk starts at its first dart in (vertex, rotation position) order."""
         walks, seen = [], set()
         for rot in self.rotations:
             for d in rot:
@@ -337,14 +329,10 @@ class DrawingBuilder:
 
     # -- finish --------------------------------------------------------------------
 
-    def finish(self) -> BuildResult:
-        """Compact ids, validate, and return the immutable graph with the
-        builder id of each of its vertices, edges and darts."""
-        return BuildResult(*_compact(self.kinds, self.rotations, self.opposite,
-                                     self.dart_edge, self.edges))
-
-    def graph(self) -> OnePlaneGraph:
-        return self.finish().graph
+    def finish(self) -> OnePlaneGraph:
+        """Compact ids, validate, and return the immutable graph."""
+        return _compact(self.kinds, self.rotations, self.opposite,
+                        self.dart_edge, self.edges)[0]
 
 
 def _compact(kinds, rotations, opposite, dart_edge, edges):
@@ -378,7 +366,7 @@ def _compact(kinds, rotations, opposite, dart_edge, edges):
 
 def plane_graph(neighbors) -> OnePlaneGraph:
     """Validated crossing-free drawing from rotation-ordered neighbor lists."""
-    return DrawingBuilder.from_neighbors(neighbors).graph()
+    return DrawingBuilder.from_neighbors(neighbors).finish()
 
 
 class _SubdrawingFields(NamedTuple):
@@ -395,11 +383,22 @@ class Subdrawing(_SubdrawingFields):
     the validated ``graph``, and the id in ``source`` of each of its
     vertices, edges and darts.  Vertex and edge ids keep their order."""
 
+    @property
+    def map(self) -> PlanarMap:
+        return self.graph.map
+
     @cached_property
     def face_members(self) -> tuple[frozenset[int], ...]:
         """The faces of ``source`` that make up each face of ``graph``
         (``_merge_classes``), computed when first read."""
         return _merge_classes(self)
+
+    @cached_property
+    def colors(self) -> tuple[FaceClass, ...]:
+        """Per face of ``graph``: BLUE when it is one face of ``source``,
+        RED when it merges several."""
+        return tuple(FaceClass.BLUE if len(ids) == 1 else FaceClass.RED
+                     for ids in self.face_members)
 
 
 def _merge_classes(sub: Subdrawing) -> tuple[frozenset[int], ...]:
@@ -440,9 +439,9 @@ def delete_edges(g: OnePlaneGraph, edges) -> Subdrawing | None:
     kept edge through it becomes one segment, its two far darts opposite
     each other.  ``_compact`` numbers the ids, so equal deletions give
     equal drawings, and validates once; like every validated drawing, the
-    result keeps the face walks of that check.  None when the deletion
-    disconnects the drawing."""
-    removed = tuple(edges)
+    result keeps the face walks of that check.  ``removed`` lists the edges
+    in id order.  None when the deletion disconnects the drawing."""
+    removed = tuple(sorted(edges))
     recs, pmap, de = g.edges, g.map, g.dart_edge
     table = [[r.u, r.v, r.crossing] for r in recs]
     for e in removed:

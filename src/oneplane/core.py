@@ -251,17 +251,11 @@ class OnePlaneGraph(_OnePlaneGraphFields):
 # ---------------------------------------------------------------------------
 
 def c_of(g: OnePlaneGraph, v: int) -> int:
-    """Number of crossing (crossed) edges incident with ``v``."""
+    """Number of crossing (crossed) edges incident with ``v``; validation
+    allows no loop, so each edge at ``v`` has exactly one dart there."""
     _require_true_vertex(g, v)
-    count = 0
-    seen = set()
-    for d in g.map.rotations[v]:
-        e = g.dart_edge[d]
-        if e not in seen:
-            seen.add(e)
-            if g.edges[e].crossing is not None:
-                count += 1
-    return count
+    edges, de = g.edges, g.dart_edge
+    return sum(edges[de[d]].crossing is not None for d in g.map.rotations[v])
 
 
 def _require_true_vertex(g: OnePlaneGraph, v: int) -> None:

@@ -46,7 +46,7 @@ def k1_triangulate(g: OnePlaneGraph, face_index: int) -> OnePlaneGraph:
                              f"face {face_index} touches a crossing")
     b = DrawingBuilder.from_graph(g)
     b.cone(walk)
-    return b.graph()
+    return b.finish()
 
 
 def tx_triangulate(g: OnePlaneGraph, face_index: int,
@@ -55,7 +55,7 @@ def tx_triangulate(g: OnePlaneGraph, face_index: int,
     walk = _face(g, face_index)
     b = DrawingBuilder.from_graph(g)
     b.cross_quad(walk, first_diagonal=first_diagonal)
-    return b.graph()
+    return b.finish()
 
 
 def k2_triangulate(g: OnePlaneGraph, face_index: int,
@@ -66,7 +66,7 @@ def k2_triangulate(g: OnePlaneGraph, face_index: int,
     walk = _face(g, face_index)
     b = DrawingBuilder.from_graph(g)
     _k2_on_builder(b, walk, anchor)
-    return b.graph()
+    return b.finish()
 
 
 def _k2_on_builder(b: DrawingBuilder, walk, anchor: int) -> tuple[int, int]:
@@ -126,13 +126,13 @@ def _h_table(k: int):
 
 def gen_H(k: int) -> OnePlaneGraph:
     """The plane ring graph H(k); H(1) is the plain 4-cycle."""
-    return DrawingBuilder.from_neighbors(_h_table(k)).graph()
+    return DrawingBuilder.from_neighbors(_h_table(k)).finish()
 
 
 def gen_HH(k: int) -> OnePlaneGraph:
     """Two mirrored copies of H(k) glued along a ring of new vertices, each
     joined to the two nearest periphery vertices of both copies."""
-    return _hh(k).graph()
+    return _hh(k).finish()
 
 
 def _hh(k: int) -> DrawingBuilder:
@@ -174,10 +174,11 @@ def _require_k(k: int) -> None:
 
 def _quad_first_diagonal(vs, deg) -> int:
     """Canonical diagonal orientation for a batch of crossing insertions:
-    the first-inserted (hence skeleton-kept, under the default LEX_MAX
-    removal) diagonal is the one whose endpoint degrees ``deg`` in the base
-    drawing are smallest.  This realizes the low-degree spanning
-    triangulation the connectivity criteria need."""
+    the first-inserted diagonal, which the default skeleton keeps (it
+    removes the larger id of each crossing pair), is the one whose
+    endpoint degrees ``deg`` in the base drawing are smallest.  This
+    realizes the low-degree spanning triangulation the connectivity
+    criteria need."""
     key0 = (deg[vs[0]] + deg[vs[2]], min(vs[0], vs[2]))
     key1 = (deg[vs[1]] + deg[vs[3]], min(vs[1], vs[3]))
     return 0 if key0 <= key1 else 1
@@ -199,13 +200,13 @@ def _triangulate_all(b: DrawingBuilder, triangles: bool) -> DrawingBuilder:
 
 def gen_XH(k: int) -> OnePlaneGraph:
     """Crossing diagonals in every quadrangle of HH(k)."""
-    return _triangulate_all(_hh(k), triangles=False).graph()
+    return _triangulate_all(_hh(k), triangles=False).finish()
 
 
 def gen_YH(k: int) -> OnePlaneGraph:
     """Crossing diagonals in every quadrangle and a cone vertex in every
     triangle of HH(k)."""
-    return _triangulate_all(_hh(k), triangles=True).graph()
+    return _triangulate_all(_hh(k), triangles=True).finish()
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,7 @@ def gen_YH(k: int) -> OnePlaneGraph:
 
 def gen_M(k: int) -> OnePlaneGraph:
     """The prism C4 x P_k drawn as k concentric quadrangles."""
-    return _m(k).graph()
+    return _m(k).finish()
 
 
 def _m(k: int) -> DrawingBuilder:
@@ -255,7 +256,7 @@ def gen_XM(k: int) -> OnePlaneGraph:
         pos = _first_inner_corner(quad)
         u, v = quad[(pos - 1) % 4], quad[(pos + 1) % 4]
         _insert_crossing_diagonal(b, u, v, (cone_res.center, quad[pos]))
-    return b.graph()
+    return b.finish()
 
 
 def _xm1() -> OnePlaneGraph:
@@ -268,7 +269,7 @@ def _xm1() -> OnePlaneGraph:
         walk = next(w for w in b.face_walks()
                     if {b.dart_vertex[d] for d in w} == tri)
         _insert_crossing_diagonal(b, b.cone(walk).center, far, crossed)
-    return b.graph()
+    return b.finish()
 
 
 def gen_M_triangulated(k: int) -> OnePlaneGraph:
@@ -278,7 +279,7 @@ def gen_M_triangulated(k: int) -> OnePlaneGraph:
     6^(4k-8) 5^4 4^4."""
     _require_k(k)
     if k == 1:
-        return _xm1_base().graph()
+        return _xm1_base().finish()
     b = _m(k)
     for walk in b.face_walks():
         quad = [b.dart_vertex[d] for d in walk]
@@ -288,7 +289,7 @@ def gen_M_triangulated(k: int) -> OnePlaneGraph:
         else:
             pos = _first_inner_corner(quad)
             b.insert_edge_one_face(walk, quad[(pos - 1) % 4], quad[(pos + 1) % 4])
-    return b.graph()
+    return b.finish()
 
 
 def _first_inner_corner(quad) -> int:
@@ -402,7 +403,7 @@ def gen_random_seed(n: int, seed: int) -> OnePlaneGraph:
             if not quads:
                 break
             fill(rng.choice(quads), b.cross_quad)
-    return b.graph()
+    return b.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -140,21 +140,42 @@ def parse(text: str) -> OnePlaneGraph:
         if not 0 <= v < len(kinds):
             raise ParseError(f"rot record for unknown vertex {v}")
     rotations = [rot_tokens.get(v, ()) for v in range(len(kinds))]
-    dart_edge, opposite = _segments(rotations, len(edges))
+    dart_edge, opposite, segments = _segments(rotations, len(edges))
     # dart ids run through the rotations in vertex order; the rotations are
     # slices of one tuple of ids, and ``opposite`` and ``dart_edge`` are
     # mapped through it, so the drawing holds one int object per id
     ids = tuple(range(max(len(opposite), len(edges))))
     ends = list(accumulate(map(len, rotations)))
-    return validate(kinds, [ids[a:b] for a, b in zip([0] + ends[:-1], ends)],
-                    [ids[o] for o in opposite], edges, [ids[e] for e in dart_edge])
+    g = validate(kinds, [ids[a:b] for a, b in zip([0] + ends[:-1], ends)],
+                 [ids[o] for o in opposite], edges, [ids[e] for e in dart_edge])
+    _check_tokens(g, segments)
+    return g
 
 
-def _segments(rotations, n_edges: int) -> tuple[list[int], list[int]]:
-    """(dart_edge, opposite) for the rot tokens of each vertex, one dart per
-    token in order.  A token names its edge, and the two darts that carry
-    it are one segment: whole edges pair endpoint with endpoint, halves the
-    true endpoint with the crossing."""
+def _check_tokens(g: OnePlaneGraph, segments: dict[str, int]) -> None:
+    """Every token is the one ``serialize`` writes for its segment (see
+    ``_dart_tokens``), so one drawing has one document: ``segments`` maps
+    each token, in rotation order, to the second of its two darts."""
+    edges, dart_edge = g.edges, g.dart_edge
+    tail, opposite = g.map.dart_vertex, g.map.opposite
+    for tok, d in segments.items():
+        e = dart_edge[d]
+        rec = edges[e]
+        if rec.crossing is None:
+            want = str(e)
+        else:
+            want = f"{e}.u" if rec.u in (tail[d], tail[opposite[d]]) else f"{e}.v"
+        if tok != want:
+            raise ParseError(f"dart token {tok!r} at vertex {tail[opposite[d]]} "
+                             f"should be {want!r}")
+
+
+def _segments(rotations, n_edges: int) -> tuple[list[int], list[int], dict[str, int]]:
+    """(dart_edge, opposite, segments) for the rot tokens of each vertex,
+    one dart per token in order; ``segments`` maps each distinct token, in
+    order of first occurrence, to its last dart.  A token names its edge,
+    and the two darts that carry it are one segment: whole edges pair
+    endpoint with endpoint, halves the true endpoint with the crossing."""
     tokens = list(chain.from_iterable(rotations))
     n = len(tokens)
     first = dict(zip(reversed(tokens), range(n - 1, -1, -1)))
@@ -182,7 +203,7 @@ def _segments(rotations, n_edges: int) -> tuple[list[int], list[int]]:
     # each token occurs at its first and last position: the other one is
     # the opposite dart
     opposite = list(map(sub, map(add, at_first, at_last), range(n)))
-    return list(map(edge_of.__getitem__, tokens)), opposite
+    return list(map(edge_of.__getitem__, tokens)), opposite, last
 
 
 def dump(g: OnePlaneGraph, path) -> None:

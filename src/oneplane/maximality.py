@@ -119,7 +119,7 @@ def apply_insertion(g: OnePlaneGraph, cand: InsertionCandidate) -> OnePlaneGraph
                              f"a {cand.kind.value} insertion names {len(cand.faces)} faces")
     b = DrawingBuilder.from_graph(g)
     _insert(b, cand, walks)
-    return b.graph()
+    return b.finish()
 
 
 def _insert(b: DrawingBuilder, cand: InsertionCandidate, walks) -> None:
@@ -286,11 +286,12 @@ def saturate(g: OnePlaneGraph,
     """Greedy closure: apply insertion candidates until none remain.
 
     DETERMINISTIC takes the first candidate of the ``_Closure`` order each
-    round; SEEDED draws an index uniformly with the given seed, by
-    ``randrange`` over the live count, which consumes the random stream as
-    ``choice`` over the sorted list would.  A step does not re-sort the live
-    set: its index picks a group from the sorted group keys, and only that
-    group is sorted, by the ranks of its faces.
+    round, and ignores ``seed``.  SEEDED draws an index uniformly with the
+    given seed (BAD_PARAMETER without one, so a run is never seeded from
+    the system), by ``randrange`` over the live count, which consumes the
+    random stream as ``choice`` over the sorted list would.  A step does
+    not re-sort the live set: its index picks a group from the sorted group
+    keys, and only that group is sorted, by the ranks of its faces.
     The vertex set never changes, so the result is a maximal drawing on the
     same vertices.
 
@@ -306,11 +307,13 @@ def saturate(g: OnePlaneGraph,
     of the closure that rebuilds and revalidates the drawing after every
     insertion.
     """
+    if policy is SaturationPolicy.SEEDED and seed is None:
+        raise OperationError("BAD_PARAMETER", "SEEDED saturation needs a seed")
     rng = random.Random(seed) if policy is SaturationPolicy.SEEDED else None
     s = _Closure(g)
     while s.keys:
         s.insert(s.select(0 if rng is None else rng.randrange(len(s.keys))))
-    return s.b.graph() if s.inserted else g
+    return s.b.finish() if s.inserted else g
 
 
 def min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:

@@ -3,94 +3,45 @@ from each crossing pair, and the colored dual of the skeleton."""
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .build import delete_edges
-from .core import FaceClass, OnePlaneGraph, OperationError, PlanarMap, once
+from .build import Subdrawing, delete_edges
+from .core import FaceClass, OnePlaneGraph, OperationError, once
 
 
-class RemovalStrategy(Enum):
-    LEX_MAX = "lex-max"   # drop the larger edge id of each crossing pair
-    LEX_MIN = "lex-min"
-    EXPLICIT = "explicit"
+def skeleton(g: OnePlaneGraph, removed=None) -> Subdrawing:
+    """The drawing minus one edge of each crossing pair: the edges
+    ``removed``, by default the larger id of each pair.  BAD_EXPLICIT_SELECTION
+    when ``removed`` does not hold exactly one edge of every pair and no
+    other edge; DISCONNECTED when the removals disconnect the drawing.
 
-
-class _SkeletonFields(NamedTuple):
-    graph: OnePlaneGraph             # crossing-free
-    vertex_ids: tuple[int, ...]
-    edge_ids: tuple[int, ...]
-    removed: tuple[tuple[int, int], ...]
-    colors: tuple[FaceClass, ...]    # RED or BLUE per face
-    face_members: tuple[frozenset[int], ...]   # source planarization face ids
-
-
-class Skeleton(_SkeletonFields):
-    """A plane subdrawing keeping one edge per crossing pair.
-
-    ``vertex_ids``/``edge_ids`` map skeleton ids back to the source drawing;
-    ``removed`` records (removed edge, kept partner) per crossing;
-    ``colors`` and ``face_members`` follow ``graph.map.face_walks``, and red
-    faces carry the set of source fake-face ids they merge."""
-
-    @property
-    def map(self) -> PlanarMap:
-        return self.graph.map
-
-
-def skeleton(g: OnePlaneGraph, strategy: RemovalStrategy = RemovalStrategy.LEX_MAX,
-             explicit=None) -> Skeleton:
-    """Remove one edge from each crossing pair of the drawing.
-
-    The result is a plane drawing on the true vertices; its faces are BLUE
-    when they coincide with a true face of the planarization and RED when
-    they merge at least two adjacent fake faces.  DISCONNECTED when the
-    removals disconnect the drawing.
+    The result is a plane drawing on the true vertices.  A removed segment
+    ends at a crossing, so the faces on its two sides are distinct fake
+    faces; each fake face has one, since its walk turns at a crossing from
+    one edge to the other.  So the faces left alone, BLUE in ``colors``,
+    are exactly the true faces, and each RED face merges at least two fake
+    faces.
     """
-    pairs = _select_removals(g, strategy, explicit)
-    # the kept partners need not keep the drawing connected: a vertex all of
-    # whose edges are removed is cut off
-    sub = delete_edges(g, (e for e, _ in pairs))
-    if sub is None:
-        raise OperationError("DISCONNECTED",
-                             "removing the edges disconnects the drawing")
-    members = sub.face_members
-    # a removed segment ends at a crossing, so the faces on its two sides
-    # are distinct fake faces; each fake face has one, since its walk turns
-    # at a crossing from one edge to the other.  So the faces left alone are
-    # exactly the true faces.
-    colors = tuple(FaceClass.BLUE if len(ids) == 1 else FaceClass.RED
-                   for ids in members)
-    return Skeleton(graph=sub.graph, vertex_ids=sub.vertex_ids,
-                    edge_ids=sub.edge_ids, removed=tuple(sorted(pairs)),
-                    colors=colors, face_members=members)
-
-
-def _select_removals(g: OnePlaneGraph, strategy: RemovalStrategy, explicit):
-    """(removed edge, kept partner) per crossing pair."""
-    pairs = [(a, b) for _, a, b in g.crossing_pairs]
-    if strategy is RemovalStrategy.LEX_MAX:
-        return [(b, a) for a, b in pairs]
-    if strategy is RemovalStrategy.LEX_MIN:
-        return pairs
-    if strategy is not RemovalStrategy.EXPLICIT:
-        raise OperationError("BAD_PARAMETER", f"unknown strategy {strategy}")
-    chosen = set(explicit or ())
-    out = []
-    for a, b in pairs:
-        hit = chosen & {a, b}
-        if len(hit) != 1:
+    pairs = g.crossing_pairs
+    cut = {b for _, _, b in pairs} if removed is None else set(removed)
+    for _, a, b in pairs:
+        if (a in cut) == (b in cut):
             raise OperationError(
                 "BAD_EXPLICIT_SELECTION",
                 f"crossing pair ({a},{b}) needs exactly one removed edge")
-        out.append((a, b) if a in hit else (b, a))
-    stray = chosen - {e for e, _ in out}
+    stray = cut.difference(e for _, a, b in pairs for e in (a, b))
     if stray:
         raise OperationError(
             "BAD_EXPLICIT_SELECTION",
             f"edges {sorted(stray)} are not part of any crossing pair")
-    return out
+    # the kept partners need not keep the drawing connected: a vertex all of
+    # whose edges are removed is cut off
+    sub = delete_edges(g, cut)
+    if sub is None:
+        raise OperationError("DISCONNECTED",
+                             "removing the edges disconnects the drawing")
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +86,10 @@ class DualMap(_DualMapFields):
 
 
 @once
-def dual(s: Skeleton) -> DualMap:
+def dual(s: Subdrawing) -> DualMap:
     """The colored dual of a skeleton; dual degrees equal face boundary
     lengths by construction (one dual edge per primal segment)."""
-    pmap = s.map
+    pmap = s.graph.map
     fod = pmap.face_of_dart
     edges = []
     for d in range(pmap.n_darts):

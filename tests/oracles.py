@@ -8,7 +8,7 @@ from itertools import combinations
 
 from oneplane import flow
 from oneplane.analyze import NearOptimalReport, connectivity_at_least, map_graph
-from oneplane.build import BuildResult, DrawingBuilder
+from oneplane.build import DrawingBuilder, Subdrawing, _compact
 from oneplane.core import (
     DrawingError,
     FaceClass,
@@ -28,7 +28,6 @@ from oneplane.generators import (
     gen_M,
     k1_triangulate,
 )
-from oneplane.transform import RemovalStrategy, Skeleton, _select_removals
 from oneplane.maximality import (
     InsertionCandidate,
     RedrawResult,
@@ -238,13 +237,21 @@ def builder_is_connected(b: DrawingBuilder) -> bool:
     return len(seen & set(live)) == len(live)
 
 
-def builder_delete_edges(g: OnePlaneGraph, edges) -> BuildResult | None:
+def finish_with_ids(b: DrawingBuilder):
+    """``b.finish()`` with the builder id of each vertex, edge and dart of
+    the drawing: (graph, vertex_ids, edge_ids, dart_ids), as
+    ``build._compact`` returns them."""
+    return _compact(b.kinds, b.rotations, b.opposite, b.dart_edge, b.edges)
+
+
+def builder_delete_edges(g: OnePlaneGraph, edges) -> Subdrawing | None:
     """Delete the edges one at a time on a builder copy of ``g``, then
     finish; None when the deletion disconnects the drawing."""
+    edges = tuple(edges)
     b = DrawingBuilder.from_graph(g)
     for e in edges:
         delete_edge(b, e)
-    return b.finish() if builder_is_connected(b) else None
+    return Subdrawing(*finish_with_ids(b), g, edges) if builder_is_connected(b) else None
 
 
 @dataclass(frozen=True)
@@ -253,7 +260,7 @@ class Deletion:
     face merge on the source drawing, and the merge class of each face of
     ``result.graph``."""
 
-    result: BuildResult
+    result: Subdrawing
     merge: FaceMerge
     face_class: tuple[int, ...]
 
@@ -281,13 +288,23 @@ def merge_deletion(g: OnePlaneGraph, edges) -> Deletion | None:
     return Deletion(res, merge, tuple(face_class))
 
 
-def reference_skeleton(g: OnePlaneGraph,
-                       strategy: RemovalStrategy = RemovalStrategy.LEX_MAX,
-                       explicit=None) -> Skeleton:
-    """``transform.skeleton`` by ``merge_deletion``: each face of the result
-    is BLUE when its merge class is one true face of ``g``."""
-    pairs = _select_removals(g, strategy, explicit)
-    cut = merge_deletion(g, (e for e, _ in pairs))
+@dataclass(frozen=True)
+class ReferenceSkeleton:
+    """A skeleton by the builder path: the deletion, and the color and the
+    merged faces of ``g`` of each of its faces."""
+
+    sub: Subdrawing
+    colors: tuple[FaceClass, ...]
+    face_members: tuple[frozenset[int], ...]
+
+
+def reference_skeleton(g: OnePlaneGraph, removed=None) -> ReferenceSkeleton:
+    """``transform.skeleton`` by ``merge_deletion``, for valid ``removed``
+    (by default the larger edge of each crossing pair): each face of the
+    result is BLUE when its merge class is one true face of ``g``."""
+    if removed is None:
+        removed = [b for _, _, b in g.crossing_pairs]
+    cut = merge_deletion(g, sorted(removed))
     if cut is None:
         raise OperationError("DISCONNECTED",
                              "removing the edges disconnects the drawing")
@@ -301,14 +318,7 @@ def reference_skeleton(g: OnePlaneGraph,
         and src_faces[next(iter(ids))].classification is FaceClass.TRUE
         else FaceClass.RED
         for ids in members)
-    return Skeleton(
-        graph=res.graph,
-        vertex_ids=res.vertex_ids,
-        edge_ids=res.edge_ids,
-        removed=tuple(sorted(pairs)),
-        colors=colors,
-        face_members=members,
-    )
+    return ReferenceSkeleton(res, colors, members)
 
 
 def reference_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
@@ -743,7 +753,7 @@ def resort_saturation(g: OnePlaneGraph,
             return (c.u, c.v, c.kind.value, tuple(rank[f] for f in c.faces),
                     -1 if c.cross_edge is None else c.cross_edge)
         s.insert(min(live, key=key) if rng is None else rng.choice(sorted(live, key=key)))
-    return s.b.graph() if s.inserted else g
+    return s.b.finish() if s.inserted else g
 
 
 def rescan_random_seed(n: int, seed: int) -> OnePlaneGraph:
@@ -768,7 +778,7 @@ def rescan_random_seed(n: int, seed: int) -> OnePlaneGraph:
             if not quads:
                 break
             b.cross_quad(rng.choice(quads))
-    return b.graph()
+    return b.finish()
 
 
 def _all_walks(b: DrawingBuilder):
@@ -797,13 +807,13 @@ def roundtrip_triangulate_all(g: OnePlaneGraph, triangles: bool) -> OnePlaneGrap
             b.cross_quad(list(f.darts), first_diagonal=0 if key0 <= key1 else 1)
         elif triangles and f.is_triangle():
             b.cone(list(f.darts))
-    return b.graph()
+    return b.finish()
 
 
 def roundtrip_M_triangulated(k: int) -> OnePlaneGraph:
     """gen_M_triangulated from a finished M(k), copied into a second builder."""
     if k == 1:
-        return _xm1_base().graph()
+        return _xm1_base().finish()
     g = gen_M(k)
     b = DrawingBuilder.from_graph(g)
     for f in reference_faces(g):
@@ -814,7 +824,7 @@ def roundtrip_M_triangulated(k: int) -> OnePlaneGraph:
         else:
             pos = _first_inner_corner(quad)
             b.insert_edge_one_face(walk, quad[(pos - 1) % 4], quad[(pos + 1) % 4])
-    return b.graph()
+    return b.finish()
 
 
 def roundtrip_XM(k: int) -> OnePlaneGraph:
@@ -822,7 +832,7 @@ def roundtrip_XM(k: int) -> OnePlaneGraph:
     filled on a second builder, then each crossing diagonal is an
     insertion candidate that ``apply_insertion`` finishes."""
     if k == 1:
-        g = _xm1_base().graph()
+        g = _xm1_base().finish()
         for tri, far, crossed in (((0, 1, 2), 3, (0, 2)), ((0, 1, 3), 2, (1, 3))):
             fi = next(f.index for f in reference_faces(g) if f.boundary == frozenset(tri))
             g = k1_triangulate(g, fi)
@@ -840,7 +850,7 @@ def roundtrip_XM(k: int) -> OnePlaneGraph:
             b.cross_quad(walk, first_diagonal=_lowest_diagonal_anchor(quad))
         else:
             cones.append((b.cone(walk).center, quad))
-    g = b.graph()
+    g = b.finish()
     (x, y), quad, a = pair
     g = roundtrip_crossing_diagonal(g, quad[a], quad[(a + 2) % 4], (x, y))
     for c, quad in cones:

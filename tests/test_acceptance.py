@@ -125,7 +125,7 @@ def test_no_maximal_six_vertex_instance_exists():
     def stacked(i, j):
         b = DrawingBuilder.from_neighbors([[2, 1], [0, 2], [1, 0]])
         b.cone(b.face_walk_from(0))
-        g = b.graph()
+        g = b.finish()
         g = k1_triangulate(g, i % len(g.map.face_walks))
         return k1_triangulate(g, j % len(g.map.face_walks))
 

@@ -490,7 +490,7 @@ def test_crossing_share():
 
 def test_color_identities_on_families():
     for g in (gen_XH(1), gen_YH(1), gen_XM(2), gen_XM(3)):
-        assert check_color_identities(g) == []
+        assert check_color_identities(skeleton(g)) == []
 
 
 def test_verify_bounds_tight_rows():

@@ -32,6 +32,7 @@ from oneplane.maximality import SaturationPolicy, is_immovable, is_maximal, satu
 from oneplane.transform import skeleton
 from .oracles import (
     builder_is_connected,
+    finish_with_ids,
     reference_check,
     reference_faces,
     scan_delete_edge,
@@ -94,7 +95,7 @@ def test_positive_genus():
     g = plane_graph([[2, 1], [0, 2], [1, 0]])
     b = DrawingBuilder.from_graph(g)
     b.cone(b.face_walk_from(0))   # K4
-    k4 = b.graph()
+    k4 = b.finish()
     # reversing one rotation of the plane K4 forces a torus embedding
     rotations = list(k4.map.rotations)
     rotations[0] = tuple(reversed(rotations[0]))
@@ -211,9 +212,9 @@ def test_edges_at_crossing_rejects_a_vertex_that_is_no_crossing(pick):
                          ids=["yh1", "xm2", "t1"])
 def test_delete_edge_agrees_with_scan_oracle(make):
     g = make()
-    # each edge alone, then the LEX_MAX skeleton's removal set
+    # each edge alone, then the default skeleton's removal set
     removals = [(e,) for e in range(g.size)]
-    removals.append(tuple(e for e, _ in skeleton(g).removed))
+    removals.append(skeleton(g).removed)
     for edges in removals:
         slow = DrawingBuilder.from_graph(g)
         for e in edges:
@@ -222,14 +223,14 @@ def test_delete_edge_agrees_with_scan_oracle(make):
         if not builder_is_connected(slow):
             assert sub is None, edges
             continue
-        want = slow.finish()
-        assert sub.graph == want.graph, edges
-        assert (sub.vertex_ids, sub.edge_ids) == (want.vertex_ids, want.edge_ids)
+        want = finish_with_ids(slow)
+        assert sub.graph == want[0], edges
+        assert (sub.vertex_ids, sub.edge_ids, sub.dart_ids) == want[1:]
 
 
 @pytest.mark.parametrize("call", [
-    lambda b: delete_edges(b.graph(), (-1,)),
-    lambda b: delete_edges(b.graph(), (len(b.edges),)),
+    lambda b: delete_edges(b.finish(), (-1,)),
+    lambda b: delete_edges(b.finish(), (len(b.edges),)),
     lambda b: b.insert_edge_crossing(0, 1, len(b.edges)),
 ], ids=["delete-minus-one", "delete-past-end", "cross-past-end"])
 def test_builder_rejects_unknown_edge(call):
@@ -258,7 +259,7 @@ def test_insert_edge_crossing_contract():
     with pytest.raises(OperationError) as exc:
         b.insert_edge_crossing(3, 4, e)
     assert exc.value.code == "BAD_PARAMETER"           # e is already crossed
-    assert b.graph().crossing_count == 1
+    assert b.finish().crossing_count == 1
 
 
 def _quad_error_builders():

@@ -12,7 +12,7 @@ from oneplane.core import OperationError, faces
 from oneplane.generators import fixture_path, gen_random_seed, generate
 from oneplane.interchange import load, parse, serialize
 from oneplane.maximality import SaturationPolicy, saturate
-from oneplane.transform import RemovalStrategy, skeleton
+from oneplane.transform import skeleton
 
 from .oracles import (
     reference_faces,
@@ -92,17 +92,15 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("name", DRAWINGS)
 def test_skeleton_matches_merge_deletion(name):
     g = DRAWINGS[name]
+    smaller = [a for _, a, _ in g.crossing_pairs]
     mixed = [pair[1 + c % 2] for c, pair in enumerate(g.crossing_pairs)]
-    for strategy, explicit in ((RemovalStrategy.LEX_MAX, None),
-                               (RemovalStrategy.LEX_MIN, None),
-                               (RemovalStrategy.EXPLICIT, mixed)):
-        sk = skeleton(g, strategy, explicit)
-        want = reference_skeleton(g, strategy, explicit)
-        assert serialize(sk.graph) == serialize(want.graph)
-        assert (sk.vertex_ids, sk.edge_ids, sk.removed) == \
-            (want.vertex_ids, want.edge_ids, want.removed)
+    for removed in (None, smaller, mixed):
+        sk = skeleton(g, removed)
+        want = reference_skeleton(g, removed)
+        assert serialize(sk.graph) == serialize(want.sub.graph)
+        # graph, id maps, source and removed edges
+        assert sk == want.sub
         assert (sk.colors, sk.face_members) == (want.colors, want.face_members)
-        assert sk == want
 
 
 def test_face_classes_match_face_objects():
@@ -121,10 +119,11 @@ def test_near_optimal_matches_merge_deletion():
 def test_disconnecting_deletions_agree():
     g = parse(CUT_OFF)
     assert _outcome(skeleton, g) == _outcome(reference_skeleton, g) == "DISCONNECTED"
-    for strategy in RemovalStrategy:
-        explicit = [a for _, a, _ in g.crossing_pairs]
-        assert _outcome(skeleton, g, strategy, explicit) == \
-            _outcome(reference_skeleton, g, strategy, explicit)
+    larger = [b for _, _, b in g.crossing_pairs]
+    assert _outcome(skeleton, g, larger[::-1]) == "DISCONNECTED"
+    # removing the smaller edge of each pair keeps the drawing connected
+    smaller = [a for _, a, _ in g.crossing_pairs]
+    assert skeleton(g, smaller) == reference_skeleton(g, smaller).sub
 
 
 @pytest.mark.parametrize("edges", [(-1,), (99,), (0, 0)])

@@ -32,6 +32,7 @@ from .oracles import (
     builder_is_connected,
     cone_cross_quad,
     delete_edge,
+    finish_with_ids,
     loop_h_table,
     loop_m_table,
     reference_faces,
@@ -348,9 +349,9 @@ def test_builder_face_walks_match_finished_faces():
                 b.cone(rng.choice(faces))
             if not builder_is_connected(b):
                 break
-            res = b.finish()
-            new = {d: i for i, d in enumerate(res.dart_ids)}
+            h, _, _, dart_ids = finish_with_ids(b)
+            new = {d: i for i, d in enumerate(dart_ids)}
             walks = [tuple(new[d] for d in w) for w in b.face_walks()]
-            assert walks == list(res.graph.map.face_walks)
+            assert walks == list(h.map.face_walks)
             states += 1
     assert states > 100

@@ -47,12 +47,25 @@ def test_header_required():
 XM2 = serialize(gen_XM(2))
 
 
+def _retoken(u: str, v: str) -> str:
+    """XM(2)'s document with the halves of edge 15 (crossed at vertex 16)
+    written ``u`` and ``v``: each names the same segments as before."""
+    assert "e 15 8 3 x 16" in XM2
+    return re.sub(r"\b15\.([uv])\b", lambda m: u if m[1] == "u" else v, XM2)
+
+
 @pytest.mark.parametrize("doc", [
     "# no header follows\n" + XM2.split("\n", 1)[1],
     XM2 + "rot 999 0\n",
     XM2 + next(ln for ln in XM2.splitlines(keepends=True) if ln.startswith("rot 0 ")),
-], ids=["comment-then-no-header", "rot-unknown-vertex", "duplicate-rot"])
+    _retoken("15.v", "15.u"),
+    _retoken("15.a", "15.b"),
+    _retoken("015.u", "15.v"),
+    _retoken("15", "15.v"),
+], ids=["comment-then-no-header", "rot-unknown-vertex", "duplicate-rot",
+        "halves-swapped", "halves-misnamed", "leading-zero", "bare-edge-for-a-half"])
 def test_malformed_document_rejected(doc):
+    assert doc != XM2
     with pytest.raises(ParseError):
         parse(doc)
 
@@ -157,6 +170,18 @@ def test_mutated_document_round_trips_or_raises_drawing_error(doc):
     text = serialize(g)
     assert parse(text) == g
     assert serialize(parse(text)) == text
+    # an accepted document names each dart as serialize does
+    assert _rot_tokens(doc) == _rot_tokens(text)
+
+
+def _rot_tokens(doc: str) -> dict[int, list[str]]:
+    """The tokens of each vertex's rot record, for the vertices with one."""
+    out = {}
+    for ln in doc.splitlines():
+        parts = ln.split()
+        if parts and parts[0] == "rot" and parts[2:]:
+            out[int(parts[1])] = parts[2:]
+    return out
 
 
 def test_labels_accepted():

@@ -9,6 +9,7 @@ from oneplane.build import DrawingBuilder, delete_edges, plane_graph
 from oneplane.cli import main
 from oneplane.interchange import dump, load, serialize
 from oneplane import build, maximality
+from oneplane.analyze import regularity_checks
 from oneplane.transform import skeleton
 from oneplane.maximality import (
     InsertionCandidate,
@@ -124,6 +125,19 @@ def test_saturate_seeded_deterministic():
     a = saturate(c5, SaturationPolicy.SEEDED, seed=11)
     b = saturate(c5, SaturationPolicy.SEEDED, seed=11)
     assert a == b
+
+
+def test_seeded_saturation_needs_a_seed():
+    # a seed of None would seed from the system, so runs could not be repeated
+    g = gen_random_seed(30, 4)
+    for call in (lambda: saturate(g, SaturationPolicy.SEEDED),
+                 lambda: saturate(g, SaturationPolicy.SEEDED, seed=None)):
+        with pytest.raises(OperationError) as exc:
+            call()
+        assert exc.value.code == "BAD_PARAMETER"
+    # DETERMINISTIC ignores a seed; seed 0 is a seed
+    assert saturate(g, seed=5) == saturate(g)
+    assert saturate(g, SaturationPolicy.SEEDED, 0) == saturate(g, SaturationPolicy.SEEDED, 0)
 
 
 def test_min_redraw_uncrossed_edge():
@@ -267,13 +281,13 @@ def test_redraw_of_a_bridge_agrees_with_rebuild_oracle():
 
 def test_redraw_builds_no_face_merge(monkeypatch):
     """A redraw reads only the drawing left by the deletion; the face merge
-    is built only where its classes are read, as in ``skeleton``."""
+    is built only where its classes are read, as by a skeleton's ``colors``."""
     merges = _count_calls(monkeypatch, build, "_merge_classes")
     g = generate("yh", 1)
     for e in range(len(g.edges)):
         min_redraw_crossings(g, e)
     assert not merges
-    skeleton(g)
+    skeleton(g).colors
     assert len(merges) == 1
 
 
@@ -290,8 +304,20 @@ def test_certify_check_builds_no_face_merge(tmp_path, monkeypatch, capsys):
     assert main(["check", str(movable), "--maximal", "--immovable", "--bounds"]) == 1
     assert "redrawable with 0 crossings" in capsys.readouterr().out
     assert not merges
-    skeleton(generate("yh", 1))
+    skeleton(generate("yh", 1)).colors
     assert len(merges) == 1
+
+
+def test_skeleton_merges_faces_when_its_classes_are_first_read(monkeypatch):
+    """``skeleton`` builds the deletion alone; the face merge runs on the
+    first read of ``colors`` or ``face_members``, once, and not at all for
+    a check that reads only the skeleton's map."""
+    merges = _count_calls(monkeypatch, build, "_merge_classes")
+    sk = skeleton(generate("xh", 2))
+    assert regularity_checks(sk.graph.map).is_56_regular
+    assert not merges
+    members, colors = sk.face_members, sk.colors
+    assert len(merges) == 1 and len(members) == len(colors)
 
 
 def _shuffle_darts(g, seed):

@@ -42,7 +42,6 @@ def _records():
         "OnePlaneGraph": g,
         "SimpleGraph": sg,
         "ConeResult": DrawingBuilder.from_graph(g).cone(list(m.face_walks[0])),
-        "BuildResult": DrawingBuilder.from_graph(g).finish(),
         "Subdrawing": delete_edges(g, (crossed,)),
         "SplitNetwork": flow.split_network(sg, {v: i for i, v in enumerate(sg.vertices)}),
         "InsertionCandidate": insertion_candidates(delete_edges(g, (crossed,)).graph)[0],
@@ -55,7 +54,6 @@ def _records():
         "CheckResult": check_face_adjacency(g),
         "BoundEntry": bounds.entries[0],
         "BoundReport": bounds,
-        "Skeleton": skeleton(g),
         "DualMap": dual(skeleton(g)),
     }
 

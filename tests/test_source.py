@@ -1,6 +1,7 @@
 """Rules the library source keeps."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -143,3 +144,15 @@ def test_one_ring_table_and_one_segment_link():
                if isinstance(item, ast.Subscript) and isinstance(item.value, ast.Attribute)
                and item.value.attr == "opposite"}
     assert linking == {"_link"}
+
+
+def test_one_record_for_a_drawing_minus_some_edges():
+    # a skeleton is the Subdrawing of its deletion, and finish() returns
+    # the drawing: no record or knob wraps either
+    defined = set()
+    for path in sorted(Path(oneplane.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert not defined & {"Skeleton", "BuildResult", "RemovalStrategy"}
+    assert not hasattr(oneplane.DrawingBuilder, "graph")
+    assert list(inspect.signature(oneplane.skeleton).parameters) == ["g", "removed"]

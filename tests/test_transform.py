@@ -2,8 +2,8 @@ import pytest
 
 from oneplane.core import FaceClass, OperationError, faces
 from oneplane.build import plane_graph
-from oneplane.transform import RemovalStrategy, dual, skeleton
-from oneplane.analyze import check_color_identities, is_triangulation
+from oneplane.transform import dual, skeleton
+from oneplane.analyze import is_triangulation
 from oneplane.interchange import parse
 from oneplane.generators import gen_HH, gen_M, gen_XH, gen_XM, gen_YH
 
@@ -68,33 +68,49 @@ def test_every_red_vertex_has_a_red_neighbor(gen, k):
 @pytest.mark.parametrize("gen,k", [(gen_XH, 1), (gen_YH, 1), (gen_XM, 3)])
 def test_strategy_independent_counts(gen, k):
     g = gen(k)
-    a = skeleton(g, RemovalStrategy.LEX_MAX)
-    b = skeleton(g, RemovalStrategy.LEX_MIN)
+    a = skeleton(g)
+    b = skeleton(g, [smaller for _, smaller, _ in g.crossing_pairs])
     for s in (a, b):
         assert s.graph.size == 3 * g.n - 6
     assert len(a.colors) == len(b.colors)
     assert a.colors.count(FaceClass.RED) == b.colors.count(FaceClass.RED)
     assert a.colors.count(FaceClass.BLUE) == b.colors.count(FaceClass.BLUE)
-    # only provenance differs
-    assert {frozenset(p) for p in a.removed} != {frozenset((x, x)) for x, _ in a.removed}
+    # only provenance differs: the default removes the larger of each pair
+    assert a.removed == tuple(sorted(larger for _, _, larger in g.crossing_pairs))
+    assert not set(a.removed) & set(b.removed)
 
 
 def test_explicit_strategy():
     g = gen_XH(1)
     removals = [min(a, b) for _, a, b in g.crossing_pairs]
-    sk = skeleton(g, RemovalStrategy.EXPLICIT, explicit=removals)
+    sk = skeleton(g, removals)
     assert sk.graph.size == 30
-    with pytest.raises(OperationError) as exc:
-        skeleton(g, RemovalStrategy.EXPLICIT, explicit=[])
-    assert exc.value.code == "BAD_EXPLICIT_SELECTION"
-    with pytest.raises(OperationError):
-        # both edges of one pair listed
-        pair = g.crossing_pairs[0]
-        skeleton(g, RemovalStrategy.EXPLICIT,
-                 explicit=[pair[1], pair[2]] + removals[1:])
+    pair = g.crossing_pairs[0]
+    for bad in ([],                                      # no edge of any pair
+                [pair[1], pair[2]] + removals[1:],       # both edges of one pair
+                removals[1:],                            # no edge of one pair
+                removals + [next(e for e, r in enumerate(g.edges)
+                                 if r.crossing is None)]):   # an uncrossed edge
+        with pytest.raises(OperationError) as exc:
+            skeleton(g, bad)
+        assert exc.value.code == "BAD_EXPLICIT_SELECTION"
 
 
-# both edges at vertex 5 are crossed, and LEX_MAX removes both
+@pytest.mark.parametrize("gen,k", [(gen_XH, 1), (gen_XM, 3)])
+def test_skeleton_ignores_the_order_and_type_of_removed(gen, k):
+    g = gen(k)
+    mixed = [pair[1 + c % 2] for c, pair in enumerate(g.crossing_pairs)]
+    want = skeleton(g, mixed)
+    assert want.removed == tuple(sorted(mixed))
+    for removed in (mixed[::-1], tuple(mixed), set(mixed), frozenset(mixed),
+                    iter(mixed), (e for e in reversed(mixed)), dict.fromkeys(mixed)):
+        sk = skeleton(g, removed)
+        assert sk == want
+        assert (sk.colors, sk.face_members) == (want.colors, want.face_members)
+
+
+# both edges at vertex 5 are crossed, and the default skeleton, which
+# removes the larger id of each pair, removes both
 CUT_OFF = """1pg 1
 vertices 9
 v 0 true
@@ -128,13 +144,13 @@ rot 8 5.u 8.u 5.v 8.v
 """
 
 
-@pytest.mark.parametrize("op", [skeleton, check_color_identities])
+@pytest.mark.parametrize("op", [skeleton])    # the id names the operation
 def test_disconnecting_skeleton_is_an_operation_error(op):
     g = parse(CUT_OFF)
     with pytest.raises(OperationError) as exc:
         op(g)
     assert exc.value.code == "DISCONNECTED"
-    assert skeleton(g, RemovalStrategy.LEX_MIN).graph.size == 6
+    assert skeleton(g, [a for _, a, _ in g.crossing_pairs]).graph.size == 6
 
 
 def test_dual_degrees_match_boundary_lengths():

@@ -76,7 +76,7 @@ def make_t1():
     sizes = [len(w) for w in base.face_walks()]
     _require(sizes.count(3) == 8 and sizes.count(4) == 18,
              "t1's base needs 8 triangles and 18 quadrangles")
-    return _triangulate_all(base, triangles=False).graph()
+    return _triangulate_all(base, triangles=False).finish()
 
 
 def make_t2():
@@ -109,7 +109,7 @@ def make_t2():
     sizes = [len(w) for w in base.face_walks()]
     _require(sizes.count(3) == 24 and sizes.count(4) == 42,
              "t2's base needs 24 triangles and 42 quadrangles")
-    return _triangulate_all(base, triangles=False).graph()
+    return _triangulate_all(base, triangles=False).finish()
 
 
 def main():
