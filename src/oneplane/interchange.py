@@ -53,23 +53,36 @@ def serialize(g: OnePlaneGraph) -> str:
         if rec.crossing is not None:
             line += f" x {rec.crossing}"
         out.append(line)
-    token = _dart_tokens(g).__getitem__
+    token = _dart_tokens(g, *_edge_tokens(g.edges)).__getitem__
     for v, rot in enumerate(g.map.rotations):
         out.append(f"rot {v} {' '.join(map(token, rot))}".rstrip())
     return "\n".join(out) + "\n"
 
 
-def _dart_tokens(g: OnePlaneGraph) -> list[str]:
-    """Each dart's token: its edge id for a whole edge, ``<edge>.u`` or
-    ``<edge>.v`` for the half of a crossed edge whose segment holds that
-    endpoint.  Both darts of a segment share its token."""
-    tokens = list(map(str, g.dart_edge))
-    pmap, edges = g.map, g.edges
+def _edge_tokens(edges) -> tuple[list[str], list[str]]:
+    """The token of each edge's segment at its ``u`` end and at its ``v``
+    end: the edge id for both ends of a whole edge, ``<edge>.u`` and
+    ``<edge>.v`` for the halves of a crossed edge."""
+    at_u = list(map(str, range(len(edges))))
+    at_v = at_u.copy()
+    for e, rec in enumerate(edges):
+        if rec.crossing is not None:
+            at_v[e] = at_u[e] + ".v"
+            at_u[e] += ".u"
+    return at_u, at_v
+
+
+def _dart_tokens(g: OnePlaneGraph, at_u: list[str], at_v: list[str]) -> list[str]:
+    """Each dart's token from ``_edge_tokens``: both darts of a segment
+    share the token of the end of its edge that the segment holds."""
+    pmap, edges, dart_edge = g.map, g.edges, g.dart_edge
+    tokens = list(map(at_u.__getitem__, dart_edge))
     tail, opposite = pmap.dart_vertex, pmap.opposite
     for c in pmap.fake_vertices:
         for d in pmap.rotations[c]:
-            e, o = g.dart_edge[d], opposite[d]
-            tokens[d] = tokens[o] = f"{e}.u" if edges[e].u == tail[o] else f"{e}.v"
+            e, o = dart_edge[d], opposite[d]
+            if edges[e].u != tail[o]:
+                tokens[d] = tokens[o] = at_v[e]
     return tokens
 
 
@@ -131,6 +144,7 @@ def parse(text: str) -> OnePlaneGraph:
                 raise ParseError(f"unknown record {tag!r}", lineno)
     except (ValueError, IndexError) as exc:
         raise ParseError(f"malformed record {lines[lineno - 1].strip()!r}: {exc}", lineno)
+    del lines       # read: not held through validation, a parse's peak
 
     if counts.get("vertices") != len(kinds):
         raise ParseError("vertex count mismatch")
@@ -140,7 +154,8 @@ def parse(text: str) -> OnePlaneGraph:
         if not 0 <= v < len(kinds):
             raise ParseError(f"rot record for unknown vertex {v}")
     rotations = [rot_tokens.get(v, ()) for v in range(len(kinds))]
-    dart_edge, opposite, segments = _segments(rotations, len(edges))
+    at_u, at_v = _edge_tokens(edges)
+    tokens, dart_edge, opposite = _segments(rotations, at_u, at_v)
     # dart ids run through the rotations in vertex order; the rotations are
     # slices of one tuple of ids, and ``opposite`` and ``dart_edge`` are
     # mapped through it, so the drawing holds one int object per id
@@ -148,53 +163,34 @@ def parse(text: str) -> OnePlaneGraph:
     ends = list(accumulate(map(len, rotations)))
     g = validate(kinds, [ids[a:b] for a, b in zip([0] + ends[:-1], ends)],
                  [ids[o] for o in opposite], edges, [ids[e] for e in dart_edge])
-    _check_tokens(g, segments)
+    # every token names a segment of its edge; it must also name the end
+    # of the edge that the segment holds, so one drawing has one document
+    want = _dart_tokens(g, at_u, at_v)
+    if want != tokens:
+        d = next(d for d, (w, tok) in enumerate(zip(want, tokens)) if w != tok)
+        raise ParseError(f"dart token {tokens[d]!r} at vertex "
+                         f"{g.map.dart_vertex[d]} should be {want[d]!r}")
     return g
 
 
-def _check_tokens(g: OnePlaneGraph, segments: dict[str, int]) -> None:
-    """Every token is the one ``serialize`` writes for its segment (see
-    ``_dart_tokens``), so one drawing has one document: ``segments`` maps
-    each token, in rotation order, to the second of its two darts."""
-    edges, dart_edge = g.edges, g.dart_edge
-    tail, opposite = g.map.dart_vertex, g.map.opposite
-    for tok, d in segments.items():
-        e = dart_edge[d]
-        rec = edges[e]
-        if rec.crossing is None:
-            want = str(e)
-        else:
-            want = f"{e}.u" if rec.u in (tail[d], tail[opposite[d]]) else f"{e}.v"
-        if tok != want:
-            raise ParseError(f"dart token {tok!r} at vertex {tail[opposite[d]]} "
-                             f"should be {want!r}")
-
-
-def _segments(rotations, n_edges: int) -> tuple[list[int], list[int], dict[str, int]]:
-    """(dart_edge, opposite, segments) for the rot tokens of each vertex,
-    one dart per token in order; ``segments`` maps each distinct token, in
-    order of first occurrence, to its last dart.  A token names its edge,
-    and the two darts that carry it are one segment: whole edges pair
-    endpoint with endpoint, halves the true endpoint with the crossing."""
+def _segments(rotations, at_u: list[str], at_v: list[str]):
+    """(tokens, dart_edge, opposite) for the rot tokens of each vertex, one
+    dart per token in order.  Each token is one that ``_edge_tokens`` gives
+    an edge, and the two darts that carry it are one segment: whole edges
+    pair endpoint with endpoint, halves the true endpoint with the
+    crossing."""
     tokens = list(chain.from_iterable(rotations))
     n = len(tokens)
-    first = dict(zip(reversed(tokens), range(n - 1, -1, -1)))
-    last = dict(zip(tokens, range(n)))      # keys in order of first occurrence
+    edge_of = dict(zip(at_v, range(len(at_v))))
+    edge_of.update(zip(at_u, range(len(at_u))))
     try:
-        edge_of = {tok: int(tok.partition(".")[0]) for tok in last}
-        known = not edge_of or (min(edge_of.values()) >= 0
-                                and max(edge_of.values()) < n_edges)
-    except ValueError:
-        known = False
-    if not known:       # name the first bad token in rotation order
-        for v, toks in enumerate(rotations):
-            for tok in toks:
-                try:
-                    e = int(tok.partition(".")[0])
-                except ValueError:
-                    raise ParseError(f"bad dart token {tok!r} at vertex {v}")
-                if not 0 <= e < n_edges:
-                    raise ParseError(f"dart token {tok!r} names unknown edge")
+        dart_edge = list(map(edge_of.__getitem__, tokens))
+    except KeyError:    # name the first bad token in rotation order
+        v, tok = next((v, tok) for v, toks in enumerate(rotations)
+                      for tok in toks if tok not in edge_of)
+        raise ParseError(f"bad dart token {tok!r} at vertex {v}")
+    first = dict(zip(reversed(tokens), range(n - 1, -1, -1)))
+    last = dict(zip(tokens, range(n)))
     at_first = list(map(first.__getitem__, tokens))
     at_last = list(map(last.__getitem__, tokens))
     if 2 * len(last) != n or any(map(eq, at_first, at_last)):
@@ -203,7 +199,7 @@ def _segments(rotations, n_edges: int) -> tuple[list[int], list[int], dict[str, 
     # each token occurs at its first and last position: the other one is
     # the opposite dart
     opposite = list(map(sub, map(add, at_first, at_last), range(n)))
-    return list(map(edge_of.__getitem__, tokens)), opposite, last
+    return tokens, dart_edge, opposite
 
 
 def dump(g: OnePlaneGraph, path) -> None:
