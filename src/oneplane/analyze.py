@@ -56,7 +56,7 @@ def connectivity_at_least(sg: SimpleGraph, k: int) -> bool:
     try:
         return vertex_connectivity(sg) >= k
     except OperationError as err:
-        # the search that numbers the flow network finds no path
+        # the BFS that numbers the vertices for the flows misses some
         if err.code == "DISCONNECTED":
             return False
         raise

@@ -5,8 +5,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
-from oneplane import flow
 from oneplane.analyze import NearOptimalReport, connectivity_at_least, map_graph
 from oneplane.build import DrawingBuilder, Subdrawing, _compact
 from oneplane.core import (
@@ -444,9 +444,182 @@ def all_pairs_connectivity(sg: SimpleGraph) -> int:
     return best
 
 
-def bfs_augment(net: flow.SplitNetwork, res: list[int], src: int, dst: int,
+class SplitNetwork(NamedTuple):
+    """The explicit arc table that ``flow.menger``'s implicit network
+    replaced.  Residual network of a graph with every vertex split in two: node 2i
+    is the in-copy of the vertex with ``index`` i and 2i+1 its out-copy,
+    joined by a unit arc (arc 4i); each edge uv gives unit arcs u_out->v_in
+    and v_out->u_in (an inner vertex passes one unit, so no edge arc needs
+    more), numbered from 4n in order of (tail, head) index.  Node ``sink``
+    = 2n is fed by an arc from every out-copy (arc 4i+2) of capacity 0,
+    which a fan opens for its settled vertices: fed from the out-copy, a
+    settled vertex ends at most one path.
+    Arc ``a`` runs to ``head[a]``, its reverse is ``a ^ 1``, and
+    ``arcs[x]`` lists the arcs leaving node x by the index of their heads:
+    at an in-copy its own unit arc first, at an out-copy its sink arc first
+    and its reverse unit arc last."""
+
+    index: dict[int, int]
+    head: list[int]
+    cap0: list[int]
+    arcs: tuple[tuple[int, ...], ...]
+
+    @property
+    def sink(self) -> int:
+        return len(self.arcs) - 1
+
+
+def split_network(sg: SimpleGraph, index: dict[int, int]) -> SplitNetwork:
+    """The network of ``sg`` with its vertices numbered by ``index``, which
+    lists them in that order."""
+    n = len(index)
+    adj = sg.adjacency
+    nbrs = [sorted(map(index.__getitem__, adj[v])) for v in index]
+    head = [x for i in range(n) for x in (2 * i + 1, 2 * i, 2 * n, 2 * i + 1)]
+    head += [x for i, ns in enumerate(nbrs) for j in ns for x in (2 * j, 2 * i + 1)]
+    ins = [[4 * i] for i in range(n)]
+    outs = []
+    a = 4 * n
+    for i, ns in enumerate(nbrs):
+        outs.append((4 * i + 2, *range(a, a + 2 * len(ns), 2), 4 * i + 1))
+        for j in ns:                    # i ascends, so each in-list does
+            ins[j].append(a + 1)
+            a += 2
+    arcs = tuple(x for i in range(n) for x in (tuple(ins[i]), outs[i]))
+    return SplitNetwork(index, head, [1, 0, 0, 0] * n + [1, 0] * (2 * sg.size),
+                        arcs + ((),))
+
+
+def split_fan(net: SplitNetwork, res: list[int], src: int, cap: int) -> int:
+    """The number of unit paths, up to ``cap``, that leave node ``src`` and
+    can reach the sink together through the arcs open in ``res``: from
+    t_out, a fan of t to distinct settled vertices.  Each path is found
+    depth-first in arc order, so it heads for the lowest-indexed settled
+    vertex; the paths are undone before returning, so ``res`` is
+    unchanged."""
+    return _split_paths(net, res, src, net.sink, cap, keep=False)
+
+
+def split_augment(net: SplitNetwork, res: list[int], src: int, dst: int, cap: int) -> int:
+    """Augment unit flows from node ``src`` to node ``dst`` in the residual
+    capacities ``res`` (changed in place) until ``cap`` paths are found or
+    none is left; returns their number.  Paths are found as a fan's are,
+    and kept.  From an out-copy to an in-copy (s_out to t_in) this counts
+    internally disjoint s-t paths."""
+    return _split_paths(net, res, src, dst, cap, keep=True)
+
+
+def _split_paths(net: SplitNetwork, res: list[int], src: int, dst: int, cap: int,
+                 keep: bool) -> int:
+    """Up to ``cap`` unit paths from ``src`` to ``dst`` through the arcs
+    open in ``res``, each found depth-first in arc order and applied to
+    ``res``; unless ``keep``, they are taken back before returning."""
+    head, arcs = net.head, net.arcs
+    paths: list[list[int]] = []
+    while len(paths) < cap:
+        seen = {src}
+        path: list[int] = []            # arcs from src to the top of todo
+        todo = [iter(arcs[src])]
+        while todo:
+            for a in todo[-1]:
+                if res[a] and head[a] not in seen:
+                    break
+            else:
+                todo.pop()
+                if path:
+                    path.pop()
+                continue
+            y = head[a]
+            path.append(a)
+            if y == dst:
+                break
+            seen.add(y)
+            todo.append(iter(arcs[y]))
+        else:
+            break
+        for a in path:
+            res[a] -= 1
+            res[a ^ 1] += 1
+        paths.append(path)
+    if not keep:
+        for path in paths:
+            for a in path:
+                res[a] += 1
+                res[a ^ 1] -= 1
+    return len(paths)
+
+
+def split_residual_cut(net: SplitNetwork, src: int, res: list[int]) -> frozenset[int]:
+    """Vertices whose in-copy, but not out-copy, is reachable from ``src``
+    once a maximum flow in ``res`` has stopped.  Edge arcs count as
+    unbounded, so the cut they leave holds only vertex arcs."""
+    head, arcs = net.head, net.arcs
+    edge0 = 4 * len(net.index)
+    seen = [False] * len(arcs)
+    seen[src] = True
+    queue = [src]
+    for x in queue:
+        for a in arcs[x]:
+            if (res[a] or (a >= edge0 and not a & 1)) and not seen[head[a]]:
+                seen[head[a]] = True
+                queue.append(head[a])
+    return frozenset(v for v, i in net.index.items()
+                     if seen[2 * i] and not seen[2 * i + 1])
+
+
+def split_network_menger(sg: SimpleGraph) -> tuple[int, frozenset[int] | None]:
+    """κ and a minimum separator (None for a complete graph) by the settle
+    scheme of ``flow.menger`` on one explicit split-vertex network indexed
+    by BFS position: a copy of the capacity table for the settled set and
+    for every s-t flow, and each fan searched from scratch, with no
+    direct paths placed first."""
+    n = sg.order
+    if n < 2:
+        raise OperationError("BAD_PARAMETER", "connectivity needs at least 2 vertices")
+    adj = sg.adjacency
+    _, s = min((len(ws), v) for v, ws in adj.items())
+    order, index = [s], {s: 0}
+    for v in order:
+        for w in sorted(adj[v]):
+            if w not in index:
+                index[w] = len(order)
+                order.append(w)
+    if len(order) < n:
+        raise OperationError("DISCONNECTED", "graph is not connected")
+
+    net = split_network(sg, index)
+    nb = adj[s]
+    best, cut = len(nb), None
+    settled = net.cap0[:]               # sink arcs of settled vertices open
+
+    def st_flow(x, y):
+        nonlocal best, cut
+        res = net.cap0[:]
+        f = split_augment(net, res, 2 * index[x] + 1, 2 * index[y], best)
+        if f < best:
+            best, cut = f, (net, 2 * index[x] + 1, res)
+
+    for i in range(1, len(nb) + 1):     # N(s) comes first in BFS order
+        settled[4 * i + 2] = 1          # v_out -> sink
+    for i in range(len(nb) + 1, n):
+        t = order[i]
+        if (sum(index[w] < i for w in adj[t]) < best
+                and split_fan(net, settled, 2 * i + 1, best) < best):
+            st_flow(s, t)
+        settled[4 * i + 2] = 1
+    nbl = sorted(nb)
+    for i, x in enumerate(nbl):
+        for y in nbl[i + 1:]:
+            if y not in adj[x]:
+                st_flow(x, y)
+    if best == n - 1:
+        return best, None
+    return best, frozenset(nb) if cut is None else split_residual_cut(*cut)
+
+
+def bfs_augment(net: SplitNetwork, res: list[int], src: int, dst: int,
                 cap: int) -> int:
-    """``flow.augment`` with every augmenting path found breadth-first: a
+    """``split_augment`` with every augmenting path found breadth-first: a
     fresh table of the arc that first reached each node, and a scan from
     ``src`` over the whole network, per path."""
     head, arcs = net.head, net.arcs
@@ -504,8 +677,8 @@ def bfs_fan_menger(sg: SimpleGraph) -> tuple[int, frozenset[int] | None]:
     for u, v in sg.edges:
         arc(2 * index[u] + 1, 2 * index[v])
         arc(2 * index[v] + 1, 2 * index[u])
-    net = flow.SplitNetwork(index, head, [1, 0, 0, 0] * n + [1, 0] * (2 * sg.size),
-                                tuple(tuple(a) for a in arcs))
+    net = SplitNetwork(index, head, [1, 0, 0, 0] * n + [1, 0] * (2 * sg.size),
+                       tuple(tuple(a) for a in arcs))
 
     s = min(sg.vertices, key=lambda v: (sg.degree(v), v))
     nb = sg.neighbors(s)
@@ -546,7 +719,7 @@ def bfs_fan_menger(sg: SimpleGraph) -> tuple[int, frozenset[int] | None]:
                 st_flow(x, y)
     if best == n - 1:
         return best, None
-    return best, frozenset(nb) if cut is None else flow.residual_cut(*cut)
+    return best, frozenset(nb) if cut is None else split_residual_cut(*cut)
 
 
 def separates(sg: SimpleGraph, cut) -> bool:

@@ -51,6 +51,9 @@ from .oracles import (
     per_vertex_lambda3,
     rebuild_local_connectivity,
     separates,
+    split_network,
+    split_network_menger,
+    split_residual_cut,
     walk_separating_cycle,
 )
 from .test_cli import _count_calls
@@ -156,10 +159,20 @@ def test_degree_profile_tests_kappa_once(monkeypatch):
     assert calls == []
 
 
+def _numbered(sg, order):
+    """The numbering by position in ``order`` and the neighbor table that
+    ``flow.augment`` searches: each vertex's neighbors by ascending number,
+    then the vertex itself."""
+    index = {v: i for i, v in enumerate(order)}
+    return index, [[*sorted(index[w] for w in sg.adjacency[v]), i]
+                   for i, v in enumerate(order)]
+
+
 def test_shared_network_flows_agree_with_rebuild_oracle():
-    """Every non-adjacent pair in sequence on one network, with and without
-    an early stop, against a network rebuilt for that pair alone: flow left
-    over from one pair would change a later pair's count."""
+    """Every non-adjacent pair in sequence on one neighbor table, each with
+    fresh flow state, with and without an early stop, against a network
+    rebuilt for that pair alone: a table changed by one pair would change
+    a later pair's count."""
     graphs = [underlying(generate(f, k)) for f, k in
               [("xm", 1), ("xm", 2), ("xm", 3), ("xm", 4), ("yh", 1), ("xh", 1)]]
     graphs.append(underlying(load(fixture_path("t1"))))
@@ -167,16 +180,15 @@ def test_shared_network_flows_agree_with_rebuild_oracle():
                for n, seed in [(10, 17), (12, 5)]]
     graphs += [sg for sg, _ in LOW_KAPPA]
     for sg in graphs:
-        net = flow.split_network(sg, {v: i for i, v in enumerate(reversed(sg.vertices))})
-        cap0 = list(net.cap0)
+        index, nbrs = _numbered(sg, list(reversed(sg.vertices)))
+        table = [ns[:] for ns in nbrs]
         pairs = [(s, t) for s, t in combinations(sg.vertices, 2) if not sg.has_edge(s, t)]
         assert pairs
         for s, t in pairs:
-            src, dst = 2 * net.index[s] + 1, 2 * net.index[t]
             for cap in (sg.order, 2):
-                assert (flow.augment(net, net.cap0[:], src, dst, cap)
+                assert (flow.augment(nbrs, {}, {}, index[s], index[t], cap)
                         == rebuild_local_connectivity(sg, s, t, cap))
-        assert net.cap0 == cap0
+        assert nbrs == table
 
 
 def _kappa_graphs():
@@ -215,24 +227,29 @@ def test_connectivity_and_separator_agree_with_oracles():
 
 
 def test_depth_first_fans_agree_with_breadth_first_augment():
-    """On any settled set, a fan finds as many paths as a breadth-first
-    augment to the sink, up to the cap, and leaves the residual table as
-    it found it."""
+    """Under any numbering, a fan of i that starts from its edges to the
+    settled vertices 1..i-1 finds as many paths as a breadth-first augment
+    to the sink of the explicit network with those vertices' sink arcs
+    open, up to the cap, whether or not the cap stops it early."""
     rng = random.Random(3)
     graphs = [underlying(generate(f, k)) for f, k in [("xm", 3), ("yh", 1), ("xh", 1)]]
     graphs += [sg for sg, _ in LOW_KAPPA]
     for sg in graphs:
-        net = flow.split_network(sg, {v: i for i, v in enumerate(sg.vertices)})
         for _ in range(20):
+            index, nbrs = _numbered(sg, rng.sample(sg.vertices, sg.order))
+            net = split_network(sg, index)
             res = net.cap0[:]
-            for i in rng.sample(range(sg.order), rng.randrange(sg.order)):
-                res[4 * i + 2] = 1
-            before = res[:]
             for i in range(sg.order):
-                for cap in (2, sg.order):
-                    want = bfs_augment(net, res[:], 2 * i + 1, net.sink, cap)
-                    assert flow.fan(net, res, 2 * i + 1, cap) == want
-                    assert res == before
+                direct = [w for w in nbrs[i][:-1] if 0 < w < i]
+                for more in (1, sg.order):
+                    cap = len(direct) + more
+                    prv = dict.fromkeys(direct, i)
+                    nxt = dict.fromkeys(direct, flow.SINK)
+                    found = flow.augment(nbrs, prv, nxt, i, flow.SINK, more)
+                    assert len(direct) + found == bfs_augment(net, res[:], 2 * i + 1,
+                                                              net.sink, cap)
+                if i:
+                    res[4 * i + 2] = 1
 
 
 def _flow_pairs(sg):
@@ -250,45 +267,133 @@ def _flow_pairs(sg):
 def test_depth_first_augment_agrees_with_breadth_first_augment():
     """A depth-first s-t flow counts the paths a breadth-first one does, at
     a cap that stops it early and at one that does not; below the cap both
-    flows are maximum, so their residual tables leave the same cut."""
+    flows are maximum, so the flow state of one and the residual table of
+    the other leave the same cut."""
     for sg in _kappa_graphs():
-        net = flow.split_network(sg, {v: i for i, v in enumerate(sg.vertices)})
+        index, nbrs = _numbered(sg, sg.vertices)
+        net = split_network(sg, index)
         for x, y in _flow_pairs(sg):
-            src, dst = 2 * net.index[x] + 1, 2 * net.index[y]
+            src = 2 * index[x] + 1
             for cap in (2, sg.order):
-                res, want_res = net.cap0[:], net.cap0[:]
-                found = flow.augment(net, res, src, dst, cap)
-                assert found == bfs_augment(net, want_res, src, dst, cap)
+                prv, want_res = {}, net.cap0[:]
+                found = flow.augment(nbrs, prv, {}, index[x], index[y], cap)
+                assert found == bfs_augment(net, want_res, src, 2 * index[y], cap)
                 if found < cap:
-                    assert (flow.residual_cut(net, src, res)
-                            == flow.residual_cut(net, src, want_res))
+                    assert (flow.residual_cut(sg.vertices, nbrs, prv, index[x])
+                            == split_residual_cut(net, src, want_res))
+
+
+def _recorded_searches(monkeypatch):
+    """Every ``flow.augment`` call from now on, as (nbrs, prv, nxt, src,
+    dst, c, found, cap) with the state as the call left it and c paths
+    placed before it."""
+    calls = []
+    augment = flow.augment
+
+    def recorded(nbrs, prv, nxt, src, dst, cap):
+        c = len(prv)
+        found = augment(nbrs, prv, nxt, src, dst, cap)
+        calls.append((nbrs, prv, nxt, src, dst, c, found, cap))
+        return found
+    monkeypatch.setattr(flow, "augment", recorded)
+    return calls
 
 
 def test_connectivity_work_count(monkeypatch):
     """Fans settle every non-neighbor of YH(4) (268 flows without them);
     where κ is below the minimum degree the fan of the vertex that sets κ
-    falls short and its s-t flow runs."""
-    calls = []
-    fan, augment = flow.fan, flow.augment
+    falls short and its s-t flow runs.  A fan of t starts from t's edges
+    to its c settled neighbors and asks for ``best`` - c more paths."""
+    calls = _recorded_searches(monkeypatch)
 
-    def counted_fan(net, res, src, cap):
-        found = fan(net, res, src, cap)
-        calls.append(("fan", found, cap))
-        return found
+    def searches(sg):
+        calls.clear()
+        kappa = vertex_connectivity(sg)
+        best = min(sg.degree(v) for v in sg.vertices)
+        out = []
+        for nbrs, prv, nxt, src, dst, c, found, cap in calls:
+            assert c + cap == best
+            if dst == flow.SINK:
+                direct = [w for w in nbrs[src][:-1] if w < src]
+                assert len(direct) == c
+                assert all(prv[w] == src and nxt[w] == flow.SINK for w in direct)
+                out.append(("fan", c + found, c + cap))
+            else:
+                assert c == 0
+                best = min(best, found)
+                out.append(("flow", found, cap))
+        assert best == kappa
+        return kappa, out
 
-    def counted_flow(net, res, src, dst, cap):
-        found = augment(net, res, src, dst, cap)
-        calls.append(("flow", found, cap))
-        return found
-    monkeypatch.setattr(flow, "fan", counted_fan)
-    monkeypatch.setattr(flow, "augment", counted_flow)
-    assert vertex_connectivity(underlying(gen_YH(4))) == 3
-    assert 0 < len(calls) <= 30
-    calls.clear()
+    kappa, out = searches(underlying(gen_YH(4)))
+    assert kappa == 3 and 0 < len(out) <= 30
     sg = underlying(saturate(gen_random_seed(20, 1), SaturationPolicy.SEEDED, 1))
-    assert vertex_connectivity(sg) == 3 < min(sg.degree(v) for v in sg.vertices)
-    short = calls.index(("fan", 3, 4))
-    assert calls[short + 1] == ("flow", 3, 4)
+    kappa, out = searches(sg)
+    assert kappa == 3 < min(sg.degree(v) for v in sg.vertices)
+    short = out.index(("fan", 3, 4))
+    assert out[short + 1] == ("flow", 3, 4)
+
+
+def _read_paths(nbrs, prv, nxt, src, dst):
+    """The paths a flow state holds, read off it: from src through each w
+    that src feeds, along ``nxt``, to dst, or for a fan to the settled
+    vertex that sends its unit to the sink.  Each step is a real edge and
+    each vertex after src is fed by the one before it."""
+    paths = []
+    for w in [w for w, v in prv.items() if v == src]:
+        path = [src, w]
+        while path[-1] != dst and nxt[path[-1]] != flow.SINK:
+            v = nxt[path[-1]]
+            assert v in nbrs[path[-1]][:-1] and (v == dst or prv[v] == path[-1])
+            path.append(v)
+        paths.append(path)
+    return paths
+
+
+def test_flow_state_reads_as_disjoint_paths(monkeypatch):
+    """After every fan and s-t flow of κ's search, prv/nxt hold exactly the
+    paths it counts, internally disjoint src-dst paths or fan paths to
+    distinct settled vertices, and besides them only cycles, which a path
+    leaves behind when it reroutes a stretch of earlier ones.  The paths
+    of each flow that lowers ``best``, the last of which sets κ, run over
+    edges of the graph between the two vertices of the pair."""
+    calls = _recorded_searches(monkeypatch)
+    for sg in _kappa_graphs():
+        sg = SimpleGraph(sg.vertices, sg.edges)     # κ is kept per graph
+        calls.clear()
+        kappa = vertex_connectivity(sg)
+        *_, cut = flow.menger(sg)
+        lowered = []
+        for nbrs, prv, nxt, src, dst, c, found, cap in calls:
+            paths = _read_paths(nbrs, prv, nxt, src, dst)
+            assert len(paths) == c + found
+            inner = [v for path in paths for v in path[1:]]
+            if dst == flow.SINK:
+                assert all(0 < path[-1] < src for path in paths)
+            else:
+                assert all(path[-1] == dst for path in paths)
+                inner = [v for path in paths for v in path[1:-1]]
+            assert len(inner) == len(set(inner)) and src not in inner
+            assert prv.keys() == nxt.keys() >= set(inner) - {dst}
+            cycles = prv.keys() - set(inner)
+            for v in cycles:
+                w = nxt[v]
+                assert w in cycles and prv[w] == v and w in nbrs[v][:-1]
+            if dst != flow.SINK and found < cap:
+                lowered.append((nbrs, src, dst, paths))
+        assert (cut is None) == (not lowered)
+        if cut is None:
+            continue
+        order, nbrs, _, src = cut
+        assert nbrs is lowered[-1][0] and src == lowered[-1][1]
+        assert len(lowered[-1][3]) == kappa
+        for _, src, dst, paths in lowered:
+            x, y = order[src], order[dst]
+            assert not sg.has_edge(x, y)
+            for path in paths:
+                ids = [order[i] for i in path]
+                assert ids[0] == x and ids[-1] == y
+                assert all(sg.has_edge(a, b) for a, b in zip(ids, ids[1:]))
 
 
 @st.composite
@@ -334,6 +439,40 @@ def test_connectivity_and_separator_agree_with_bfs_fan_oracle():
 @given(relabelled_connected_graphs())
 def test_connectivity_and_separator_agree_with_bfs_fan_oracle_on_relabelled_graphs(sg):
     _agrees_with_bfs_fans(sg)
+
+
+def _agrees_with_split_network(sg):
+    kappa, cut = split_network_menger(sg)
+    assert vertex_connectivity(sg) == kappa
+    if cut is None:
+        with pytest.raises(OperationError):
+            min_vertex_separator(sg)
+    else:
+        assert min_vertex_separator(sg) == cut and separates(sg, cut)
+    if sg.order <= 12:
+        assert kappa == all_pairs_connectivity(sg)
+
+
+def test_connectivity_and_separator_agree_with_split_network_oracle():
+    """The implicit network gives the κ and the separator of the explicit
+    one, on the κ test graphs and on seeded saturations at n = 60..200
+    with 1-5 random vertices removed."""
+    for sg in _kappa_graphs():
+        _agrees_with_split_network(sg)
+    rng = random.Random(22)
+    for n in (60, 100, 140, 200):
+        sg = underlying(saturate(gen_random_seed(n, n + 1), SaturationPolicy.SEEDED, n + 1))
+        _agrees_with_split_network(sg)
+        for r in range(1, 6):
+            h = sg.without(rng.sample(sg.vertices, r))
+            if h.is_connected():
+                _agrees_with_split_network(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_connected_graphs())
+def test_connectivity_and_separator_agree_with_split_network_oracle_on_relabelled_graphs(sg):
+    _agrees_with_split_network(sg)
 
 
 class _CountedWalks:

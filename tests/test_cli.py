@@ -131,15 +131,13 @@ def _count_calls(monkeypatch, module, name):
 def test_check_computes_each_fact_once(tmp_path, monkeypatch, capsys):
     yh2 = write(tmp_path, "yh", 2)
     cands = _count_calls(monkeypatch, maximality, "insertion_candidates")
-    fans = _count_calls(monkeypatch, flow, "fan")
-    flows = _count_calls(monkeypatch, flow, "augment")
+    searches = _count_calls(monkeypatch, flow, "augment")   # fans and flows
     assert main(["check", yh2, "--maximal", "--immovable", "--bounds"]) == 0
     assert len(cands) == 1
-    in_check = len(fans) + len(flows)
-    fans.clear()
-    flows.clear()
+    in_check = len(searches)
+    searches.clear()
     assert analyze.vertex_connectivity(underlying(generate("yh", 2))) == 3
-    assert in_check == len(fans) + len(flows) > 0
+    assert in_check == len(searches) > 0
 
 
 def _count_face_walks(monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oneplane
-from oneplane import build, core, flow
+from oneplane import build, core
 from oneplane.analyze import (
     check_face_adjacency,
     degree_profile,
@@ -43,7 +43,6 @@ def _records():
         "SimpleGraph": sg,
         "ConeResult": DrawingBuilder.from_graph(g).cone(list(m.face_walks[0])),
         "Subdrawing": delete_edges(g, (crossed,)),
-        "SplitNetwork": flow.split_network(sg, {v: i for i, v in enumerate(sg.vertices)}),
         "InsertionCandidate": insertion_candidates(delete_edges(g, (crossed,)).graph)[0],
         "MaximalityResult": is_maximal(g),
         "RedrawResult": min_redraw_crossings(g, crossed),
