@@ -10,10 +10,10 @@ of i's neighbors in ascending order, then i itself.  A fan or a flow keeps
 its state in two dicts of its own: ``prv[w]`` is the vertex whose out-copy
 feeds w's in-copy, and ``nxt[v]`` is where v's out-copy sends its unit
 (``SINK`` for a settled vertex that ends a fan path); the source's own
-units are read off ``prv``.  An in-copy other than the target's has one
-residual arc out: its unit arc while w is unused, else the reverse of the
-one edge arc that feeds it.  So a search steps from out-copy to out-copy,
-and nothing needs undoing."""
+units are read off ``prv``.  An in-copy w_in other than the target's has
+one residual arc out: its unit arc while w is unused, else the reverse of
+the one edge arc that feeds it.  So a search steps from out-copy to
+out-copy, and nothing needs undoing."""
 
 from __future__ import annotations
 

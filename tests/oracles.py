@@ -490,30 +490,14 @@ def split_network(sg: SimpleGraph, index: dict[int, int]) -> SplitNetwork:
                         arcs + ((),))
 
 
-def split_fan(net: SplitNetwork, res: list[int], src: int, cap: int) -> int:
-    """The number of unit paths, up to ``cap``, that leave node ``src`` and
-    can reach the sink together through the arcs open in ``res``: from
-    t_out, a fan of t to distinct settled vertices.  Each path is found
-    depth-first in arc order, so it heads for the lowest-indexed settled
-    vertex; the paths are undone before returning, so ``res`` is
-    unchanged."""
-    return _split_paths(net, res, src, net.sink, cap, keep=False)
-
-
-def split_augment(net: SplitNetwork, res: list[int], src: int, dst: int, cap: int) -> int:
-    """Augment unit flows from node ``src`` to node ``dst`` in the residual
-    capacities ``res`` (changed in place) until ``cap`` paths are found or
-    none is left; returns their number.  Paths are found as a fan's are,
-    and kept.  From an out-copy to an in-copy (s_out to t_in) this counts
-    internally disjoint s-t paths."""
-    return _split_paths(net, res, src, dst, cap, keep=True)
-
-
-def _split_paths(net: SplitNetwork, res: list[int], src: int, dst: int, cap: int,
-                 keep: bool) -> int:
-    """Up to ``cap`` unit paths from ``src`` to ``dst`` through the arcs
-    open in ``res``, each found depth-first in arc order and applied to
-    ``res``; unless ``keep``, they are taken back before returning."""
+def split_paths(net: SplitNetwork, res: list[int], src: int, dst: int, cap: int,
+                keep: bool) -> int:
+    """Up to ``cap`` unit paths from node ``src`` to node ``dst`` through
+    the arcs open in ``res``, each found depth-first in arc order and
+    applied to ``res``; unless ``keep``, they are taken back before
+    returning.  From t_out to the sink, with the sink arcs of the settled
+    vertices open, this is a fan of t to distinct settled vertices; from
+    s_out to t_in, it counts internally disjoint s-t paths."""
     head, arcs = net.head, net.arcs
     paths: list[list[int]] = []
     while len(paths) < cap:
@@ -595,7 +579,7 @@ def split_network_menger(sg: SimpleGraph) -> tuple[int, frozenset[int] | None]:
     def st_flow(x, y):
         nonlocal best, cut
         res = net.cap0[:]
-        f = split_augment(net, res, 2 * index[x] + 1, 2 * index[y], best)
+        f = split_paths(net, res, 2 * index[x] + 1, 2 * index[y], best, keep=True)
         if f < best:
             best, cut = f, (net, 2 * index[x] + 1, res)
 
@@ -603,8 +587,8 @@ def split_network_menger(sg: SimpleGraph) -> tuple[int, frozenset[int] | None]:
         settled[4 * i + 2] = 1          # v_out -> sink
     for i in range(len(nb) + 1, n):
         t = order[i]
-        if (sum(index[w] < i for w in adj[t]) < best
-                and split_fan(net, settled, 2 * i + 1, best) < best):
+        if (sum(index[w] < i for w in adj[t]) < best and
+                split_paths(net, settled, 2 * i + 1, net.sink, best, keep=False) < best):
             st_flow(s, t)
         settled[4 * i + 2] = 1
     nbl = sorted(nb)
@@ -619,9 +603,9 @@ def split_network_menger(sg: SimpleGraph) -> tuple[int, frozenset[int] | None]:
 
 def bfs_augment(net: SplitNetwork, res: list[int], src: int, dst: int,
                 cap: int) -> int:
-    """``split_augment`` with every augmenting path found breadth-first: a
-    fresh table of the arc that first reached each node, and a scan from
-    ``src`` over the whole network, per path."""
+    """``split_paths`` keeping its paths, with each one found
+    breadth-first: a fresh table of the arc that first reached each node,
+    and a scan from ``src`` over the whole network, per path."""
     head, arcs = net.head, net.arcs
     found = 0
     while found < cap:
