@@ -30,8 +30,6 @@ from .transform import DualMap, dual, skeleton
 from .analyze import (
     BoundEntry,
     BoundReport,
-    CheckResult,
-    CheckStatus,
     DegreeProfile,
     NearOptimalReport,
     RegularityReport,

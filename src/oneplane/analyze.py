@@ -2,13 +2,14 @@
 bound certification.
 
 All inequalities are evaluated in exact rational arithmetic; nothing here
-compares floats.  Checks that have preconditions report NOT_APPLICABLE
-instead of silently passing.
+compares floats.  A structural check returns its violations (empty when
+the property holds) and its docstring states the hypothesis under which
+the property holds; ``property_suite`` runs each check only on drawings
+that meet it.  A bound row outside its domain prints NOT_APPLICABLE.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -243,79 +244,50 @@ def is_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
 # Structural checks of maximal drawings
 # ---------------------------------------------------------------------------
 
-class CheckStatus(Enum):
-    PASS = "pass"
-    FAIL = "fail"
-    NOT_APPLICABLE = "not-applicable"
+def _in_g_k(k: int, n: int, kappa: int, immovable: bool) -> bool:
+    """Whether a maximal drawing on n vertices with connectivity kappa is
+    in G_k: kappa >= k on n >= 5 vertices (n >= 6 for k >= 4), immovable
+    when k = 3."""
+    return kappa >= k and n >= (6 if k >= 4 else 5) and (k != 3 or immovable)
 
 
-class CheckResult(NamedTuple):
-    name: str
-    status: CheckStatus
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status is CheckStatus.PASS
-
-    @property
-    def failed(self) -> bool:
-        return self.status is CheckStatus.FAIL
-
-
-def check_face_adjacency(g: OnePlaneGraph) -> CheckResult:
-    """Faces of a maximal drawing: boundary has >= 2 vertices and all true
-    boundary vertices are pairwise adjacent."""
-    name = "face-adjacency"
-    if not maximality.is_maximal(g).is_maximal:
-        return CheckResult(name, CheckStatus.NOT_APPLICABLE, "drawing not maximal")
+def check_face_adjacency(g: OnePlaneGraph) -> list[str]:
+    """Every face boundary has >= 2 vertices and its true vertices are
+    pairwise adjacent; holds when g is maximal."""
+    bad: list[str] = []
     dv, adj, fake = g.map.dart_vertex, underlying(g).adjacency, set(g.map.fake_vertices)
     for f, walk in enumerate(g.map.face_walks):
         boundary = set(map(dv.__getitem__, walk))
         if len(boundary) < 2:
-            return CheckResult(name, CheckStatus.FAIL,
-                               f"face {f} has boundary {boundary}")
-        tv = boundary - fake
-        # u is the one vertex of tv that u is not adjacent to
-        if any(len(tv - adj[u]) != 1 for u in tv):
-            u, v = next((u, v) for u, v in combinations(sorted(tv), 2)
-                        if v not in adj[u])
-            return CheckResult(
-                name, CheckStatus.FAIL,
-                f"true vertices {u},{v} share face {f} but are not adjacent")
-    return CheckResult(name, CheckStatus.PASS)
+            bad.append(f"face-adjacency: face {f} has boundary {boundary}")
+            continue
+        bad += [f"face-adjacency: true vertices {u},{v} share face {f} but are not adjacent"
+                for u, v in combinations(sorted(boundary - fake), 2) if v not in adj[u]]
+    return bad
 
 
-def check_crossing_cliques(g: OnePlaneGraph) -> CheckResult:
-    """Every crossing pair of a maximal drawing induces a K4."""
-    name = "crossing-cliques"
-    if not maximality.is_maximal(g).is_maximal:
-        return CheckResult(name, CheckStatus.NOT_APPLICABLE, "drawing not maximal")
+def check_crossing_cliques(g: OnePlaneGraph) -> list[str]:
+    """The four ends of every crossing pair induce a K4; holds when g is
+    maximal."""
     sg = underlying(g)
+    bad: list[str] = []
     for c, e1, e2 in g.crossing_pairs:
         quad = (*g.edges[e1].ends, *g.edges[e2].ends)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if not sg.has_edge(quad[i], quad[j]):
-                    return CheckResult(
-                        name, CheckStatus.FAIL,
-                        f"crossing {c}: {quad[i]},{quad[j]} not adjacent")
-    return CheckResult(name, CheckStatus.PASS)
+        bad += [f"crossing-cliques: crossing {c}: {u},{v} not adjacent"
+                for u, v in combinations(quad, 2) if not sg.has_edge(u, v)]
+    return bad
 
 
-def check_true_face_neighbors(g: OnePlaneGraph, k: int) -> CheckResult:
-    """True faces of G-cross are adjacent to at most 5-k true faces,
-    for k-connected maximal drawings (immovable when k=3)."""
-    name = f"true-face-neighbors(k={k})"
+def check_true_face_neighbors(g: OnePlaneGraph, k: int) -> list[str]:
+    """The planarization is a triangulation whose true faces are each
+    adjacent to at most 5-k true faces; holds when g is in G_k, k in 3..5."""
     if not 3 <= k <= 5:
-        return CheckResult(name, CheckStatus.NOT_APPLICABLE, f"k={k} out of range [3,5]")
-    na = _g_k_applicability(g, k)
-    if na:
-        return CheckResult(name, CheckStatus.NOT_APPLICABLE, na)
+        raise OperationError("BAD_PARAMETER", f"k={k} out of range [3,5]")
+    name = f"true-face-neighbors(k={k})"
     if not is_triangulation(g.map):
-        return CheckResult(name, CheckStatus.FAIL,
-                           "planarization is not a triangulation")
+        return [f"{name}: planarization is not a triangulation"]
     cls, fod, opposite = faces(g), g.map.face_of_dart, g.map.opposite
+    bad: list[str] = []
     for f, walk in enumerate(g.map.face_walks):
         if cls[f] is not FaceClass.TRUE:
             continue
@@ -323,55 +295,35 @@ def check_true_face_neighbors(g: OnePlaneGraph, k: int) -> CheckResult:
         true_adj = sorted({j for j in (fod[opposite[d]] for d in walk)
                            if j != f and cls[j] is FaceClass.TRUE})
         if len(true_adj) > 5 - k:
-            return CheckResult(
-                name, CheckStatus.FAIL,
-                f"true face {f} adjacent to true faces {true_adj}")
-    return CheckResult(name, CheckStatus.PASS)
+            bad.append(f"{name}: true face {f} adjacent to true faces {true_adj}")
+    return bad
 
 
-def check_blue_neighbors(dm: DualMap, k: int) -> CheckResult:
-    """Blue dual vertices have at most 5-k distinct blue neighbors."""
-    name = f"blue-neighbors(k={k})"
+def check_blue_neighbors(dm: DualMap, k: int) -> list[str]:
+    """Blue dual vertices have at most 5-k distinct blue neighbors; holds
+    on the skeleton's dual when the drawing is in G_k, k in 3..5."""
     if not 3 <= k <= 5:
-        return CheckResult(name, CheckStatus.NOT_APPLICABLE, f"k={k} out of range")
+        raise OperationError("BAD_PARAMETER", f"k={k} out of range [3,5]")
+    bad: list[str] = []
     for v in dm.vertices_of_color(FaceClass.BLUE):
         blue = [w for w in dm.neighbor_sets[v]
                 if dm.colors[w] is FaceClass.BLUE]
         if len(blue) > 5 - k:
-            return CheckResult(name, CheckStatus.FAIL,
-                               f"blue vertex {v} has blue neighbors {sorted(blue)}")
-    return CheckResult(name, CheckStatus.PASS)
+            bad.append(f"blue-neighbors(k={k}): blue vertex {v} has blue neighbors "
+                       f"{sorted(blue)}")
+    return bad
 
 
-def check_crossing_share(g: OnePlaneGraph) -> CheckResult:
-    """ceil(deg/3) <= c(v) <= floor(deg/2) for 5-connected maximal drawings."""
-    name = "crossing-share"
-    na = _g_k_applicability(g, 5)
-    if na:
-        return CheckResult(name, CheckStatus.NOT_APPLICABLE, na)
+def check_crossing_share(g: OnePlaneGraph) -> list[str]:
+    """ceil(deg/3) <= c(v) <= floor(deg/2) at every true vertex; holds when
+    g is in G_5."""
+    bad: list[str] = []
     for v in g.map.true_vertices:
         d = g.map.degree(v)
         c = c_of(g, v)
         if not (-(-d // 3) <= c <= d // 2):
-            return CheckResult(name, CheckStatus.FAIL,
-                               f"vertex {v}: deg={d}, c={c}")
-    return CheckResult(name, CheckStatus.PASS)
-
-
-def _g_k_applicability(g: OnePlaneGraph, k: int) -> str:
-    """Empty string when g is in G_k: a k-connected maximal drawing on
-    n >= 5 vertices (n >= 6 for k >= 4), immovable when k = 3; otherwise
-    the reason it is not."""
-    if g.n < 5 or (k >= 4 and g.n < 6):
-        return f"n={g.n} below threshold"
-    if not maximality.is_maximal(g).is_maximal:
-        return "drawing not maximal"
-    kappa = vertex_connectivity(underlying(g))
-    if kappa < k:
-        return f"kappa={kappa} < {k}"
-    if k == 3 and not maximality.is_immovable(g).is_immovable:
-        return "k=3 requires an immovable drawing"
-    return ""
+            bad.append(f"crossing-share: vertex {v}: deg={d}, c={c}")
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +411,7 @@ class BoundReport(NamedTuple):
 def verify_bounds(g: OnePlaneGraph) -> BoundReport:
     """Evaluate every applicable crossing-number and size inequality for a
     maximal drawing.  The one table of the bound rows and their domains
-    (the k rows on G_k, see ``_g_k_applicability``).  A FAIL marks an
+    (the k rows on G_k, see ``_in_g_k``).  A FAIL marks an
     implementation bug: every inequality is proven on its domain."""
     if not maximality.is_maximal(g).is_maximal:
         raise OperationError("NOT_MAXIMAL", "bound certification needs a maximal drawing")
@@ -472,7 +424,7 @@ def verify_bounds(g: OnePlaneGraph) -> BoundReport:
     tri = is_triangulation(g.map)
     prof = degree_profile(underlying(g))
 
-    g3, g4, g5, g7 = (not _g_k_applicability(g, k) for k in (3, 4, 5, 7))
+    g3, g4, g5, g7 = (_in_g_k(k, g.n, kappa, immovable) for k in (3, 4, 5, 7))
     entries = [
         _entry("cr-k3", g3, cr, ">=", (n - 2) / 3),
         _entry("cr-k4", g4, cr, ">=", (n - 2) / 2),
@@ -514,39 +466,33 @@ def _entry(bound_id: str, applicable: bool, lhs: Fraction, op: str,
 def property_suite(g: OnePlaneGraph) -> list[str]:
     """Every required invariant of a saturated drawing; returns the
     list of violations (empty means the instance is clean)."""
-    bad: list[str] = []
     if not maximality.is_maximal(g).is_maximal:
-        bad.append("saturated drawing is not maximal")
-        return bad
+        return ["saturated drawing is not maximal"]
 
     rep = verify_bounds(g)
-    kappa, tri = rep.kappa, rep.triangulated
-
+    n, kappa, immovable, tri = rep.n, rep.kappa, rep.immovable, rep.triangulated
+    bad: list[str] = []
     if kappa >= 4 and not tri:
         bad.append(f"kappa={kappa} >= 4 but planarization is not a triangulation")
 
-    if kappa == 3 and rep.immovable and not tri:
+    if kappa == 3 and immovable and not tri:
         bad.append("kappa=3 immovable drawing without triangulated planarization")
 
-    # r9 passes only on a triangulated planarization
+    # the true-face check passes only on a triangulated planarization,
+    # whose skeleton's dual the blue-neighbor check reads
     sk = skeleton(g) if tri else None
-    if 3 <= kappa:
-        k = min(kappa, 5)
+    k = min(kappa, 5)
+    if k >= 3 and _in_g_k(k, n, kappa, immovable):
         r9 = check_true_face_neighbors(g, k)
-        if r9.failed:
-            bad.append(f"{r9.name}: {r9.detail}")
-        if r9.passed:
-            r10 = check_blue_neighbors(dual(sk), k)
-            if r10.failed:
-                bad.append(f"{r10.name}: {r10.detail}")
+        bad += r9 if r9 else check_blue_neighbors(dual(sk), k)
 
-    for res in (check_face_adjacency(g), check_crossing_cliques(g),
-                check_crossing_share(g)):
-        if res.failed:
-            bad.append(f"{res.name}: {res.detail}")
+    bad += check_face_adjacency(g)
+    bad += check_crossing_cliques(g)
+    if _in_g_k(5, n, kappa, immovable):
+        bad += check_crossing_share(g)
 
     if tri:
-        bad.extend(check_color_identities(sk))
+        bad += check_color_identities(sk)
 
     bad.extend(e.line() for e in rep.entries if e.applicable and not e.passed)
     return bad

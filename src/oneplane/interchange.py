@@ -44,6 +44,19 @@ class ParseError(OperationError):
         super().__init__("PARSE_ERROR", message + where)
 
 
+class _Decimals(dict):
+    """Token -> int for the tokens ``serialize`` writes as numbers: ASCII
+    digits without a leading zero.  Any other token (a sign, ``_``, a
+    leading zero or a non-ASCII digit, all of which ``int`` reads) is a
+    ValueError."""
+
+    def __missing__(self, tok: str) -> int:
+        if not (tok.isdecimal() and tok.isascii() and (tok[0] != "0" or tok == "0")):
+            raise ValueError(f"{tok!r} is not a plain decimal number")
+        self[tok] = value = int(tok)
+        return value
+
+
 def serialize(g: OnePlaneGraph) -> str:
     out = [FORMAT_HEADER, f"vertices {g.map.n_vertices}"]
     out += [f"v {v} {_KIND_NAMES[kind]}" for v, kind in enumerate(g.map.kinds)]
@@ -92,6 +105,7 @@ def parse(text: str) -> OnePlaneGraph:
     edges: list[EdgeRec] = []
     rot_tokens: dict[int, list[str]] = {}
     counts: dict[str, int] = {}           # the "vertices" and "edges" records
+    num = _Decimals()                     # every id and count is read through it
 
     lines = text.splitlines()
     # the first line that is neither blank nor a comment is the header
@@ -108,32 +122,32 @@ def parse(text: str) -> OnePlaneGraph:
                 continue
             tag = parts[0]
             if tag == "e":
-                eid = int(parts[1])
+                eid = num[parts[1]]
                 if eid != len(edges):
                     raise ParseError(f"edge ids must be dense, got {eid}", lineno)
                 crossing = None
                 if len(parts) > 4:
                     if parts[4] != "x":
                         raise ParseError(f"bad edge record {raw.strip()!r}", lineno)
-                    crossing = int(parts[5])
-                edges.append(EdgeRec(int(parts[2]), int(parts[3]), crossing))
+                    crossing = num[parts[5]]
+                edges.append(EdgeRec(num[parts[2]], num[parts[3]], crossing))
                 if len(parts) > 6:
                     raise ParseError(f"trailing tokens in edge record {raw.strip()!r}",
                                      lineno)
             elif tag == "rot":
-                vid = int(parts[1])
+                vid = num[parts[1]]
                 if vid in rot_tokens:
                     raise ParseError(f"second rot record for vertex {vid}", lineno)
                 rot_tokens[vid] = parts[2:]
             elif tag == "v":
-                vid = int(parts[1])
+                vid = num[parts[1]]
                 if vid != len(kinds):
                     raise ParseError(f"vertex ids must be dense, got {vid}", lineno)
                 kinds.append(_KINDS.get(parts[2]) or VertexKind(parts[2]))
             elif tag[0] == "#":
                 continue
             elif tag == "vertices" or tag == "edges":
-                count = int(parts[1])
+                count = num[parts[1]]
                 if len(parts) > 2:
                     raise ParseError(f"trailing tokens in count record {raw.strip()!r}",
                                      lineno)
@@ -144,7 +158,7 @@ def parse(text: str) -> OnePlaneGraph:
                 raise ParseError(f"unknown record {tag!r}", lineno)
     except (ValueError, IndexError) as exc:
         raise ParseError(f"malformed record {lines[lineno - 1].strip()!r}: {exc}", lineno)
-    del lines       # read: not held through validation, a parse's peak
+    del lines, num  # read: not held through validation, a parse's peak
 
     if counts.get("vertices") != len(kinds):
         raise ParseError("vertex count mismatch")

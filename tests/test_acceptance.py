@@ -233,7 +233,7 @@ def test_criterion_8_oracle_equivalence():
 def test_criterion_9_crossing_edge_counts():
     for k in (1, 2, 3):
         g = gen_XH(k)
-        assert check_crossing_share(g).passed
+        assert check_crossing_share(g) == []
     g = gen_XH(1)
     assert all(g.map.degree(v) == 6 and c_of(g, v) == 2
                for v in g.map.true_vertices)
@@ -303,3 +303,13 @@ def test_no_56_regular_skeleton_of_xh3_exists():
         assert bt(0) is expect, k
     report("10*", "exhaustive: a (5,6)-regular skeleton exists for k=2 "
                   "and provably not for k=3")
+
+
+def test_strict_xfails_fail_by_their_values():
+    """The two strict xfails above pass on any exception, so their
+    expressions are run here too: each returns its failing value, and an
+    exception in either one fails this test."""
+    res = is_maximal(gen_XM(1))
+    assert res.is_maximal is False and res.witness is not None
+    assert regularity_checks(skeleton(gen_XH(3)).map).is_56_regular is False
+    report("4*, 10*", "the xfailed expressions return False, they do not raise")

@@ -7,10 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oneplane.core import SimpleGraph, OperationError, underlying
-from oneplane.build import plane_graph
+from oneplane.build import delete_edges, plane_graph
 from oneplane import analyze, flow, transform
 from oneplane.analyze import (
-    CheckStatus,
     check_blue_neighbors,
     check_color_identities,
     check_crossing_cliques,
@@ -113,14 +112,19 @@ def _graph(edges):
 # the same wheel with an ear (kappa 2, G-hub 2-connected), a hub of
 # degree 15 over an 11-cycle and a 4-cycle joined by one edge (kappa 2,
 # G-hub has a cut vertex), and a hub of degree 11 over two hexagons that
-# share vertex 6 (kappa 2, G-hub has a cut vertex that ends no bridge)
+# share vertex 6 (kappa 2, G-hub has a cut vertex that ends no bridge).
+# Each call builds fresh graphs: flow.menger keeps κ per graph, so a test
+# that counts κ's searches must not see one an earlier test computed.
 RIM = list(range(1, 12))
-LOW_KAPPA = [
-    (_graph(_wheel_edges(0, RIM) + [(1, 12)]), 1),
-    (_graph(_wheel_edges(0, RIM) + [(1, 12), (6, 12)]), 2),
-    (_graph(_wheel_edges(0, RIM) + _wheel_edges(0, [12, 13, 14, 15]) + [(1, 12)]), 2),
-    (_graph(_wheel_edges(0, RIM[:6]) + _wheel_edges(0, RIM[5:])), 2),
-]
+
+
+def low_kappa():
+    return [
+        (_graph(_wheel_edges(0, RIM) + [(1, 12)]), 1),
+        (_graph(_wheel_edges(0, RIM) + [(1, 12), (6, 12)]), 2),
+        (_graph(_wheel_edges(0, RIM) + _wheel_edges(0, [12, 13, 14, 15]) + [(1, 12)]), 2),
+        (_graph(_wheel_edges(0, RIM[:6]) + _wheel_edges(0, RIM[5:])), 2),
+    ]
 
 
 def test_lambda3_agrees_with_per_vertex_oracle():
@@ -132,12 +136,12 @@ def test_lambda3_agrees_with_per_vertex_oracle():
     graphs.append(_graph(_wheel_edges(0, RIM)))          # kappa 3, hub degree 11
     for sg in graphs:
         assert degree_profile(sg).lambda3 == per_vertex_lambda3(sg)
-    for sg, kappa in LOW_KAPPA:
+    for sg, kappa in low_kappa():
         assert vertex_connectivity(sg) == kappa
         assert any(sg.degree(v) > 9 and sg.degree(v) % 2 for v in sg.vertices)
         assert degree_profile(sg).lambda3 == per_vertex_lambda3(sg)
     # the hub counts only where G-hub is 2-connected
-    assert [degree_profile(sg).lambda3 for sg, _ in LOW_KAPPA] == [11, 10, 13, 11]
+    assert [degree_profile(sg).lambda3 for sg, _ in low_kappa()] == [11, 10, 13, 11]
 
 
 def test_degree_profile_tests_kappa_once(monkeypatch):
@@ -178,7 +182,7 @@ def test_shared_network_flows_agree_with_rebuild_oracle():
     graphs.append(underlying(load(fixture_path("t1"))))
     graphs += [underlying(saturate(gen_random_seed(n, seed), SaturationPolicy.SEEDED, seed))
                for n, seed in [(10, 17), (12, 5)]]
-    graphs += [sg for sg, _ in LOW_KAPPA]
+    graphs += [sg for sg, _ in low_kappa()]
     for sg in graphs:
         index, nbrs = _numbered(sg, list(reversed(sg.vertices)))
         table = [ns[:] for ns in nbrs]
@@ -192,7 +196,7 @@ def test_shared_network_flows_agree_with_rebuild_oracle():
 
 
 def _kappa_graphs():
-    """Families, fixtures, seeded saturations and LOW_KAPPA, each as is
+    """Families, fixtures, seeded saturations and ``low_kappa``, each as is
     and with its first 1-4 vertices or 1-4 seeded random vertices removed
     (where the rest stays connected): removals give κ below the minimum
     degree."""
@@ -201,7 +205,7 @@ def _kappa_graphs():
     base += [underlying(load(fixture_path(t))) for t in ("t1", "t2")]
     base += [underlying(saturate(gen_random_seed(n, seed), SaturationPolicy.SEEDED, seed))
              for n, seed in [(10, 17), (8, 3), (12, 5), (20, 1), (30, 2), (40, 3)]]
-    base += [sg for sg, _ in LOW_KAPPA]
+    base += [sg for sg, _ in low_kappa()]
     rng = random.Random(7)
     for sg in base:
         yield sg
@@ -233,7 +237,7 @@ def test_depth_first_fans_agree_with_breadth_first_augment():
     open, up to the cap, whether or not the cap stops it early."""
     rng = random.Random(3)
     graphs = [underlying(generate(f, k)) for f, k in [("xm", 3), ("yh", 1), ("xh", 1)]]
-    graphs += [sg for sg, _ in LOW_KAPPA]
+    graphs += [sg for sg, _ in low_kappa()]
     for sg in graphs:
         for _ in range(20):
             index, nbrs = _numbered(sg, rng.sample(sg.vertices, sg.order))
@@ -359,7 +363,6 @@ def test_flow_state_reads_as_disjoint_paths(monkeypatch):
     edges of the graph between the two vertices of the pair."""
     calls = _recorded_searches(monkeypatch)
     for sg in _kappa_graphs():
-        sg = SimpleGraph(sg.vertices, sg.edges)     # κ is kept per graph
         calls.clear()
         kappa = vertex_connectivity(sg)
         *_, cut = flow.menger(sg)
@@ -586,25 +589,66 @@ def test_near_optimal():
 
 
 def test_face_adjacency_and_crossing_cliques():
-    assert check_face_adjacency(gen_XH(1)).passed
-    assert check_crossing_cliques(gen_XH(1)).passed
-    assert check_crossing_cliques(gen_YH(2)).passed
-    # not maximal -> not applicable, never a silent pass
-    r = check_crossing_cliques(gen_HH(1))
-    assert r.status is CheckStatus.NOT_APPLICABLE
+    assert check_face_adjacency(gen_XH(1)) == []
+    assert check_crossing_cliques(gen_XH(1)) == []
+    assert check_crossing_cliques(gen_YH(2)) == []
+    # HH(1) is plane with quadrangular faces: their diagonals are missing
+    bad = check_face_adjacency(gen_HH(1))
+    assert len(bad) == 12
+    assert bad[0] == "face-adjacency: true vertices 0,4 share face 0 but are not adjacent"
+    # XH(1) without a side of the kite around crossing 12
+    g = gen_XH(1)
+    assert g.crossing_pairs[0][0] == 12 and g.edges[8].ends == (0, 8)
+    assert check_crossing_cliques(delete_edges(g, [8]).graph) == \
+        ["crossing-cliques: crossing 12: 0,8 not adjacent"]
 
 
 def test_true_face_and_blue_neighbor_bounds():
-    assert check_true_face_neighbors(gen_YH(1), 3).passed
-    assert check_true_face_neighbors(gen_XH(1), 5).passed
-    r = check_true_face_neighbors(gen_YH(1), 4)     # kappa=3 < 4
-    assert r.status is CheckStatus.NOT_APPLICABLE
-    r = check_true_face_neighbors(gen_XM(1), 4)     # n=6 but not maximal
-    assert r.status is CheckStatus.NOT_APPLICABLE
+    assert check_true_face_neighbors(gen_YH(1), 3) == []
+    assert check_true_face_neighbors(gen_XH(1), 5) == []
+    assert check_blue_neighbors(dual(skeleton(gen_YH(1))), 3) == []
+    assert check_blue_neighbors(dual(skeleton(gen_XH(1))), 5) == []
+    # YH(1) has κ = 3: its true faces come in adjacent runs
+    assert check_true_face_neighbors(gen_YH(1), 4)[0] == \
+        "true-face-neighbors(k=4): true face 2 adjacent to true faces [3, 13]"
+    assert check_blue_neighbors(dual(skeleton(gen_YH(1))), 5)[0] == \
+        "blue-neighbors(k=5): blue vertex 2 has blue neighbors [3, 12]"
+    assert check_true_face_neighbors(gen_HH(1), 3) == \
+        ["true-face-neighbors(k=3): planarization is not a triangulation"]
 
-    assert check_blue_neighbors(dual(skeleton(gen_YH(1))), 3).passed
-    assert check_blue_neighbors(dual(skeleton(gen_XH(1))), 5).passed
-    assert check_blue_neighbors(dual(skeleton(gen_YH(1))), 6).status is CheckStatus.NOT_APPLICABLE
+
+@pytest.mark.parametrize("k", [2, 6])
+def test_neighbor_bounds_reject_k_outside_3_to_5(k):
+    for run in (lambda: check_true_face_neighbors(gen_YH(1), k),
+                lambda: check_blue_neighbors(dual(skeleton(gen_YH(1))), k)):
+        with pytest.raises(OperationError) as exc:
+            run()
+        assert exc.value.code == "BAD_PARAMETER"
+
+
+def test_property_suite_on_a_non_maximal_drawing():
+    for g in (gen_HH(1), gen_XM(1)):
+        assert property_suite(g) == ["saturated drawing is not maximal"]
+
+
+# which structural checks property_suite runs on a drawing: the neighbor
+# checks on G_k for k = min(κ, 5), the crossing share on G_5 only
+WIRED = ["check_face_adjacency", "check_crossing_cliques", "check_true_face_neighbors",
+         "check_blue_neighbors", "check_color_identities", "check_crossing_share"]
+
+
+@pytest.mark.parametrize("check", WIRED)
+def test_property_suite_runs_each_check_where_it_holds(monkeypatch, check):
+    """Each check, made to report one extra violation, shows it in the
+    suite exactly on the drawings it runs on: all six on XH(1) (κ = 6) and
+    t1 (κ = 7), all but the crossing share on YH(1) (κ = 3, immovable) and
+    XM(2) (κ = 4)."""
+    original = getattr(analyze, check)
+    monkeypatch.setattr(analyze, check, lambda *args: original(*args) + [check])
+    for g, runs in [(gen_YH(1), check != "check_crossing_share"),
+                    (gen_XM(2), check != "check_crossing_share"),
+                    (gen_XH(1), True), (load(fixture_path("t1")), True)]:
+        assert property_suite(g).count(check) == runs
 
 
 def test_property_suite_builds_one_dual(monkeypatch):
@@ -622,9 +666,9 @@ def test_property_suite_builds_one_dual(monkeypatch):
 
 
 def test_crossing_share():
-    assert check_crossing_share(gen_XH(1)).passed
-    r = check_crossing_share(gen_YH(1))       # kappa = 3
-    assert r.status is CheckStatus.NOT_APPLICABLE
+    assert check_crossing_share(gen_XH(1)) == []
+    # YH(1) has κ = 3: its degree-8 vertices lie on two crossed edges
+    assert check_crossing_share(gen_YH(1))[0] == "crossing-share: vertex 0: deg=8, c=2"
 
 
 def test_color_identities_on_families():

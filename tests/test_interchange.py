@@ -93,6 +93,33 @@ def test_record_arity(old, new):
         parse(doc)
 
 
+@pytest.mark.parametrize("old,new", [
+    ("e 15 8 3 x 16", "e 1_5 +8 03 x \u0661\u0666"),
+    ("e 15 8 3 x 16", "e 1_5 8 3 x 16"),
+    ("e 15 8 3 x 16", "e 15 +8 3 x 16"),
+    ("e 15 8 3 x 16", "e 15 8 03 x 16"),
+    ("e 15 8 3 x 16", "e 15 8 3 x \u0661\u0666"),
+    ("rot 8 ", "rot 0_8 "),
+    ("v 3 true", "v +3 true"),
+    ("v 0 true", "v 00 true"),
+    ("vertices 20", "vertices +20"),
+    ("edges 42", "edges 042"),
+], ids=["edge-all", "edge-id-underscore", "edge-end-sign", "edge-end-leading-zero",
+        "edge-crossing-arabic-indic", "rot-id-underscore", "vertex-id-sign",
+        "vertex-id-zeros", "vertices-sign", "edges-leading-zero"])
+def test_numbers_are_plain_decimals(old, new):
+    """``int`` reads a sign, ``_``, leading zeros and non-ASCII digits,
+    none of which ``serialize`` writes: each is a ParseError naming its
+    line, and the same characters in a comment are skipped."""
+    i = next(i for i, ln in enumerate(XM2_LINES) if ln.startswith(old))
+    line = XM2_LINES[i].replace(old, new, 1)
+    doc = "\n".join(XM2_LINES[:i] + [line] + XM2_LINES[i + 1:]) + "\n"
+    with pytest.raises(ParseError, match=rf"\(line {i + 1}\)$"):
+        parse(doc)
+    commented = "\n".join(XM2_LINES[:i + 1] + ["# " + line] + XM2_LINES[i + 1:]) + "\n"
+    assert parse(commented) == gen_XM(2)
+
+
 # blank, whitespace-only and comment lines put after every record
 SKIPPED = ["", "   ", "# note", "  #indented note", "#"]
 XM2_SPACED = XM2_LINES[:1] + [x for ln in XM2_LINES[1:] for x in [ln, *SKIPPED]]

@@ -11,7 +11,6 @@ import pytest
 import oneplane
 from oneplane import build, core
 from oneplane.analyze import (
-    check_face_adjacency,
     degree_profile,
     is_near_optimal,
     regularity_checks,
@@ -50,7 +49,6 @@ def _records():
         "DegreeProfile": degree_profile(sg),
         "RegularityReport": regularity_checks(m),
         "NearOptimalReport": is_near_optimal(g),
-        "CheckResult": check_face_adjacency(g),
         "BoundEntry": bounds.entries[0],
         "BoundReport": bounds,
         "DualMap": dual(skeleton(g)),

@@ -156,3 +156,18 @@ def test_one_record_for_a_drawing_minus_some_edges():
     assert not defined & {"Skeleton", "BuildResult", "RemovalStrategy"}
     assert not hasattr(oneplane.DrawingBuilder, "graph")
     assert list(inspect.signature(oneplane.skeleton).parameters) == ["g", "removed"]
+
+
+def test_one_verdict_shape_for_the_structural_checks():
+    # every structural check returns its list of violations, and G_k
+    # membership is decided by one predicate of the facts verify_bounds
+    # holds, which it and property_suite call
+    path = Path(oneplane.__file__).parent / "analyze.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert not defined & {"CheckResult", "CheckStatus", "_g_k_applicability"}
+    assert set(_callers(tree, "_in_g_k")) == {"verify_bounds", "property_suite"}
+    checks = {node.name: ast.unparse(node.returns) for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")}
+    assert len(checks) == 6 and set(checks.values()) == {"list[str]"}
