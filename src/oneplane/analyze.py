@@ -10,6 +10,7 @@ that meet it.  A bound row outside its domain prints NOT_APPLICABLE.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -67,12 +68,9 @@ def connectivity_at_least(sg: SimpleGraph, k: int) -> bool:
 def map_graph(pmap: PlanarMap) -> SimpleGraph:
     """Adjacency structure of a plane map (parallel segments collapse),
     built once per map."""
-    edges = set()
-    for d in range(pmap.n_darts):
-        o = pmap.opposite[d]
-        if d < o:
-            u, v = pmap.dart_vertex[d], pmap.dart_vertex[o]
-            edges.add((min(u, v), max(u, v)))
+    dv = pmap.dart_vertex
+    edges = {(dv[d], dv[o]) if dv[d] < dv[o] else (dv[o], dv[d])
+             for d, o in enumerate(pmap.opposite) if d < o}
     return SimpleGraph(tuple(range(pmap.n_vertices)), tuple(sorted(edges)))
 
 
@@ -93,9 +91,7 @@ class DegreeProfile(NamedTuple):
 
 def degree_profile(sg: SimpleGraph) -> DegreeProfile:
     degrees = {v: len(ws) for v, ws in sg.adjacency.items()}
-    hist: dict[int, int] = {}
-    for d in degrees.values():
-        hist[d] = hist.get(d, 0) + 1
+    hist = Counter(degrees.values())
     # odd vertices of degree <= 9 count as they are; kappa >= 3 makes every
     # G-w 2-connected, so a flow per vertex runs only below it
     big = [w for w, d in degrees.items() if d % 2 == 1 and d > 9]
@@ -116,13 +112,10 @@ def degree_profile(sg: SimpleGraph) -> DegreeProfile:
 
 @once
 def is_triangulation(pmap: PlanarMap) -> bool:
-    """True iff every face walk is a triangle on three distinct vertices."""
-    for walk in pmap.face_walks:
-        if len(walk) != 3:
-            return False
-        if len({pmap.dart_vertex[d] for d in walk}) != 3:
-            return False
-    return True
+    """True iff every face walk is a triangle on three distinct vertices.
+    It reads a validated map, which has no loop segment, so a walk of
+    three darts visits three distinct vertices."""
+    return set(map(len, pmap.face_walks)) <= {3}
 
 
 def is_separating_cycle(pmap: PlanarMap, subset) -> bool:
@@ -229,10 +222,7 @@ def is_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
         if got != want:
             bad.append(f"crossing in face {orig} is not of its diagonals")
 
-    fod = h.map.face_of_dart
-    for e in range(h.size):
-        d = h.edge_darts[e][0]
-        f1, f2 = fod[d], fod[h.map.opposite[d]]
+    for e, (f1, f2) in sorted(maximality._sides(h).items()):     # h is plane
         if f1 != f2 and triangle[f1] and triangle[f2]:
             u, v = h.edges[e].ends
             bad.append(f"edge {old[u]}-{old[v]} shared by two triangles")
@@ -478,13 +468,14 @@ def property_suite(g: OnePlaneGraph) -> list[str]:
     if kappa == 3 and immovable and not tri:
         bad.append("kappa=3 immovable drawing without triangulated planarization")
 
-    # the true-face check passes only on a triangulated planarization,
-    # whose skeleton's dual the blue-neighbor check reads
+    # the blue-neighbor check reads the skeleton's dual, which needs a
+    # triangulated planarization (the true-face check fails without one)
     sk = skeleton(g) if tri else None
     k = min(kappa, 5)
     if k >= 3 and _in_g_k(k, n, kappa, immovable):
-        r9 = check_true_face_neighbors(g, k)
-        bad += r9 if r9 else check_blue_neighbors(dual(sk), k)
+        bad += check_true_face_neighbors(g, k)
+        if tri:
+            bad += check_blue_neighbors(dual(sk), k)
 
     bad += check_face_adjacency(g)
     bad += check_crossing_cliques(g)

@@ -23,13 +23,13 @@ from typing import NamedTuple
 
 from .core import (
     DrawingError,
-    EdgeRec,
     FaceClass,
     OnePlaneGraph,
     OperationError,
     PlanarMap,
     ValidationError,
     VertexKind,
+    edge_rec,
     validate,
 )
 
@@ -356,7 +356,7 @@ def _compact(kinds, rotations, opposite, dart_edge, edges):
     new_dart = dict(zip(dart_ids, ids))
     ends = list(accumulate(len(rotations[v]) for v in vertex_ids))
     rots = [ids[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    recs = [EdgeRec(new_vertex[u], new_vertex[v], None if c is None else new_vertex[c])
+    recs = [edge_rec((new_vertex[u], new_vertex[v], None if c is None else new_vertex[c]))
             for u, v, c in map(edges.__getitem__, edge_ids)]
     g = validate([kinds[v] for v in vertex_ids], rots,
                  [new_dart[opposite[d]] for d in dart_ids], recs,

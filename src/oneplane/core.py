@@ -10,9 +10,9 @@ vertex.  All structures are immutable after validation and safe to share.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 from itertools import chain
-from operator import eq
+from operator import eq, sub
 from typing import NamedTuple
 
 
@@ -194,6 +194,10 @@ class EdgeRec(NamedTuple):
         return (self.u, self.v)
 
 
+# edge_rec((u, v, crossing)): an EdgeRec made in C, skipping the NamedTuple's __new__
+edge_rec = partial(tuple.__new__, EdgeRec)
+
+
 class _OnePlaneGraphFields(NamedTuple):
     map: PlanarMap
     edges: tuple[EdgeRec, ...]
@@ -338,11 +342,17 @@ def once(fn):
 
 @once
 def underlying(g: OnePlaneGraph) -> SimpleGraph:
-    """The abstract simple graph of the drawing (true vertices only)."""
-    edges = tuple(
-        sorted((min(r.u, r.v), max(r.u, r.v)) for r in g.edges)
-    )
-    return SimpleGraph(tuple(g.map.true_vertices), edges)
+    """The abstract simple graph of the drawing (true vertices only), read
+    off the rotations: a dart's far end is its edge's u + v less its tail,
+    and a validated drawing has no loop or parallel edge.  The edge pairs
+    come out sorted; the adjacency is kept as the graph's ``adjacency``."""
+    pmap, ends = g.map, [r.u + r.v for r in g.edges]
+    far = list(map(sub, map(ends.__getitem__, g.dart_edge), pmap.dart_vertex))
+    adj = {v: frozenset(map(far.__getitem__, pmap.rotations[v])) for v in pmap.true_vertices}
+    sg = SimpleGraph(pmap.true_vertices,
+                     tuple([(v, w) for v, ws in adj.items() for w in sorted(ws) if w > v]))
+    sg.__dict__["adjacency"] = adj
+    return sg
 
 
 @once
@@ -551,12 +561,12 @@ def _edge_table_violations(pmap: PlanarMap, edges, dart_edge, bad) -> None:
                           f"edge {e} endpoint {w} is not a true vertex"))
         if wrong:
             continue
-        darts = buckets[e]
-        segs = _segments_of(pmap, darts, opposite)
-        if segs is None:
+        darts = set(buckets[e])
+        if not all(opposite[d] in darts for d in darts):
             bad(Violation("BAD_EDGE_TABLE",
                           f"edge {e} darts are not whole segments"))
             continue
+        segs = sorted(d for d in darts if d < opposite[d])     # one per segment
         endsets = [frozenset((pmap.dart_vertex[d], pmap.dart_vertex[opposite[d]]))
                    for d in segs]
         if rec.crossing is None:
@@ -602,18 +612,3 @@ def _crossing_violations(pmap: PlanarMap, edges, dart_edge, bad) -> None:
             bad(Violation("EDGE_MULTICROSSED",
                           f"edges {e1} and {e2} cross more than once"))
         pair_seen[key] = c
-
-
-def _segments_of(pmap: PlanarMap, darts, opposite):
-    """Group an edge's darts into whole segments; None if they don't pair up."""
-    dset = set(darts)
-    segs = []
-    while dset:
-        d = min(dset)
-        o = opposite[d]
-        if o not in dset:
-            return None
-        dset.discard(d)
-        dset.discard(o)
-        segs.append(d)
-    return segs

@@ -42,12 +42,17 @@ def menger(sg: SimpleGraph):
     through a settled end.  So t settles without an s-t flow when it has
     c >= ``best`` settled neighbors, or else when a fan of ``best`` such
     paths exists; only then does the capped s-t flow run, possibly
-    lowering ``best``.  A fan starts from the c edges to settled neighbors
-    as paths of its own and asks for ``best`` - c more: cutting each path
-    of a maximum fan at its first settled vertex, then trading the path
-    that ends at a settled neighbor w for the edge tw, gives a maximum fan
-    that holds them all.  The second batch flows between non-adjacent
+    lowering ``best``.  The second batch flows between non-adjacent
     neighbors of s.  The BFS is also the connectivity test.
+
+    Each search starts from the free paths the neighbor table lists and
+    asks ``augment`` for the rest only: a fan of t holds t's edges to its
+    settled neighbors, then t-w-x through each unsettled neighbor w in
+    turn, to the first settled x in ``nbrs[w]`` that no path ends at; an
+    x-y flow holds x-w-y through each common neighbor w.  Augmenting from
+    any valid flow reaches the same capped maximum, so no settle decision
+    and no κ changes, and every maximum flow leaves the same nodes
+    reachable from its source, so ``residual_cut``'s separator stays too.
     """
     n = sg.order
     if n < 2:
@@ -69,18 +74,27 @@ def menger(sg: SimpleGraph):
 
     def flow(x, y):
         nonlocal best, cut
-        prv = {}
-        f = augment(nbrs, prv, {}, x, y, best)
+        common = set(nbrs[x]).intersection(nbrs[y])
+        prv, f = dict.fromkeys(common, x), len(common)
         if f < best:
-            best, cut = f, (order, nbrs, prv, x)
+            f += augment(nbrs, prv, dict.fromkeys(common, y), x, y, best - f)
+            if f < best:
+                best, cut = f, (order, nbrs, prv, x)
 
     for i in range(len(nb) + 1, n):     # N(s) comes first in BFS order
         ni = nbrs[i]
         c = bisect_left(ni, i, 0, len(ni) - 1)      # ni ends with i itself
         if c < best:
-            direct = ni[:c]
-            if c + augment(nbrs, dict.fromkeys(direct, i), dict.fromkeys(direct, SINK),
-                           i, SINK, best - c) < best:
+            prv, nxt = dict.fromkeys(ni[:c], i), dict.fromkeys(ni[:c], SINK)
+            for w in ni[c:-1]:
+                for x in nbrs[w]:
+                    if x >= i or c == best:
+                        break
+                    if x and x not in nxt:
+                        prv[w], nxt[w], prv[x], nxt[x] = i, x, w, SINK
+                        c += 1
+                        break
+            if c < best and c + augment(nbrs, prv, nxt, i, SINK, best - c) < best:
                 flow(0, i)
     nbl = sorted(nb)
     for i, x in enumerate(nbl):

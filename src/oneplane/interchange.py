@@ -30,6 +30,7 @@ from .core import (
     OnePlaneGraph,
     OperationError,
     VertexKind,
+    edge_rec,
     validate,
 )
 
@@ -131,7 +132,7 @@ def parse(text: str) -> OnePlaneGraph:
                     if parts[4] != "x":
                         raise ParseError(f"bad edge record {raw.strip()!r}", lineno)
                     crossing = num[parts[5]]
-                edges.append(EdgeRec(num[parts[2]], num[parts[3]], crossing))
+                edges.append(edge_rec((num[parts[2]], num[parts[3]], crossing)))
                 if len(parts) > 6:
                     raise ParseError(f"trailing tokens in edge record {raw.strip()!r}",
                                      lineno)

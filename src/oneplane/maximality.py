@@ -102,6 +102,13 @@ def _across(across, on, adj) -> list[InsertionCandidate]:
     return out
 
 
+def _sides(g: OnePlaneGraph) -> dict[int, tuple[int, int]]:
+    """The faces beside each uncrossed edge, read at its lower dart."""
+    fod, de, edges = g.map.face_of_dart, g.dart_edge, g.edges
+    return {de[d]: (fod[d], fod[o]) for d, o in enumerate(g.map.opposite)
+            if d < o and edges[de[d]].crossing is None}
+
+
 @once
 def is_maximal(g: OnePlaneGraph) -> MaximalityResult:
     """True iff no edge can be added to the drawing."""
@@ -144,7 +151,7 @@ class _Closure:
 
     Faces are named by ids that are never reused; ``walks`` and ``on`` (true
     boundary vertices) are kept per live face.  The tables start from the
-    drawing's own (face walks, ``face_of_dart``, ``edge_darts``) in
+    drawing's own (face walks, ``face_of_dart``, ``opposite``) in
     whole-table passes, and ``_add`` lists the candidates of those faces
     and of the faces each insertion makes, in no particular order.  A
     candidate's group key (u, v, kind) never changes while it is live: ``groups`` maps each key to
@@ -168,7 +175,7 @@ class _Closure:
         self.walks = dict(enumerate(g.map.face_walks))
         self.on: dict[int, frozenset] = {}
         self.groups: dict[tuple[int, int, str], list[InsertionCandidate]] = {}
-        self.by_face: dict[int, list[InsertionCandidate]] = {}
+        self.by_face: dict[int, list[InsertionCandidate]] = {}    # made on first use
         # the true vertex at each dart: its tail, or at a crossing its head,
         # which is true and the tail of the next dart on its face; so a
         # face's true boundary vertices are those of its darts
@@ -179,11 +186,7 @@ class _Closure:
                 self.true_at[d] = dv[opposite[d]]
         self.next_face = len(self.walks)
         self.inserted = 0
-        fod = g.map.face_of_dart
-        across = {e: (fod[ds[0]], fod[opposite[ds[0]]])
-                  for e, (rec, ds) in enumerate(zip(g.edges, g.edge_darts))
-                  if rec.crossing is None}
-        self.keys = sorted(self._add(range(self.next_face), across))
+        self.keys = sorted(self._add(range(self.next_face), _sides(g)))
 
     def candidates(self) -> list[InsertionCandidate]:
         """The live candidates, in no particular order."""
@@ -222,7 +225,6 @@ class _Closure:
         true_at = self.true_at.__getitem__
         for f in faces:
             on[f] = frozenset(map(true_at, self.walks[f]))
-            self.by_face[f] = []
         new = _in_face(faces, on, adj) + _across(across, on, adj)
         keys = []
         for c in new:
@@ -230,7 +232,7 @@ class _Closure:
             keys.append(key)
             self.groups.setdefault(key, []).append(c)
             for f in c.faces:
-                self.by_face[f].append(c)
+                self.by_face.setdefault(f, []).append(c)
         return keys
 
     def insert(self, cand: InsertionCandidate) -> None:
@@ -246,7 +248,7 @@ class _Closure:
         self.adj[cand.v].add(cand.u)
         # every candidate across the crossed edge refers to one of its two
         # faces, so dropping the split faces' candidates drops them too
-        gone = [c for f in cand.faces for c in self.by_face.pop(f)]
+        gone = [c for f in cand.faces for c in self.by_face.pop(f, ())]
         for kind in RouteKind:
             gone += self.groups.get((cand.u, cand.v, kind.value), ())
         for c in gone:
@@ -367,16 +369,18 @@ def _redrawable(g: OnePlaneGraph):
     So u and v share a face of g - e iff their sets of faces in g meet, or
     u's set meets the faces beside c-v, or v's set meets those beside u-c.
     (Distinct faces at c also mean that u and v keep a dart each, so
-    neither is left isolated.)  The face sets are built once per drawing.
+    neither is left isolated.)  The face sets are built once per drawing,
+    and the faces beside u-c and c-v, keyed by u and v, are read at e's
+    darts in the rotation of c, every other one there.
     """
-    fod, dv, opposite = g.map.face_of_dart, g.map.dart_vertex, g.map.opposite
+    fod, dv, opposite, de = g.map.face_of_dart, g.map.dart_vertex, g.map.opposite, g.dart_edge
     at = [set(map(fod.__getitem__, rot)) for rot in g.map.rotations]
     for e, rec in enumerate(g.edges):
         if rec.crossing is None:
             continue
-        u, v = rec.u, rec.v
-        # the faces beside each segment, keyed by the tail of its dart
-        beside = {dv[d]: (fod[d], fod[opposite[d]]) for d in g.edge_darts[e]}
+        u, v, r = rec.u, rec.v, g.map.rotations[rec.crossing]
+        beside = {dv[opposite[d]]: (fod[d], fod[opposite[d]])
+                  for d in (r[::2] if de[r[0]] == e else r[1::2])}
         if not (at[u].isdisjoint(at[v]) and at[u].isdisjoint(beside[v])
                 and at[v].isdisjoint(beside[u])):
             yield e

@@ -89,11 +89,6 @@ class DualMap(_DualMapFields):
 def dual(s: Subdrawing) -> DualMap:
     """The colored dual of a skeleton; dual degrees equal face boundary
     lengths by construction (one dual edge per primal segment)."""
-    pmap = s.graph.map
-    fod = pmap.face_of_dart
-    edges = []
-    for d in range(pmap.n_darts):
-        o = pmap.opposite[d]
-        if d < o:
-            edges.append((fod[d], fod[o]))
-    return DualMap(colors=s.colors, edges=tuple(sorted(edges)))
+    fod = s.graph.map.face_of_dart
+    edges = sorted((fod[d], fod[o]) for d, o in enumerate(s.graph.map.opposite) if d < o)
+    return DualMap(colors=s.colors, edges=tuple(edges))

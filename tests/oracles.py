@@ -1274,3 +1274,52 @@ def walk_separating_cycle(pmap: PlanarMap, subset) -> bool:
         return False
     rest = sg.without(s)
     return rest.order > 0 and not rest.is_connected()
+
+
+# ---------------------------------------------------------------------------
+# The check path's tables as they were built before it read them off the
+# validated map: a sort-based underlying graph, a distinct-vertex
+# triangulation test and the ``edge_darts`` reading of the faces beside
+# each segment
+# ---------------------------------------------------------------------------
+
+def sorted_underlying(g: OnePlaneGraph) -> SimpleGraph:
+    """The abstract simple graph of the drawing, its edge pairs sorted from
+    the edge table and its adjacency built from them."""
+    edges = tuple(sorted((min(r.u, r.v), max(r.u, r.v)) for r in g.edges))
+    return SimpleGraph(tuple(g.map.true_vertices), edges)
+
+
+def distinct_vertex_is_triangulation(pmap: PlanarMap) -> bool:
+    """True iff every face walk is a triangle on three distinct vertices."""
+    for walk in pmap.face_walks:
+        if len(walk) != 3:
+            return False
+        if len({pmap.dart_vertex[d] for d in walk}) != 3:
+            return False
+    return True
+
+
+def edge_dart_sides(g: OnePlaneGraph) -> dict[int, tuple[int, int]]:
+    """The faces on the two sides of each uncrossed edge, read at the first
+    of its ``edge_darts``."""
+    fod, opposite = g.map.face_of_dart, g.map.opposite
+    return {e: (fod[ds[0]], fod[opposite[ds[0]]])
+            for e, (rec, ds) in enumerate(zip(g.edges, g.edge_darts))
+            if rec.crossing is None}
+
+
+def edge_dart_redrawable(g: OnePlaneGraph):
+    """``maximality._redrawable`` with the faces beside each segment of a
+    crossed edge read off its ``edge_darts``, keyed by the tail of each
+    dart (a crossing's key is overwritten, and never read)."""
+    fod, dv, opposite = g.map.face_of_dart, g.map.dart_vertex, g.map.opposite
+    at = [set(map(fod.__getitem__, rot)) for rot in g.map.rotations]
+    for e, rec in enumerate(g.edges):
+        if rec.crossing is None:
+            continue
+        u, v = rec.u, rec.v
+        beside = {dv[d]: (fod[d], fod[opposite[d]]) for d in g.edge_darts[e]}
+        if not (at[u].isdisjoint(at[v]) and at[u].isdisjoint(beside[v])
+                and at[v].isdisjoint(beside[u])):
+            yield e

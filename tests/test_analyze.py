@@ -289,25 +289,45 @@ def test_depth_first_augment_agrees_with_breadth_first_augment():
 
 def _recorded_searches(monkeypatch):
     """Every ``flow.augment`` call from now on, as (nbrs, prv, nxt, src,
-    dst, c, found, cap) with the state as the call left it and c paths
-    placed before it."""
+    dst, c, found, cap, seeded) with the state as the call left it, c
+    paths placed before it (the ``prv`` entries that src feeds) and
+    ``seeded`` a copy of the state (prv, nxt) it started from."""
     calls = []
     augment = flow.augment
 
     def recorded(nbrs, prv, nxt, src, dst, cap):
-        c = len(prv)
+        c = sum(v == src for v in prv.values())
+        seeded = (dict(prv), dict(nxt))
         found = augment(nbrs, prv, nxt, src, dst, cap)
-        calls.append((nbrs, prv, nxt, src, dst, c, found, cap))
+        calls.append((nbrs, prv, nxt, src, dst, c, found, cap, seeded))
         return found
     monkeypatch.setattr(flow, "augment", recorded)
     return calls
 
 
+def _seeded_fan(nbrs, t, best):
+    """The state a fan of t starts from: a path t -> x to each settled
+    neighbor x, then a path t -> w -> x through each unsettled neighbor w
+    in ascending order, to the first settled x in ``nbrs[w]`` that no path
+    ends at yet, until ``best`` paths are placed."""
+    direct = [x for x in nbrs[t][:-1] if x < t]
+    prv, nxt = dict.fromkeys(direct, t), dict.fromkeys(direct, flow.SINK)
+    for w in nbrs[t][len(direct):-1]:
+        x = next((x for x in nbrs[w] if 0 < x < t and x not in nxt), None)
+        if x is not None and sum(v == t for v in prv.values()) < best:
+            prv[w], nxt[w], prv[x], nxt[x] = t, x, w, flow.SINK
+    return prv, nxt
+
+
 def test_connectivity_work_count(monkeypatch):
-    """Fans settle every non-neighbor of YH(4) (268 flows without them);
-    where κ is below the minimum degree the fan of the vertex that sets κ
-    falls short and its s-t flow runs.  A fan of t starts from t's edges
-    to its c settled neighbors and asks for ``best`` - c more paths."""
+    """The free paths settle every non-neighbor of YH(4) with no search at
+    all (268 flows without fans, 29 searches without seeds); where κ is
+    below the minimum degree the fan of the vertex that sets κ falls short
+    and its s-t flow runs.  A search starts seeded, and asks for ``best``
+    minus its c seeded paths: a fan of t from t's edges to its settled
+    neighbors and the two-step paths t -> w -> x of ``_seeded_fan``, with
+    0 < x < t; an x-y flow from a path x -> w -> y through each common
+    neighbor w."""
     calls = _recorded_searches(monkeypatch)
 
     def searches(sg):
@@ -315,22 +335,29 @@ def test_connectivity_work_count(monkeypatch):
         kappa = vertex_connectivity(sg)
         best = min(sg.degree(v) for v in sg.vertices)
         out = []
-        for nbrs, prv, nxt, src, dst, c, found, cap in calls:
+        for nbrs, prv, nxt, src, dst, c, found, cap, (prv0, nxt0) in calls:
             assert c + cap == best
             if dst == flow.SINK:
-                direct = [w for w in nbrs[src][:-1] if w < src]
-                assert len(direct) == c
-                assert all(prv[w] == src and nxt[w] == flow.SINK for w in direct)
+                assert (prv0, nxt0) == _seeded_fan(nbrs, src, best)
+                for w in [w for w, v in prv0.items() if v == src and nxt0[w] != flow.SINK]:
+                    x = nxt0[w]
+                    assert src < w and 0 < x < src and x in nbrs[w] and prv0[x] == w
+                    assert nxt0[x] == flow.SINK
                 out.append(("fan", c + found, c + cap))
             else:
-                assert c == 0
-                best = min(best, found)
-                out.append(("flow", found, cap))
+                common = set(nbrs[src]) & set(nbrs[dst])
+                assert prv0 == dict.fromkeys(common, src)
+                assert nxt0 == dict.fromkeys(common, dst)
+                assert c == len(common) < best
+                best = min(best, c + found)
+                out.append(("flow", c + found, c + cap))
         assert best == kappa
         return kappa, out
 
     kappa, out = searches(underlying(gen_YH(4)))
-    assert kappa == 3 and 0 < len(out) <= 30
+    assert kappa == 3 and out == []
+    kappa, out = searches(underlying(load(fixture_path("t1"))))
+    assert kappa == 7 and {kind for kind, _, _ in out} == {"fan", "flow"} and len(out) <= 20
     sg = underlying(saturate(gen_random_seed(20, 1), SaturationPolicy.SEEDED, 1))
     kappa, out = searches(sg)
     assert kappa == 3 < min(sg.degree(v) for v in sg.vertices)
@@ -367,7 +394,7 @@ def test_flow_state_reads_as_disjoint_paths(monkeypatch):
         kappa = vertex_connectivity(sg)
         *_, cut = flow.menger(sg)
         lowered = []
-        for nbrs, prv, nxt, src, dst, c, found, cap in calls:
+        for nbrs, prv, nxt, src, dst, c, found, cap, _ in calls:
             paths = _read_paths(nbrs, prv, nxt, src, dst)
             assert len(paths) == c + found
             inner = [v for path in paths for v in path[1:]]
@@ -637,18 +664,24 @@ WIRED = ["check_face_adjacency", "check_crossing_cliques", "check_true_face_neig
          "check_blue_neighbors", "check_color_identities", "check_crossing_share"]
 
 
-@pytest.mark.parametrize("check", WIRED)
+@pytest.mark.parametrize("check", WIRED + ["check_true_face_neighbors+check_blue_neighbors"])
 def test_property_suite_runs_each_check_where_it_holds(monkeypatch, check):
     """Each check, made to report one extra violation, shows it in the
     suite exactly on the drawings it runs on: all six on XH(1) (κ = 6) and
     t1 (κ = 7), all but the crossing share on YH(1) (κ = 3, immovable) and
-    XM(2) (κ = 4)."""
-    original = getattr(analyze, check)
-    monkeypatch.setattr(analyze, check, lambda *args: original(*args) + [check])
+    XM(2) (κ = 4).  Two neighbor checks made to fail together both show:
+    one failing does not stop the other."""
+    def failing(name):
+        original = getattr(analyze, name)
+        return lambda *args: original(*args) + [name]
+    names = check.split("+")
+    for name in names:
+        monkeypatch.setattr(analyze, name, failing(name))
     for g, runs in [(gen_YH(1), check != "check_crossing_share"),
                     (gen_XM(2), check != "check_crossing_share"),
                     (gen_XH(1), True), (load(fixture_path("t1")), True)]:
-        assert property_suite(g).count(check) == runs
+        bad = property_suite(g)
+        assert [bad.count(name) for name in names] == [runs] * len(names)
 
 
 def test_property_suite_builds_one_dual(monkeypatch):

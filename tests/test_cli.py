@@ -6,7 +6,7 @@ import pytest
 from oneplane.cli import main
 from oneplane.generators import FAMILIES, fixture_path, gen_random_seed, generate
 from oneplane import analyze, cli, flow, interchange, maximality
-from oneplane.core import PlanarMap, underlying
+from oneplane.core import OnePlaneGraph, PlanarMap, underlying
 
 
 def write(tmp_path, family, k):
@@ -128,30 +128,37 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_check_computes_each_fact_once(tmp_path, monkeypatch, capsys):
-    yh2 = write(tmp_path, "yh", 2)
+def test_check_computes_each_fact_once(monkeypatch, capsys):
+    # on t1, whose κ still needs searches once they start seeded
+    t1 = str(fixture_path("t1"))
     cands = _count_calls(monkeypatch, maximality, "insertion_candidates")
     searches = _count_calls(monkeypatch, flow, "augment")   # fans and flows
-    assert main(["check", yh2, "--maximal", "--immovable", "--bounds"]) == 0
+    assert main(["check", t1, "--maximal", "--immovable", "--bounds"]) == 0
     assert len(cands) == 1
     in_check = len(searches)
     searches.clear()
-    assert analyze.vertex_connectivity(underlying(generate("yh", 2))) == 3
+    assert analyze.vertex_connectivity(underlying(interchange.load(t1))) == 7
     assert in_check == len(searches) > 0
+
+
+def _count_computed(monkeypatch, cls, name):
+    """The objects whose cached property ``cls.name`` is computed from now
+    on, one item per computation: a read after the first finds it kept."""
+    computed = []
+    compute = getattr(cls, name).func
+
+    def counted(x):
+        computed.append(x)
+        return compute(x)
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return computed
 
 
 def _count_face_walks(monkeypatch):
     """The maps whose faces are walked from now on, one item per walk."""
-    walked = []
-    walk = PlanarMap._derived.func
-
-    def counted(pmap):
-        walked.append(pmap)
-        return walk(pmap)
-    prop = cached_property(counted)
-    prop.__set_name__(PlanarMap, "_derived")
-    monkeypatch.setattr(PlanarMap, "_derived", prop)
-    return walked
+    return _count_computed(monkeypatch, PlanarMap, "_derived")
 
 
 @pytest.mark.parametrize("family", ["yh2", "t1"])
@@ -161,6 +168,30 @@ def test_check_walks_the_faces_once(tmp_path, monkeypatch, capsys, family):
     walked = _count_face_walks(monkeypatch)
     assert main(["check", path, "--maximal", "--immovable", "--bounds"]) == 0
     assert len(walked) == 1
+
+
+@pytest.mark.parametrize("family", ["yh2", "t1"])
+def test_check_reads_no_edge_darts(tmp_path, monkeypatch, capsys, family):
+    # the certify check reads each edge's darts off the validated map
+    path = write(tmp_path, "yh", 2) if family == "yh2" else str(fixture_path("t1"))
+    read = _count_computed(monkeypatch, OnePlaneGraph, "edge_darts")
+    assert main(["check", path, "--maximal", "--immovable", "--bounds"]) == 0
+    assert read == []
+    assert interchange.load(path).edge_darts and len(read) == 1
+
+
+def test_check_searches_only_for_missing_paths(tmp_path, monkeypatch, capsys):
+    """κ's fans and flows start from the paths of one or two steps that the
+    neighbor tables list, and search only for those still missing: the
+    certify check's ``flow.augment`` calls, which were 29, 149 and 58 on
+    YH(4), XH(4) and t2 when fans started from direct edges alone and
+    flows from nothing."""
+    searches = _count_calls(monkeypatch, flow, "augment")
+    for path, most in [(write(tmp_path, "yh", 2), 0), (write(tmp_path, "yh", 4), 0),
+                       (write(tmp_path, "xh", 4), 105), (str(fixture_path("t2")), 46)]:
+        searches.clear()
+        assert main(["check", path, "--maximal", "--immovable", "--bounds"]) == 0
+        assert len(searches) <= most
 
 
 def test_fuzz_walks_each_drawing_once(monkeypatch, capsys):
