@@ -112,9 +112,8 @@ def degree_profile(sg: SimpleGraph) -> DegreeProfile:
 
 @once
 def is_triangulation(pmap: PlanarMap) -> bool:
-    """True iff every face walk is a triangle on three distinct vertices.
-    It reads a validated map, which has no loop segment, so a walk of
-    three darts visits three distinct vertices."""
+    """True iff every face walk is a triangle on three distinct vertices: on
+    a validated map, with no loop segment, any walk of three darts is one."""
     return set(map(len, pmap.face_walks)) <= {3}
 
 

