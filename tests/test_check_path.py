@@ -69,9 +69,9 @@ def test_is_triangulation_agrees_with_distinct_vertex_oracle():
 
 
 def _crossed_needlessly(g):
-    """g with each of its first three two-face insertions whose ends also
-    share a face: each inserted edge is redrawable, since deleting it gives
-    g back."""
+    """The drawings that g's first three two-face insertions whose ends
+    also share a face make, one each: each inserted edge is redrawable,
+    since deleting it gives g back."""
     cands = insertion_candidates(g)
     free = {(c.u, c.v) for c in cands if c.kind is RouteKind.ONE_FACE}
     return [apply_insertion(g, c) for c in cands
