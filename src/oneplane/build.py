@@ -161,6 +161,8 @@ class DrawingBuilder:
     def _corner(self, v: int, face) -> int | None:
         """v's corner on the face with dart set ``face``: the first of v's
         darts on it in rotation order, or None when v is not on the face."""
+        if not 0 <= v < len(self.rotations):
+            raise OperationError("UNKNOWN_VERTEX", f"no vertex {v}")
         return next((d for d in self.rotations[v] if d in face), None)
 
     def insert_edge_one_face(self, walk, u: int, v: int) -> int:
@@ -402,22 +404,23 @@ class Subdrawing(_SubdrawingFields):
 
 
 def _merge_classes(sub: Subdrawing) -> tuple[frozenset[int], ...]:
-    """One union-find pass over the removed segments joins the two faces of
-    the source beside each; smoothing a crossing changes no face, so each
-    class is one face of the result.  A face of the source that loses every
-    dart (one bounded by removed edges alone) is in the class of the faces
-    it was merged with."""
+    """One pass over the source's ``dart_edge`` joins, by union-find, the
+    two faces beside each dart of a removed edge; smoothing a crossing
+    changes no face, so each class is one face of the result.  A face of
+    the source that loses every dart (one bounded by removed edges alone)
+    is in the class of the faces it was merged with."""
     g = sub.source
     fod, opposite = g.map.face_of_dart, g.map.opposite
     parent = list(range(len(g.map.face_walks)))
+    removed = set(sub.removed)
 
     def find(f):
         while parent[f] != f:
             parent[f] = f = parent[parent[f]]       # path halving
         return f
 
-    for e in sub.removed:
-        for d in g.edge_darts[e]:
+    for d, e in enumerate(g.dart_edge):
+        if e in removed:
             a, b = find(fod[d]), find(fod[opposite[d]])
             parent[max(a, b)] = min(a, b)
     walks = sub.graph.map.face_walks

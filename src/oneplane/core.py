@@ -224,18 +224,13 @@ class OnePlaneGraph(_OnePlaneGraphFields):
         return len(self.map.fake_vertices)
 
     @cached_property
-    def edge_darts(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in self.edges]
-        for d, e in enumerate(self.dart_edge):
-            buckets[e].append(d)
-        return tuple(tuple(b) for b in buckets)
-
-    @cached_property
     def crossing_pairs(self) -> tuple[tuple[int, int, int], ...]:
         """(fake vertex, edge a, edge b) per crossing, with a < b."""
         return tuple((c, *self.edges_at_crossing(c)) for c in self.map.fake_vertices)
 
     def crossing_partner(self, e: int) -> int | None:
+        if not 0 <= e < len(self.edges):
+            raise OperationError("UNKNOWN_EDGE", f"no edge {e}")
         c = self.edges[e].crossing
         if c is None:
             return None

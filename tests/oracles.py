@@ -41,8 +41,8 @@ from oneplane.maximality import (
 
 
 # ---------------------------------------------------------------------------
-# Face objects and deletion on a builder: the path that ``core.faces`` and
-# ``build.delete_edges`` replaced
+# Face objects, the per-edge dart index and deletion on a builder: the path
+# that ``core.faces`` and ``build.delete_edges`` replaced
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -151,6 +151,16 @@ def scatter_vertex_tables(pmap: PlanarMap) -> tuple[tuple[int, ...], ...]:
             tuple(v for v, k in enumerate(pmap.kinds) if k is VertexKind.FAKE))
 
 
+def edge_darts(g: OnePlaneGraph) -> tuple[tuple[int, ...], ...]:
+    """The darts of each edge, in id order: the per-edge index of
+    ``dart_edge`` that ``OnePlaneGraph`` kept cached while
+    ``build._merge_classes`` looped over it."""
+    buckets: list[list[int]] = [[] for _ in g.edges]
+    for d, e in enumerate(g.dart_edge):
+        buckets[e].append(d)
+    return tuple(map(tuple, buckets))
+
+
 class FaceMerge:
     """Union-find over the faces of ``g``, merged across every segment of
     the given edges.  Deleting those edges leaves one face per merge class
@@ -160,9 +170,9 @@ class FaceMerge:
 
     def __init__(self, g: OnePlaneGraph, edges):
         self._parent: dict[int, int] = {}
-        fod, opposite = g.map.face_of_dart, g.map.opposite
+        fod, opposite, darts = g.map.face_of_dart, g.map.opposite, edge_darts(g)
         for e in edges:
-            for d in g.edge_darts[e]:
+            for d in darts[e]:
                 a, b = self.find(fod[d]), self.find(fod[opposite[d]])
                 if a != b:
                     self._parent[max(a, b)] = min(a, b)
@@ -357,8 +367,8 @@ def reference_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
         if got != want:
             bad.append(f"crossing in face {orig} is not of its diagonals")
 
-    for e in range(h.size):
-        d = h.edge_darts[e][0]
+    for e, ds in enumerate(edge_darts(h)):
+        d = ds[0]
         f1 = hf.face_of_dart[d]
         f2 = hf.face_of_dart[h.map.opposite[d]]
         if f1 != f2 and hf[f1].is_triangle() and hf[f2].is_triangle():
@@ -736,10 +746,10 @@ def brute_force_is_maximal(g: OnePlaneGraph) -> bool:
         {v for v in f.boundary if not pmap.is_fake(v)} for f in faces
     ]
     shared_edges = []
-    for e, rec in enumerate(g.edges):
+    for rec, ds in zip(g.edges, edge_darts(g)):
         if rec.crossing is not None:
             continue
-        d = g.edge_darts[e][0]
+        d = ds[0]
         f1 = faces.face_of_dart[d]
         f2 = faces.face_of_dart[pmap.opposite[d]]
         if f1 != f2:
@@ -769,9 +779,9 @@ def face_set_insertion_candidates(g: OnePlaneGraph) -> tuple[InsertionCandidate,
     pmap = g.map
     on = [frozenset(v for v in f.boundary if not pmap.is_fake(v)) for f in fs]
     across = {}
-    for e, rec in enumerate(g.edges):
+    for e, (rec, ds) in enumerate(zip(g.edges, edge_darts(g))):
         if rec.crossing is None:
-            d = g.edge_darts[e][0]
+            d = ds[0]
             across[e] = (fs.face_of_dart[d], fs.face_of_dart[pmap.opposite[d]])
     adj = underlying(g).adjacency
     out = _in_face(range(len(fs)), on, adj) + _across(across, on, adj)
@@ -801,7 +811,7 @@ def rebuild_min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
 
     assert partner is not None
     p = res.edge_ids.index(partner)
-    d = h.edge_darts[p][0]
+    d = edge_darts(h)[p][0]
     f1 = fs.face_of_dart[d]
     f2 = fs.face_of_dart[h.map.opposite[d]]
     if u not in fs[f1].boundary:
@@ -1024,7 +1034,7 @@ def roundtrip_crossing_diagonal(g: OnePlaneGraph, u: int, v: int,
     e = next(i for i, r in enumerate(g.edges)
              if {r.u, r.v} == set(crossed) and r.crossing is None)
     fs = reference_faces(g)
-    d = g.edge_darts[e][0]
+    d = edge_darts(g)[e][0]
     f1, f2 = fs.face_of_dart[d], fs.face_of_dart[g.map.opposite[d]]
     if u not in fs[f1].boundary:
         f1, f2 = f2, f1
@@ -1305,7 +1315,7 @@ def edge_dart_sides(g: OnePlaneGraph) -> dict[int, tuple[int, int]]:
     of its ``edge_darts``."""
     fod, opposite = g.map.face_of_dart, g.map.opposite
     return {e: (fod[ds[0]], fod[opposite[ds[0]]])
-            for e, (rec, ds) in enumerate(zip(g.edges, g.edge_darts))
+            for e, (rec, ds) in enumerate(zip(g.edges, edge_darts(g)))
             if rec.crossing is None}
 
 
@@ -1315,11 +1325,11 @@ def edge_dart_redrawable(g: OnePlaneGraph):
     dart (a crossing's key is overwritten, and never read)."""
     fod, dv, opposite = g.map.face_of_dart, g.map.dart_vertex, g.map.opposite
     at = [set(map(fod.__getitem__, rot)) for rot in g.map.rotations]
-    for e, rec in enumerate(g.edges):
+    for e, (rec, ds) in enumerate(zip(g.edges, edge_darts(g))):
         if rec.crossing is None:
             continue
         u, v = rec.u, rec.v
-        beside = {dv[d]: (fod[d], fod[opposite[d]]) for d in g.edge_darts[e]}
+        beside = {dv[d]: (fod[d], fod[opposite[d]]) for d in ds}
         if not (at[u].isdisjoint(at[v]) and at[u].isdisjoint(beside[v])
                 and at[v].isdisjoint(beside[u])):
             yield e

@@ -6,7 +6,7 @@ import pytest
 from oneplane.cli import main
 from oneplane.generators import FAMILIES, fixture_path, gen_random_seed, generate
 from oneplane import analyze, cli, flow, interchange, maximality
-from oneplane.core import OnePlaneGraph, PlanarMap, underlying
+from oneplane.core import PlanarMap, underlying
 
 
 def write(tmp_path, family, k):
@@ -163,16 +163,6 @@ def test_check_walks_the_faces_once(tmp_path, monkeypatch, capsys, family):
     walked = _count_computed(monkeypatch, PlanarMap, "_derived")
     assert main(["check", path, "--maximal", "--immovable", "--bounds"]) == 0
     assert len(walked) == 1
-
-
-@pytest.mark.parametrize("family", ["yh2", "t1"])
-def test_check_reads_no_edge_darts(tmp_path, monkeypatch, capsys, family):
-    # the certify check reads each edge's darts off the validated map
-    path = write(tmp_path, "yh", 2) if family == "yh2" else str(fixture_path("t1"))
-    read = _count_computed(monkeypatch, OnePlaneGraph, "edge_darts")
-    assert main(["check", path, "--maximal", "--immovable", "--bounds"]) == 0
-    assert read == []
-    assert interchange.load(path).edge_darts and len(read) == 1
 
 
 def test_check_searches_only_for_missing_paths(tmp_path, monkeypatch, capsys):

@@ -28,7 +28,9 @@ from oneplane.generators import (
 )
 from oneplane.analyze import vertex_connectivity
 from oneplane.interchange import load, parse, serialize
-from oneplane.maximality import SaturationPolicy, is_immovable, is_maximal, saturate
+from oneplane.maximality import (
+    SaturationPolicy, apply_insertion, insertion_candidates, is_immovable, is_maximal, saturate,
+)
 from oneplane.transform import skeleton
 from .oracles import (
     builder_is_connected,
@@ -207,6 +209,17 @@ def test_edges_at_crossing_rejects_a_vertex_that_is_no_crossing(pick):
     assert exc.value.code == "UNKNOWN_VERTEX"
 
 
+def test_crossing_partner_rejects_an_unknown_edge():
+    # -1 once read the partner of the last edge, and an id past the end
+    # raised a bare IndexError
+    g = gen_XH(1)
+    assert g.size == 36
+    for e in (-1, 36, 10**6):
+        with pytest.raises(OperationError) as exc:
+            g.crossing_partner(e)
+        assert str(exc.value) == f"UNKNOWN_EDGE: no edge {e}"
+
+
 @pytest.mark.parametrize("make", [lambda: gen_YH(1), lambda: gen_XM(2),
                                   lambda: load(fixture_path("t1"))],
                          ids=["yh1", "xm2", "t1"])
@@ -240,6 +253,29 @@ def test_builder_rejects_unknown_edge(call):
         call(b)
     assert exc.value.code == "UNKNOWN_EDGE"
     assert (b.rotations, b.edges) == before
+
+
+def test_insertion_rejects_an_unknown_endpoint():
+    # a negative endpoint once wrapped to a vertex counted from the end:
+    # M(2)'s candidate 0-2 with u = -8 inserted edge 0-2
+    g = gen_M(2)
+    n = g.map.n_vertices
+    c = insertion_candidates(g)[0]
+    assert (c.u, c.v, n) == (0, 2, 8)
+    with pytest.raises(OperationError) as exc:
+        apply_insertion(g, c._replace(u=c.u - n))
+    assert exc.value.code == "UNKNOWN_VERTEX"
+    b = DrawingBuilder.from_graph(g)
+    walk, e = g.map.face_walks[c.faces[0]], b.edge_between(0, 1)
+    before = copy.deepcopy((b.rotations, b.edges))
+    for call in [lambda: b.insert_edge_one_face(walk, c.u - n, c.v),
+                 lambda: b.insert_edge_one_face(walk, c.u, c.v + n),
+                 lambda: b.insert_edge_crossing(5 - n, 2, e),     # 5-2 crosses 0-1
+                 lambda: b.insert_edge_crossing(5, 2 + n, e)]:
+        with pytest.raises(OperationError) as exc:
+            call()
+        assert str(exc.value).startswith("UNKNOWN_VERTEX: no vertex ")
+        assert (b.rotations, b.edges) == before
 
 
 def test_insert_edge_crossing_contract():

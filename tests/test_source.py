@@ -26,6 +26,16 @@ def test_library_has_no_assert():
     assert found == []
 
 
+def test_library_keeps_no_per_edge_dart_index():
+    # each edge's darts are read off dart_edge or the validated map;
+    # tests/oracles.py keeps the index as a function
+    found = [f"{path.name}:{i}"
+             for path in sorted(Path(oneplane.__file__).parent.glob("*.py"))
+             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "edge_darts" in line]
+    assert found == []
+
+
 def test_library_does_not_import_dataclasses():
     # records are NamedTuples: a dataclass decorator compiles its methods
     # at import, and the module pulls in inspect, ast, dis and tokenize
