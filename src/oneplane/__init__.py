@@ -54,7 +54,6 @@ from .maximality import (
     InsertionCandidate,
     MaximalityResult,
     RedrawResult,
-    RouteKind,
     SaturationPolicy,
     apply_insertion,
     insertion_candidates,

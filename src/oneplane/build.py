@@ -158,12 +158,16 @@ class DrawingBuilder:
 
     # -- edge insertion ----------------------------------------------------------
 
+    def _rotation(self, v: int) -> list[int]:
+        """The rotation of vertex v, or UNKNOWN_VERTEX."""
+        if not 0 <= v < len(self.rotations):
+            raise OperationError("UNKNOWN_VERTEX", f"no vertex {v}")
+        return self.rotations[v]
+
     def _corner(self, v: int, face) -> int | None:
         """v's corner on the face with dart set ``face``: the first of v's
         darts on it in rotation order, or None when v is not on the face."""
-        if not 0 <= v < len(self.rotations):
-            raise OperationError("UNKNOWN_VERTEX", f"no vertex {v}")
-        return next((d for d in self.rotations[v] if d in face), None)
+        return next((d for d in self._rotation(v) if d in face), None)
 
     def insert_edge_one_face(self, walk, u: int, v: int) -> int:
         """Add edge u-v inside the face ``walk``, from each endpoint's
@@ -272,6 +276,9 @@ class DrawingBuilder:
         """
         if corners is None:
             corners = range(len(walk))
+        elif not all(0 <= i < len(walk) for i in corners):
+            raise OperationError("BAD_PARAMETER",
+                                 f"corners {corners} are not all in range({len(walk)})")
         x = self.new_vertex(VertexKind.TRUE)
         spokes = []
         for i in corners:
@@ -326,7 +333,7 @@ class DrawingBuilder:
     def edge_between(self, u: int, v: int) -> int | None:
         """The edge joining true vertices u and v (it has a dart at u), or
         None."""
-        return next((self.dart_edge[d] for d in self.rotations[u]
+        return next((self.dart_edge[d] for d in self._rotation(u)
                      if v in self.edges[self.dart_edge[d]][:2]), None)
 
     # -- finish --------------------------------------------------------------------

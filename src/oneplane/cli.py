@@ -118,7 +118,8 @@ def cmd_check(args) -> int:
         print(f"maximal {'PASS' if mx.is_maximal else 'FAIL'}")
         if not mx.is_maximal:
             w = mx.witness
-            print(f"  insertable: {w.u}-{w.v} via {w.kind.value} "
+            route = "one-face" if w.cross_edge is None else "two-faces"
+            print(f"  insertable: {w.u}-{w.v} via {route} "
                   f"faces={w.faces} crossing-edge={w.cross_edge}")
             if args.maximal:
                 failed = True

@@ -322,12 +322,11 @@ def _insert_crossing_diagonal(b: DrawingBuilder, u: int, v: int,
 # Family bookkeeping
 # ---------------------------------------------------------------------------
 
-FAMILIES = ("h", "hh", "xh", "yh", "m", "xm")
-
 _GENERATORS = {
     "h": gen_H, "hh": gen_HH, "xh": gen_XH, "yh": gen_YH,
     "m": gen_M, "xm": gen_XM,
 }
+FAMILIES = tuple(_GENERATORS)
 
 
 def generate(family: str, k: int) -> OnePlaneGraph:

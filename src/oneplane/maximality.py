@@ -21,11 +21,6 @@ from .build import DrawingBuilder, delete_edges
 from .core import OnePlaneGraph, OperationError, VertexKind, once, underlying
 
 
-class RouteKind(Enum):
-    ONE_FACE = "one-face"
-    TWO_FACES = "two-faces"
-
-
 class SaturationPolicy(Enum):
     DETERMINISTIC = "deterministic"
     SEEDED = "seeded"
@@ -34,14 +29,13 @@ class SaturationPolicy(Enum):
 class InsertionCandidate(NamedTuple):
     u: int
     v: int
-    kind: RouteKind
     faces: tuple[int, ...]
-    cross_edge: int | None = None
+    cross_edge: int | None = None    # None exactly for a one-face route
 
     @property
     def delta(self) -> int:
         """Crossings added when this candidate is applied."""
-        return 0 if self.kind is RouteKind.ONE_FACE else 1
+        return 0 if self.cross_edge is None else 1
 
 
 class MaximalityResult(NamedTuple):
@@ -62,20 +56,20 @@ class ImmovabilityResult(NamedTuple):
 
 def insertion_candidates(g: OnePlaneGraph) -> tuple[InsertionCandidate, ...]:
     """Every admissible single-edge insertion, in canonical order: by
-    endpoints, then one-face before two-face, then face ids (those of
-    ``g.map.face_walks``), then the crossed edge.
+    endpoints, then one-face before two-face (by the number of faces),
+    then face ids (those of ``g.map.face_walks``), then the crossed edge.
 
     Empty iff the drawing is maximal.
     """
     return tuple(sorted(_Closure(g).candidates(),
-                        key=lambda c: (c.u, c.v, c.kind.value, c.faces, c.cross_edge)))
+                        key=lambda c: (c.u, c.v, len(c.faces), c.faces, c.cross_edge)))
 
 
 def _in_face(faces, on, adj) -> list[InsertionCandidate]:
     """The one-face insertions of the given faces: every pair of the true
     vertices ``on[f]`` on the boundary of a face f that are not neighbours
     in ``adj``."""
-    return [InsertionCandidate(u, v, RouteKind.ONE_FACE, (f,))
+    return [InsertionCandidate(u, v, (f,))
             for f in faces for u, v in combinations(sorted(on[f]), 2) if v not in adj[u]]
 
 
@@ -95,10 +89,8 @@ def _across(across, on, adj) -> list[InsertionCandidate]:
             for v in on2 - on1:
                 if v in adj[u]:
                     continue
-                if u < v:
-                    out.append(InsertionCandidate(u, v, RouteKind.TWO_FACES, (f1, f2), e))
-                else:
-                    out.append(InsertionCandidate(v, u, RouteKind.TWO_FACES, (f2, f1), e))
+                out.append(InsertionCandidate(u, v, (f1, f2), e) if u < v
+                           else InsertionCandidate(v, u, (f2, f1), e))
     return out
 
 
@@ -121,9 +113,9 @@ def apply_insertion(g: OnePlaneGraph, cand: InsertionCandidate) -> OnePlaneGraph
     walks = g.map.face_walks
     if not all(0 <= f < len(walks) for f in cand.faces):
         raise OperationError("UNKNOWN_FACE", f"no face among {cand.faces}")
-    if len(cand.faces) != (1 if cand.kind is RouteKind.ONE_FACE else 2):
+    if len(cand.faces) != (1 if cand.cross_edge is None else 2):
         raise OperationError("BAD_PARAMETER",
-                             f"a {cand.kind.value} insertion names {len(cand.faces)} faces")
+                             f"cross_edge={cand.cross_edge} with {len(cand.faces)} faces")
     b = DrawingBuilder.from_graph(g)
     _insert(b, cand, walks)
     return b.finish()
@@ -131,12 +123,9 @@ def apply_insertion(g: OnePlaneGraph, cand: InsertionCandidate) -> OnePlaneGraph
 
 def _insert(b: DrawingBuilder, cand: InsertionCandidate, walks) -> None:
     """Insert the candidate into the builder, whose faces are ``walks[f]``."""
-    if cand.kind is RouteKind.ONE_FACE:
+    if cand.cross_edge is None:
         (f,) = cand.faces
         b.insert_edge_one_face(walks[f], cand.u, cand.v)
-    elif cand.cross_edge is None:
-        raise OperationError("BAD_PARAMETER",
-                             "a two-face insertion needs the edge it crosses")
     else:
         f1, f2 = cand.faces
         b.insert_edge_two_faces(walks[f1], walks[f2], cand.u, cand.v, cand.cross_edge)
@@ -154,12 +143,12 @@ class _Closure:
     drawing's own (face walks, ``face_of_dart``, ``opposite``) in
     whole-table passes, and ``_add`` lists the candidates of those faces
     and of the faces each insertion makes, in no particular order.  A
-    candidate's group key (u, v, kind) never changes while it is live: ``groups`` maps each key to
-    its live candidates, and ``keys`` holds the key once per live
-    candidate, sorted.  The order is the group key, then the ranks of the
-    faces (``rank``), then the crossed edge.  ``select`` finds the group of
-    an index in ``keys`` by bisection and ranks the faces of that group
-    alone; before any insertion a face's rank is its id, and
+    candidate's group key is its endpoint pair (u, v): ``groups`` maps each
+    key to its live candidates, and ``keys`` holds the key once per live
+    candidate, sorted.  The order is the key, then the number of faces,
+    then the faces' ranks (``rank``), then the crossed edge.  ``select``
+    finds the group of an index in ``keys`` by bisection and ranks that
+    group alone; before any insertion a face's rank is its id, and
     ``insertion_candidates`` sorts by the ids directly.  Candidates are also
     indexed by face, so an insertion drops exactly those it invalidates; a
     face's list may still hold a candidate dropped through the other face
@@ -174,7 +163,7 @@ class _Closure:
         self.face_of = list(g.map.face_of_dart)
         self.walks = dict(enumerate(g.map.face_walks))
         self.on: dict[int, frozenset] = {}
-        self.groups: dict[tuple[int, int, str], list[InsertionCandidate]] = {}
+        self.groups: dict[tuple[int, int], list[InsertionCandidate]] = {}
         self.by_face: dict[int, list[InsertionCandidate]] = {}    # made on first use
         # the true vertex at each dart: its tail, or at a crossing its head,
         # which is true and the tail of the next dart on its face; so a
@@ -212,11 +201,12 @@ class _Closure:
         key = self.keys[i]
         group = self.groups[key]
         if len(group) > 1:
-            group = sorted(group, key=lambda c: (tuple(map(self.rank, c.faces)),
+            group = sorted(group, key=lambda c: (len(c.faces),
+                                                 tuple(map(self.rank, c.faces)),
                                                  c.cross_edge))
         return group[i - bisect_left(self.keys, key)]
 
-    def _add(self, faces, across) -> list[tuple[int, int, str]]:
+    def _add(self, faces, across) -> list[tuple[int, int]]:
         """Take in the given faces, whose walks are in ``walks``, and list
         the candidates inside them and across the uncrossed edges
         ``across``, a map from each to the faces on its two sides; returns
@@ -228,7 +218,7 @@ class _Closure:
         new = _in_face(faces, on, adj) + _across(across, on, adj)
         keys = []
         for c in new:
-            key = (c.u, c.v, c.kind.value)
+            key = c.u, c.v
             keys.append(key)
             self.groups.setdefault(key, []).append(c)
             for f in c.faces:
@@ -249,10 +239,9 @@ class _Closure:
         # every candidate across the crossed edge refers to one of its two
         # faces, so dropping the split faces' candidates drops them too
         gone = [c for f in cand.faces for c in self.by_face.pop(f, ())]
-        for kind in RouteKind:
-            gone += self.groups.get((cand.u, cand.v, kind.value), ())
+        gone += self.groups.get((cand.u, cand.v), ())
         for c in gone:
-            key = (c.u, c.v, c.kind.value)
+            key = c.u, c.v
             group = self.groups.get(key, ())
             if c in group:
                 group.remove(c)
@@ -337,7 +326,7 @@ def min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
     # is always available
     partner = None if rec.crossing is None else sub.edge_ids.index(g.crossing_partner(e))
     route = next(c for c in insertion_candidates(h) if (c.u, c.v) == ends
-                 and (c.kind is RouteKind.ONE_FACE or c.cross_edge == partner))
+                 and c.cross_edge in (None, partner))
     return RedrawResult(route.delta, route, h)
 
 

@@ -31,7 +31,6 @@ from oneplane.generators import (
 from oneplane.maximality import (
     InsertionCandidate,
     RedrawResult,
-    RouteKind,
     SaturationPolicy,
     _across,
     _Closure,
@@ -786,7 +785,7 @@ def face_set_insertion_candidates(g: OnePlaneGraph) -> tuple[InsertionCandidate,
     adj = underlying(g).adjacency
     out = _in_face(range(len(fs)), on, adj) + _across(across, on, adj)
     return tuple(sorted(out, key=lambda c: (
-        c.u, c.v, c.kind.value, c.faces, -1 if c.cross_edge is None else c.cross_edge)))
+        c.u, c.v, len(c.faces), c.faces, -1 if c.cross_edge is None else c.cross_edge)))
 
 
 def rebuild_min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
@@ -805,8 +804,7 @@ def rebuild_min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
     fs = reference_faces(h)
     for f in fs:
         if u in f.boundary and v in f.boundary:
-            route = InsertionCandidate(min(u, v), max(u, v),
-                                       RouteKind.ONE_FACE, (f.index,))
+            route = InsertionCandidate(min(u, v), max(u, v), (f.index,))
             return RedrawResult(0, route, h)
 
     assert partner is not None
@@ -818,9 +816,9 @@ def rebuild_min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:
         f1, f2 = f2, f1
     assert u in fs[f1].boundary and v in fs[f2].boundary
     if u < v:
-        route = InsertionCandidate(u, v, RouteKind.TWO_FACES, (f1, f2), p)
+        route = InsertionCandidate(u, v, (f1, f2), p)
     else:
-        route = InsertionCandidate(v, u, RouteKind.TWO_FACES, (f2, f1), p)
+        route = InsertionCandidate(v, u, (f2, f1), p)
     return RedrawResult(1, route, h)
 
 
@@ -917,7 +915,7 @@ def resort_saturation(g: OnePlaneGraph,
         rank = {f: s.rank(f) for f in {f for c in live for f in c.faces}}
 
         def key(c):
-            return (c.u, c.v, c.kind.value, tuple(rank[f] for f in c.faces),
+            return (c.u, c.v, len(c.faces), tuple(rank[f] for f in c.faces),
                     -1 if c.cross_edge is None else c.cross_edge)
         s.insert(min(live, key=key) if rng is None else rng.choice(sorted(live, key=key)))
     return s.b.finish() if s.inserted else g
@@ -1040,7 +1038,7 @@ def roundtrip_crossing_diagonal(g: OnePlaneGraph, u: int, v: int,
         f1, f2 = f2, f1
     if u > v:
         u, v, f1, f2 = v, u, f2, f1
-    return apply_insertion(g, InsertionCandidate(u, v, RouteKind.TWO_FACES, (f1, f2), e))
+    return apply_insertion(g, InsertionCandidate(u, v, (f1, f2), e))
 
 
 def reference_check(kinds, rotations, opposite, edges, dart_edge) -> list[Violation]:

@@ -114,7 +114,7 @@ def test_no_maximal_six_vertex_instance_exists():
     stated counts and maximality are jointly unsatisfiable at k=1.
     """
     from oneplane.build import DrawingBuilder, plane_graph
-    from oneplane.maximality import RouteKind, apply_insertion, insertion_candidates
+    from oneplane.maximality import apply_insertion, insertion_candidates
     from oneplane.core import ValidationError, OperationError
     from oneplane.generators import k1_triangulate
 
@@ -133,14 +133,14 @@ def test_no_maximal_six_vertex_instance_exists():
     tried = 0
     for base in bases:
         for c1 in insertion_candidates(base):
-            if c1.kind is not RouteKind.TWO_FACES:
+            if c1.cross_edge is None:
                 continue
             try:
                 g1 = apply_insertion(base, c1)
             except (ValidationError, OperationError):
                 continue
             for c2 in insertion_candidates(g1):
-                if c2.kind is not RouteKind.TWO_FACES:
+                if c2.cross_edge is None:
                     continue
                 try:
                     g2 = apply_insertion(g1, c2)

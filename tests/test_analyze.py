@@ -733,6 +733,21 @@ def test_verify_bounds_tight_rows():
     assert exc.value.code == "NOT_MAXIMAL"
 
 
+def test_bound_rows_are_exact_rationals():
+    # a float side would compare and print inexactly
+    for g in (gen_YH(1), gen_XM(3), load(fixture_path("t1"))):
+        for e in verify_bounds(g).entries:
+            assert type(e.lhs) is Fraction and type(e.rhs) is Fraction, e.bound_id
+
+
+def test_k4_is_in_no_g_k():
+    # K4 is maximal and immovable with κ = 3, but G_3 starts at n = 5
+    k4 = plane_graph([[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]])
+    rep = verify_bounds(k4)
+    assert (rep.n, rep.kappa, rep.immovable, rep.all_pass) == (4, 3, True, True)
+    assert [e.bound_id for e in rep.entries if e.applicable] == ["cr-max", "cr-max-slack"]
+
+
 # K5 - e on n=5 drawn maximally with two crossings: its planarization is
 # not triangulated, so the degree-slack row (cr <= 5/3 here) does not apply
 @pytest.mark.parametrize("seed", [300, 380, 1460])

@@ -9,7 +9,6 @@ from oneplane.core import underlying
 from oneplane.generators import fixture_path, gen_random_seed, generate
 from oneplane.interchange import load
 from oneplane.maximality import (
-    RouteKind,
     SaturationPolicy,
     _redrawable,
     _sides,
@@ -73,9 +72,9 @@ def _crossed_needlessly(g):
     also share a face make, one each: each inserted edge is redrawable,
     since deleting it gives g back."""
     cands = insertion_candidates(g)
-    free = {(c.u, c.v) for c in cands if c.kind is RouteKind.ONE_FACE}
+    free = {(c.u, c.v) for c in cands if c.cross_edge is None}
     return [apply_insertion(g, c) for c in cands
-            if c.kind is RouteKind.TWO_FACES and (c.u, c.v) in free][:3]
+            if c.cross_edge is not None and (c.u, c.v) in free][:3]
 
 
 def test_sides_and_redrawable_agree_with_edge_dart_oracle():

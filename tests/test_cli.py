@@ -65,6 +65,19 @@ def test_check_pass_and_fail(tmp_path, capsys):
     assert "insertable:" in out
 
 
+def test_check_prints_both_route_labels(tmp_path, capsys):
+    # the witness's route is named from its crossed edge: none is one-face
+    m2 = write(tmp_path, "m", 2)
+    rnd = tmp_path / "r5.1pg"
+    interchange.dump(gen_random_seed(5, 1), rnd)
+    for path, line in [
+            (m2, "  insertable: 0-2 via one-face faces=(2,) crossing-edge=None\n"),
+            (str(rnd), "  insertable: 2-4 via two-faces faces=(2, 1) crossing-edge=3\n")]:
+        assert main(["check", path, "--maximal"]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith("maximal FAIL\n" + line)
+
+
 @pytest.mark.parametrize("flag,line", [
     ("--immovable", "immovable FAIL (drawing is not maximal)"),
     ("--bounds", "bounds FAIL (drawing is not maximal)"),

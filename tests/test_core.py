@@ -298,6 +298,30 @@ def test_insert_edge_crossing_contract():
     assert b.finish().crossing_count == 1
 
 
+def test_edge_between_rejects_an_unknown_vertex():
+    # -8 once wrapped to vertex 0 of M(2) and returned its edge 0-1
+    b = DrawingBuilder.from_graph(gen_M(2))
+    assert len(b.rotations) == 8 and b.edge_between(0, 1) == 0
+    for u in (-8, -1, 8):
+        with pytest.raises(OperationError) as exc:
+            b.edge_between(u, 1)
+        assert str(exc.value) == f"UNKNOWN_VERTEX: no vertex {u}"
+
+
+@pytest.mark.parametrize("corners", [[-1], [0, 7]], ids=["minus-one", "past-the-end"])
+def test_cone_rejects_a_corner_outside_the_walk(corners):
+    # [-1] once coned to the last corner, and [0, 7] raised a bare
+    # IndexError after adding the center and its first spoke
+    b = DrawingBuilder.from_graph(gen_M(2))
+    walk = b.face_walks()[0]
+    assert len(walk) == 4
+    before = copy.deepcopy((b.kinds, b.rotations, b.edges))
+    with pytest.raises(OperationError) as exc:
+        b.cone(walk, corners)
+    assert exc.value.code == "BAD_PARAMETER"
+    assert (b.kinds, b.rotations, b.edges) == before
+
+
 def _quad_error_builders():
     yield DrawingBuilder.from_graph(gen_HH(1))
     yield DrawingBuilder.from_graph(gen_M(3))

@@ -14,7 +14,6 @@ from oneplane.transform import skeleton
 from oneplane.maximality import (
     InsertionCandidate,
     RedrawResult,
-    RouteKind,
     SaturationPolicy,
     apply_insertion,
     insertion_candidates,
@@ -48,7 +47,7 @@ from .test_cli import _count_calls, write
 def test_candidates_hh_quads():
     cands = insertion_candidates(gen_HH(1))
     assert cands
-    one_face = [c for c in cands if c.kind is RouteKind.ONE_FACE]
+    one_face = [c for c in cands if c.cross_edge is None]
     assert one_face                      # quad corners are nonadjacent
 
 
@@ -145,7 +144,7 @@ def test_min_redraw_uncrossed_edge():
     e = next(i for i, r in enumerate(g.edges) if r.crossing is None)
     res = min_redraw_crossings(g, e)
     assert res.crossings == 0
-    assert res.route is not None and res.route.kind is RouteKind.ONE_FACE
+    assert res.route is not None and res.route.cross_edge is None
 
 
 def test_min_redraw_crossed_diagonals():
@@ -208,14 +207,14 @@ def test_one_face_candidate_needs_a_face_of_the_drawing(face):
     g = gen_M(2)                           # six faces
     assert len(g.map.face_walks) == 6
     with pytest.raises(OperationError) as exc:
-        apply_insertion(g, InsertionCandidate(0, 2, RouteKind.ONE_FACE, (face,)))
+        apply_insertion(g, InsertionCandidate(0, 2, (face,)))
     assert exc.value.code == "UNKNOWN_FACE"
 
 
 def test_two_face_candidate_needs_cross_edge():
     g = gen_HH(1)
-    cand = next(c for c in insertion_candidates(g) if c.kind is RouteKind.TWO_FACES)
-    bare = InsertionCandidate(cand.u, cand.v, cand.kind, cand.faces)
+    cand = next(c for c in insertion_candidates(g) if c.cross_edge is not None)
+    bare = InsertionCandidate(cand.u, cand.v, cand.faces)
     with pytest.raises(OperationError) as exc:
         apply_insertion(g, bare)
     assert exc.value.code == "BAD_PARAMETER"
@@ -226,11 +225,11 @@ def test_two_face_candidate_needs_the_faces_of_its_crossed_edge(faces):
     # the real candidate crosses edge 10 from face 0, which holds vertex 0,
     # to face 4
     g = gen_M(2)
-    real = InsertionCandidate(0, 2, RouteKind.TWO_FACES, (0, 4), 10)
+    real = InsertionCandidate(0, 2, (0, 4), 10)
     assert real in insertion_candidates(g)
     assert apply_insertion(g, real).size == g.size + 1
     with pytest.raises(OperationError) as exc:
-        apply_insertion(g, InsertionCandidate(0, 2, RouteKind.TWO_FACES, faces, 10))
+        apply_insertion(g, InsertionCandidate(0, 2, faces, 10))
     assert exc.value.code == "BAD_PARAMETER"
 
 

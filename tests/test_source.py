@@ -36,6 +36,16 @@ def test_library_keeps_no_per_edge_dart_index():
     assert found == []
 
 
+def test_a_candidate_names_its_route_once():
+    # a one-face route is one with no crossed edge; no second field says so
+    found = [f"{path.name}:{i}"
+             for path in sorted(Path(oneplane.__file__).parent.glob("*.py"))
+             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "RouteKind" in line]
+    assert found == []
+    assert oneplane.InsertionCandidate._fields == ("u", "v", "faces", "cross_edge")
+
+
 def test_library_does_not_import_dataclasses():
     # records are NamedTuples: a dataclass decorator compiles its methods
     # at import, and the module pulls in inspect, ast, dis and tokenize
