@@ -31,16 +31,15 @@ from .analyze import (
     BoundEntry,
     BoundReport,
     DegreeProfile,
-    NearOptimalReport,
     RegularityReport,
     check_blue_neighbors,
     check_color_identities,
     check_crossing_cliques,
     check_crossing_share,
     check_face_adjacency,
+    check_near_optimal,
     check_true_face_neighbors,
     degree_profile,
-    is_near_optimal,
     is_separating_cycle,
     is_triangulation,
     min_vertex_separator,

@@ -170,25 +170,21 @@ def regularity_checks(pmap: PlanarMap) -> RegularityReport:
 
 
 # ---------------------------------------------------------------------------
-# Near-optimal predicate
+# Near-optimal check
 # ---------------------------------------------------------------------------
 
-class NearOptimalReport(NamedTuple):
-    is_near_optimal: bool
-    violations: tuple[str, ...]
-
-
-def is_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
+def check_near_optimal(g: OnePlaneGraph) -> list[str]:
     """Near-optimal conditions on the non-crossing-edge subgraph:
     (i) every face triangular or quadrangular, (ii) every quadrangular face
     holds exactly the crossing of its two diagonals, (iii) no edge shared
-    by two distinct triangular faces."""
+    by two distinct triangular faces.  Returns violation strings (empty =
+    near-optimal)."""
     bad: list[str] = []
     crossed = [e for e, r in enumerate(g.edges) if r.crossing is not None]
 
     sub = delete_edges(g, crossed)
     if sub is None:
-        return NearOptimalReport(False, ("non-crossing subgraph is disconnected",))
+        return ["non-crossing subgraph is disconnected"]
     h, old = sub.graph, sub.vertex_ids
     # each face of H is a class of planarization faces; both edges through a
     # crossing are deleted, so the four faces around it share one class
@@ -226,7 +222,7 @@ def is_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
             u, v = h.edges[e].ends
             bad.append(f"edge {old[u]}-{old[v]} shared by two triangles")
 
-    return NearOptimalReport(not bad, tuple(bad))
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +346,6 @@ def check_color_identities(sk: Subdrawing) -> list[str]:
             bad.append(f"skeleton has {sk.graph.size} edges, expected {3 * n - 6}")
         if len(sk.colors) != 2 * n - 4:
             bad.append(f"skeleton has {len(sk.colors)} faces, expected {2 * n - 4}")
-        if dm.n != 2 * n - 4 or not dm.is_regular(3):
-            bad.append("dual is not 3-regular on 2n-4 vertices")
         if len(dm.edges) != 3 * n - 6:
             bad.append(f"dual has {len(dm.edges)} edges, expected {3 * n - 6}")
         if 2 * cr != len(red):

@@ -89,7 +89,7 @@ def menger(sg: SimpleGraph):
                 for x in nbrs[w]:
                     if x >= i or c == best:
                         break
-                    if x and x not in nxt:
+                    if x not in nxt:
                         prv[w], nxt[w], prv[x], nxt[x] = i, x, w, SINK
                         c += 1
                         break

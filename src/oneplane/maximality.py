@@ -174,7 +174,6 @@ class _Closure:
             for d in g.map.rotations[c]:
                 self.true_at[d] = dv[opposite[d]]
         self.next_face = len(self.walks)
-        self.inserted = 0
         self.keys = sorted(self._add(range(self.next_face), _sides(g)))
 
     def candidates(self) -> list[InsertionCandidate]:
@@ -189,7 +188,7 @@ class _Closure:
         rank is that pair for the face's minimum dart.  It is found from the
         walk when asked for: insertions never reorder the darts already in a
         rotation, so that dart is the one the face had when it was made."""
-        if not self.inserted:
+        if self.b is None:
             return f
         dv, walk = self.b.dart_vertex, self.walks[f]
         low = min(dv[d] for d in walk)
@@ -268,7 +267,6 @@ class _Closure:
                   for f in new for d in self.walks[f] if b.edges[b.dart_edge[d]][2] is None}
         for key in self._add(new, across):
             insort(self.keys, key)
-        self.inserted += 1
 
 
 def saturate(g: OnePlaneGraph,
@@ -304,7 +302,7 @@ def saturate(g: OnePlaneGraph,
     s = _Closure(g)
     while s.keys:
         s.insert(s.select(0 if rng is None else rng.randrange(len(s.keys))))
-    return s.b.finish() if s.inserted else g
+    return g if s.b is None else s.b.finish()
 
 
 def min_redraw_crossings(g: OnePlaneGraph, e: int) -> RedrawResult:

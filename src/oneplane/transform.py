@@ -57,21 +57,9 @@ class DualMap(_DualMapFields):
     """Dual of a skeleton: one vertex per face (colored), one edge per
     skeleton edge, multi-adjacency preserved."""
 
-    @property
-    def n(self) -> int:
-        return len(self.colors)
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return tuple(deg)
-
     @cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
+        adj: list[set[int]] = [set() for _ in range(len(self.colors))]
         for a, b in self.edges:
             if a != b:
                 adj[a].add(b)
@@ -80,9 +68,6 @@ class DualMap(_DualMapFields):
 
     def vertices_of_color(self, color: FaceClass) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.colors) if c is color)
-
-    def is_regular(self, k: int) -> bool:
-        return all(d == k for d in self.degrees)
 
 
 @once

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from oneplane.analyze import NearOptimalReport, connectivity_at_least, map_graph
+from oneplane.analyze import connectivity_at_least, map_graph
 from oneplane.build import DrawingBuilder, Subdrawing, _compact
 from oneplane.core import (
     DrawingError,
@@ -330,15 +330,15 @@ def reference_skeleton(g: OnePlaneGraph, removed=None) -> ReferenceSkeleton:
     return ReferenceSkeleton(res, colors, members)
 
 
-def reference_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
-    """``analyze.is_near_optimal`` on the faces of ``merge_deletion``: each
+def reference_near_optimal(g: OnePlaneGraph) -> list[str]:
+    """``analyze.check_near_optimal`` on the faces of ``merge_deletion``: each
     face of H = g minus its crossed edges is a merge class, and a crossing
     lies in the class of its four faces."""
     bad: list[str] = []
     crossed = [e for e, r in enumerate(g.edges) if r.crossing is not None]
     cut = merge_deletion(g, crossed)
     if cut is None:
-        return NearOptimalReport(False, ("non-crossing subgraph is disconnected",))
+        return ["non-crossing subgraph is disconnected"]
     h = cut.result.graph
     crossing_home: dict[int, list[int]] = {}
     for c in g.map.fake_vertices:
@@ -375,7 +375,7 @@ def reference_near_optimal(g: OnePlaneGraph) -> NearOptimalReport:
             bad.append(
                 f"edge {cut.result.vertex_ids[u]}-{cut.result.vertex_ids[v]} "
                 "shared by two triangles")
-    return NearOptimalReport(not bad, tuple(bad))
+    return bad
 
 
 def brute_force_connectivity(sg: SimpleGraph) -> int:
@@ -918,7 +918,7 @@ def resort_saturation(g: OnePlaneGraph,
             return (c.u, c.v, len(c.faces), tuple(rank[f] for f in c.faces),
                     -1 if c.cross_edge is None else c.cross_edge)
         s.insert(min(live, key=key) if rng is None else rng.choice(sorted(live, key=key)))
-    return s.b.finish() if s.inserted else g
+    return g if s.b is None else s.b.finish()
 
 
 def rescan_random_seed(n: int, seed: int) -> OnePlaneGraph:

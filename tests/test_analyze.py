@@ -15,10 +15,10 @@ from oneplane.analyze import (
     check_crossing_cliques,
     check_crossing_share,
     check_face_adjacency,
+    check_near_optimal,
     check_true_face_neighbors,
     connectivity_at_least,
     degree_profile,
-    is_near_optimal,
     is_separating_cycle,
     is_triangulation,
     map_graph,
@@ -75,6 +75,9 @@ def test_connectivity_basics():
     with pytest.raises(OperationError) as exc:
         vertex_connectivity(disconnected)
     assert exc.value.code == "DISCONNECTED"
+    with pytest.raises(OperationError) as exc:
+        vertex_connectivity(SimpleGraph((7,), ()))
+    assert exc.value.code == "BAD_PARAMETER"
 
 
 def test_connectivity_matches_brute_force_on_small_instances():
@@ -606,13 +609,9 @@ def test_regularity_checks():
 
 
 def test_near_optimal():
-    assert is_near_optimal(gen_XH(1)).is_near_optimal
-    rep = is_near_optimal(gen_HH(1))
-    assert not rep.is_near_optimal
-    assert any("holds 0 crossings" in v for v in rep.violations)
-    rep = is_near_optimal(gen_YH(1))
-    assert not rep.is_near_optimal
-    assert any("two triangles" in v for v in rep.violations)
+    assert check_near_optimal(gen_XH(1)) == []
+    assert any("holds 0 crossings" in v for v in check_near_optimal(gen_HH(1)))
+    assert any("two triangles" in v for v in check_near_optimal(gen_YH(1)))
 
 
 def test_face_adjacency_and_crossing_cliques():
@@ -707,6 +706,27 @@ def test_crossing_share():
 def test_color_identities_on_families():
     for g in (gen_XH(1), gen_YH(1), gen_XM(2), gen_XM(3)):
         assert check_color_identities(skeleton(g)) == []
+
+
+def test_color_identities_on_deletions_that_are_not_skeletons():
+    # XH(1) has n = 12, cr = 6 and 8 true faces.  Keeping one crossing, or
+    # removing both edges of one pair, breaks the identities a skeleton keeps
+    g = gen_XH(1)
+    keeps_one_crossing = delete_edges(g, [b for _, _, b in g.crossing_pairs[1:]])
+    assert check_color_identities(keeps_one_crossing) == [
+        "|V_bl|=12 != |F_tr|=8",
+        "skeleton has 31 edges, expected 30",
+        "skeleton has 22 faces, expected 20",
+        "dual has 33 edges, expected 30",
+        "cr=6 but |V_rd|=10"]
+    both_of_a_pair = delete_edges(g, sorted([*skeleton(g).removed, g.crossing_pairs[0][1]]))
+    assert check_color_identities(both_of_a_pair) == [
+        "red vertex 0 has no red neighbor",
+        "skeleton of a triangulated planarization is not a triangulation",
+        "skeleton has 29 edges, expected 30",
+        "skeleton has 19 faces, expected 20",
+        "dual has 29 edges, expected 30",
+        "cr=6 but |V_rd|=11"]
 
 
 def test_verify_bounds_tight_rows():

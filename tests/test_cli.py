@@ -116,9 +116,15 @@ def test_check_validation_error(tmp_path, capsys):
 
 def test_check_near_optimal(tmp_path, capsys):
     xh1 = write(tmp_path, "xh", 1)
+    capsys.readouterr()
     assert main(["check", xh1, "--near-optimal"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "near-optimal PASS"
     hh1 = write(tmp_path, "hh", 1)
+    capsys.readouterr()
     assert main(["check", hh1, "--near-optimal"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("near-optimal FAIL")
+    assert out[at + 1] == "  quadrangular face (0, 8, 4, 11) holds 0 crossings"
 
 
 def test_check_enumerates_candidates_only_when_asked(monkeypatch, capsys):

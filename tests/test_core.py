@@ -322,6 +322,24 @@ def test_cone_rejects_a_corner_outside_the_walk(corners):
     assert (b.kinds, b.rotations, b.edges) == before
 
 
+@pytest.mark.parametrize("neighbors", [[[0]], [[1], []]], ids=["loop", "unmatched"])
+def test_from_neighbors_rejects_a_loop_and_an_unmatched_entry(neighbors):
+    with pytest.raises(OperationError) as exc:
+        DrawingBuilder.from_neighbors(neighbors)
+    assert exc.value.code == "BAD_PARAMETER"
+
+
+def test_insert_edge_one_face_rejects_a_vertex_off_the_face():
+    g = gen_XH(1)
+    b = DrawingBuilder.from_graph(g)
+    walk = b.face_walks()[0]
+    on = {b.dart_vertex[d] for d in walk}
+    off = min(set(range(g.n)) - on)
+    with pytest.raises(OperationError) as exc:
+        b.insert_edge_one_face(walk, min(on), off)
+    assert str(exc.value) == f"BAD_PARAMETER: vertices {min(on)},{off} are not both on the face"
+
+
 def _quad_error_builders():
     yield DrawingBuilder.from_graph(gen_HH(1))
     yield DrawingBuilder.from_graph(gen_M(3))

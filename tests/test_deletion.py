@@ -6,7 +6,7 @@ deletion too, are compared with that path in ``test_maximality.py``."""
 
 import pytest
 
-from oneplane.analyze import is_near_optimal
+from oneplane.analyze import check_near_optimal
 from oneplane.build import delete_edges
 from oneplane.core import OperationError, faces
 from oneplane.generators import fixture_path, gen_random_seed, generate
@@ -113,7 +113,7 @@ def test_near_optimal_matches_merge_deletion():
     crossed = {e for e, rec in enumerate(g.edges) if rec.crossing is not None}
     assert any(all(g.dart_edge[d] in crossed for d in w) for w in g.map.face_walks)
     for g in [*DRAWINGS.values(), *UNSATURATED, g, parse(CUT_OFF)]:
-        assert is_near_optimal(g) == reference_near_optimal(g)
+        assert check_near_optimal(g) == reference_near_optimal(g)
 
 
 def test_disconnecting_deletions_agree():

@@ -100,6 +100,9 @@ def test_family_spec():
     with pytest.raises(OperationError) as exc:
         generate("nope", 1)
     assert exc.value.code == "BAD_PARAMETER"
+    with pytest.raises(OperationError) as exc:
+        expected_stats("zz", 1)
+    assert exc.value.code == "BAD_PARAMETER"
     with pytest.raises(OperationError):
         gen_XH(0)
 
@@ -160,6 +163,18 @@ def test_face_op_errors():
     with pytest.raises(OperationError) as exc:
         k1_triangulate(bowtie, big)
     assert exc.value.code == "BOUNDARY_NOT_SIMPLE"
+
+    # a fake face of XH(1): simple, but one corner is a crossing
+    xh = gen_XH(1)
+    fake = next(i for i, w in enumerate(xh.map.face_walks)
+                if any(xh.map.is_fake(xh.map.dart_vertex[d]) for d in w))
+    with pytest.raises(OperationError) as exc:
+        k1_triangulate(xh, fake)
+    assert str(exc.value) == f"BOUNDARY_NOT_SIMPLE: face {fake} touches a crossing"
+
+    with pytest.raises(OperationError) as exc:
+        k2_triangulate(tri, 0)
+    assert exc.value.code == "FACE_NOT_QUAD"
 
 
 @pytest.mark.parametrize("op", [k1_triangulate, k2_triangulate, tx_triangulate])

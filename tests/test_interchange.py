@@ -125,6 +125,14 @@ SKIPPED = ["", "   ", "# note", "  #indented note", "#"]
 XM2_SPACED = XM2_LINES[:1] + [x for ln in XM2_LINES[1:] for x in [ln, *SKIPPED]]
 
 
+def test_edge_count_must_match_the_edge_records():
+    i = XM2_LINES.index(XM2_EDGES)
+    count = int(XM2_EDGES.split()[1])
+    doc = "\n".join(XM2_LINES[:i] + [f"edges {count + 1}"] + XM2_LINES[i + 1:]) + "\n"
+    with pytest.raises(ParseError, match="^PARSE_ERROR: edge count mismatch$"):
+        parse(doc)
+
+
 def test_blank_and_comment_lines_in_the_body_are_skipped():
     assert parse("\n".join(XM2_SPACED) + "\n") == gen_XM(2)
 

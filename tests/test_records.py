@@ -12,7 +12,6 @@ import oneplane
 from oneplane import build, core
 from oneplane.analyze import (
     degree_profile,
-    is_near_optimal,
     regularity_checks,
     verify_bounds,
 )
@@ -48,7 +47,6 @@ def _records():
         "ImmovabilityResult": is_immovable(g),
         "DegreeProfile": degree_profile(sg),
         "RegularityReport": regularity_checks(m),
-        "NearOptimalReport": is_near_optimal(g),
         "BoundEntry": bounds.entries[0],
         "BoundReport": bounds,
         "DualMap": dual(skeleton(g)),

@@ -130,7 +130,7 @@ def test_one_deletion_path():
         builder_deletes += _callers(tree, "delete_edge")
     assert not {name for _, name in defined} & {"Face", "FaceSet", "FaceMerge"}
     assert builder_deletes == []
-    assert deleting == {("transform.py", "skeleton"), ("analyze.py", "is_near_optimal"),
+    assert deleting == {("transform.py", "skeleton"), ("analyze.py", "check_near_optimal"),
                         ("maximality.py", "min_redraw_crossings")}
     assert not hasattr(oneplane.DrawingBuilder, "delete_edge")
 
@@ -190,4 +190,4 @@ def test_one_verdict_shape_for_the_structural_checks():
     assert set(_callers(tree, "_in_g_k")) == {"verify_bounds", "property_suite"}
     checks = {node.name: ast.unparse(node.returns) for node in tree.body
               if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")}
-    assert len(checks) == 6 and set(checks.values()) == {"list[str]"}
+    assert len(checks) == 7 and set(checks.values()) == {"list[str]"}
