@@ -68,10 +68,9 @@ def connectivity_at_least(sg: SimpleGraph, k: int) -> bool:
 def map_graph(pmap: PlanarMap) -> SimpleGraph:
     """Adjacency structure of a plane map (parallel segments collapse),
     built once per map."""
-    dv = pmap.dart_vertex
-    edges = {(dv[d], dv[o]) if dv[d] < dv[o] else (dv[o], dv[d])
-             for d, o in enumerate(pmap.opposite) if d < o}
-    return SimpleGraph(tuple(range(pmap.n_vertices)), tuple(sorted(edges)))
+    dv, opposite = pmap.dart_vertex, pmap.opposite
+    return SimpleGraph({v: frozenset({dv[opposite[d]] for d in rot})
+                        for v, rot in enumerate(pmap.rotations)})
 
 
 # ---------------------------------------------------------------------------

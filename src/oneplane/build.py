@@ -34,13 +34,6 @@ from .core import (
 )
 
 
-class ConeResult(NamedTuple):
-    center: int
-    # one triple per chosen corner, in corner order:
-    # (spoke dart at the rim vertex, spoke dart at the center, rim vertex)
-    spokes: list[tuple[int, int, int]]
-
-
 class DrawingBuilder:
     """Workspace mirroring OnePlaneGraph with list-backed, mutable state."""
 
@@ -79,6 +72,9 @@ class DrawingBuilder:
                 if not (0 <= w < n) or w == v:
                     raise OperationError("BAD_PARAMETER",
                                          f"bad neighbor {w} of vertex {v}")
+                if (v, w) in pending:
+                    raise OperationError("BAD_PARAMETER",
+                                         f"vertex {v} lists neighbor {w} twice")
                 d = b._new_dart(v, -1)
                 b.rotations[v].append(d)
                 key = (w, v)
@@ -267,9 +263,10 @@ class DrawingBuilder:
 
     # -- face filling ------------------------------------------------------------
 
-    def cone(self, walk, corners=None) -> ConeResult:
-        """Insert a new true vertex inside the face and join it to the chosen
-        corners (all corners by default, in walk order).
+    def cone(self, walk, corners=None) -> int:
+        """Insert a new true vertex inside the face, join it to the chosen
+        corners (all corners by default, in walk order) and return its id.
+        Its rotation lists its spokes in reverse corner order.
 
         With all corners chosen every created face is a triangle; with a
         contiguous subset the remainder stays a single face.
@@ -280,7 +277,6 @@ class DrawingBuilder:
             raise OperationError("BAD_PARAMETER",
                                  f"corners {corners} are not all in range({len(walk)})")
         x = self.new_vertex(VertexKind.TRUE)
-        spokes = []
         for i in corners:
             vi = self.dart_vertex[walk[i]]
             e = self._new_edge(x, vi, None)
@@ -288,10 +284,9 @@ class DrawingBuilder:
             t = self._new_dart(x, e)
             self._link(s, t)
             self._splice_before(walk[i], s)
-            spokes.append((s, t, vi))
-        # reversed spoke order at the center keeps the map on the sphere
-        self.rotations[x] = [t for _, t, _ in reversed(spokes)]
-        return ConeResult(center=x, spokes=spokes)
+            # reversed spoke order at the center keeps the map on the sphere
+            self.rotations[x].insert(0, t)
+        return x
 
     def quad_error(self, walk, diagonals: bool = True) -> OperationError | None:
         """Why the face ``walk`` cannot be filled as a quadrangle: it is not

@@ -267,29 +267,24 @@ def _require_true_vertex(g: OnePlaneGraph, v: int) -> None:
 # ---------------------------------------------------------------------------
 
 class _SimpleGraphFields(NamedTuple):
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    adjacency: dict[int, frozenset[int]]
 
 
 class SimpleGraph(_SimpleGraphFields):
-    """Plain adjacency structure over an arbitrary (sorted) vertex id set."""
+    """A simple graph as its adjacency: each vertex id, in ascending order,
+    to the frozenset of its neighbors."""
 
-    @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        """The neighbors of each vertex, keyed by vertex id in order."""
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(s) for v, s in adj.items()}
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(self.adjacency)
 
     @property
     def order(self) -> int:
-        return len(self.vertices)
+        return len(self.adjacency)
 
     @property
     def size(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adjacency.values())) // 2
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]
@@ -302,17 +297,13 @@ class SimpleGraph(_SimpleGraphFields):
 
     def without(self, removed) -> "SimpleGraph":
         gone = set(removed)
-        verts = tuple(v for v in self.vertices if v not in gone)
-        edges = tuple(
-            (u, v) for u, v in self.edges if u not in gone and v not in gone
-        )
-        return SimpleGraph(verts, edges)
+        return SimpleGraph({v: ws - gone for v, ws in self.adjacency.items() if v not in gone})
 
     def is_connected(self) -> bool:
-        if not self.vertices:
+        if not self.adjacency:
             return False
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        stack = [next(iter(self.adjacency))]
+        seen = set(stack)
         while stack:
             v = stack.pop()
             for w in self.neighbors(v):
@@ -339,17 +330,12 @@ def once(fn):
 def underlying(g: OnePlaneGraph) -> SimpleGraph:
     """The abstract simple graph of the drawing (true vertices only), read
     off the rotations: a dart's far end is its edge's u + v less its tail,
-    and a validated drawing has no loop or parallel edge.  The edge pairs
-    come out sorted; the adjacency is kept as the graph's ``adjacency``."""
+    and a validated drawing has no loop or parallel edge."""
     pmap, ends = g.map, [r.u + r.v for r in g.edges]
     far = list(map(sub, map(ends.__getitem__, g.dart_edge), pmap.dart_vertex))
     # from a set, not an iterator: a frozenset sized once is up to 35% smaller
-    adj = {v: frozenset(set(map(far.__getitem__, pmap.rotations[v])))
-           for v in pmap.true_vertices}
-    sg = SimpleGraph(pmap.true_vertices,
-                     tuple([(v, w) for v, ws in adj.items() for w in sorted(ws) if w > v]))
-    sg.__dict__["adjacency"] = adj
-    return sg
+    return SimpleGraph({v: frozenset(set(map(far.__getitem__, pmap.rotations[v])))
+                        for v in pmap.true_vertices})
 
 
 @once

@@ -75,14 +75,9 @@ def _k2_on_builder(b: DrawingBuilder, walk, anchor: int) -> tuple[int, int]:
     if err := b.quad_error(walk, diagonals=False):
         raise err
     a = anchor % 4
-    first = b.cone(walk, corners=[a, (a + 1) % 4, (a + 2) % 4])
-    x = first.center
-    # remaining face: (corner a+2, corner a+3, corner a, x)
-    s_a = first.spokes[0][0]
-    t_mid = first.spokes[2][1]
-    rest = [walk[(a + 2) % 4], walk[(a + 3) % 4], s_a, t_mid]
-    second = b.cone(rest)
-    return x, second.center
+    x = b.cone(walk, corners=[a, (a + 1) % 4, (a + 2) % 4])
+    # the face left is (corner a+2, corner a+3, corner a, x)
+    return x, b.cone(b.face_walk_from(walk[(a + 2) % 4]))
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +247,10 @@ def gen_XM(k: int) -> OnePlaneGraph:
     # quad's cyclically-first inner-ring corner.  Cutting the cone vertex
     # off from the two boundary edges at that corner blocks, over all
     # quads, every insertion between neighboring cone vertices.
-    for cone_res, quad in cone_centers:
+    for center, quad in cone_centers:
         pos = _first_inner_corner(quad)
         u, v = quad[(pos - 1) % 4], quad[(pos + 1) % 4]
-        _insert_crossing_diagonal(b, u, v, (cone_res.center, quad[pos]))
+        _insert_crossing_diagonal(b, u, v, (center, quad[pos]))
     return b.finish()
 
 
@@ -268,7 +263,7 @@ def _xm1() -> OnePlaneGraph:
     for tri, far, crossed in (({0, 1, 2}, 3, (0, 2)), ({0, 1, 3}, 2, (1, 3))):
         walk = next(w for w in b.face_walks()
                     if {b.dart_vertex[d] for d in w} == tri)
-        _insert_crossing_diagonal(b, b.cone(walk).center, far, crossed)
+        _insert_crossing_diagonal(b, b.cone(walk), far, crossed)
     return b.finish()
 
 

@@ -378,6 +378,25 @@ def reference_near_optimal(g: OnePlaneGraph) -> list[str]:
     return bad
 
 
+# ---------------------------------------------------------------------------
+# Simple graphs as vertex and edge lists, and connectivity oracles on them
+# ---------------------------------------------------------------------------
+
+def simple_graph(vertices, edges) -> SimpleGraph:
+    """The simple graph on ``vertices`` (any order) with the given edge
+    pairs, as the adjacency a SimpleGraph holds."""
+    adj: dict[int, set[int]] = {v: set() for v in sorted(vertices)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return SimpleGraph({v: frozenset(ws) for v, ws in adj.items()})
+
+
+def edge_pairs(sg: SimpleGraph) -> list[tuple[int, int]]:
+    """The edges of ``sg`` as sorted pairs (u, v), u < v."""
+    return [(v, w) for v, ws in sg.adjacency.items() for w in sorted(ws) if w > v]
+
+
 def brute_force_connectivity(sg: SimpleGraph) -> int:
     """Minimum size of a vertex subset whose removal disconnects the graph,
     by exhaustive enumeration in increasing size; n-1 when no cut exists."""
@@ -408,7 +427,7 @@ def rebuild_local_connectivity(sg: SimpleGraph, s: int, t: int, cap: int) -> int
     for v in sg.vertices:
         i = idx[v]
         arc(2 * i, 2 * i + 1, 1 if v not in (s, t) else big)
-    for u, v in sg.edges:
+    for u, v in edge_pairs(sg):
         arc(2 * idx[u] + 1, 2 * idx[v], big)
         arc(2 * idx[v] + 1, 2 * idx[u], big)
 
@@ -667,7 +686,7 @@ def bfs_fan_menger(sg: SimpleGraph) -> tuple[int, frozenset[int] | None]:
     for i in range(n):
         arc(2 * i, 2 * i + 1)
         arc(2 * i + 1, 2 * n)
-    for u, v in sg.edges:
+    for u, v in edge_pairs(sg):
         arc(2 * index[u] + 1, 2 * index[v])
         arc(2 * index[v] + 1, 2 * index[u])
     net = SplitNetwork(index, head, [1, 0, 0, 0] * n + [1, 0] * (2 * sg.size),
@@ -722,7 +741,7 @@ def separates(sg: SimpleGraph, cut) -> bool:
     if len(rest) < 2:
         return False
     adj = {v: set() for v in rest}
-    for u, v in sg.edges:
+    for u, v in edge_pairs(sg):
         if u in adj and v in adj:
             adj[u].add(v)
             adj[v].add(u)
@@ -874,17 +893,17 @@ def cone_cross_quad(b: DrawingBuilder, walk, first_diagonal: int = 0):
         raise err
     vs = [b.dart_vertex[d] for d in walk]
     spokes = len(b.edges)
-    res = b.cone(walk)
-    c = res.center
+    c = b.cone(walk)
     b.kinds[c] = VertexKind.FAKE
     order = (0, 2, 1, 3) if first_diagonal == 0 else (1, 3, 0, 2)
     for e in range(spokes, spokes + 4):
         b.edges[e] = None
     e1 = b._new_edge(vs[order[0]], vs[order[1]], c)
     e2 = b._new_edge(vs[order[2]], vs[order[3]], c)
+    # the center's rotation lists the spokes in reverse corner order
     for corner, e in zip(order, (e1, e1, e2, e2)):
-        s, t, _ = res.spokes[corner]
-        b.dart_edge[s] = b.dart_edge[t] = e
+        t = b.rotations[c][3 - corner]
+        b.dart_edge[b.opposite[t]] = b.dart_edge[t] = e
     return e1, e2, c
 
 
@@ -1014,7 +1033,7 @@ def roundtrip_XM(k: int) -> OnePlaneGraph:
         elif f.boundary == frozenset(range(4 * k - 4, 4 * k)):
             b.cross_quad(walk, first_diagonal=_lowest_diagonal_anchor(quad))
         else:
-            cones.append((b.cone(walk).center, quad))
+            cones.append((b.cone(walk), quad))
     g = b.finish()
     (x, y), quad, a = pair
     g = roundtrip_crossing_diagonal(g, quad[a], quad[(a + 2) % 4], (x, y))
@@ -1292,10 +1311,10 @@ def walk_separating_cycle(pmap: PlanarMap, subset) -> bool:
 # ---------------------------------------------------------------------------
 
 def sorted_underlying(g: OnePlaneGraph) -> SimpleGraph:
-    """The abstract simple graph of the drawing, its edge pairs sorted from
-    the edge table and its adjacency built from them."""
-    edges = tuple(sorted((min(r.u, r.v), max(r.u, r.v)) for r in g.edges))
-    return SimpleGraph(tuple(g.map.true_vertices), edges)
+    """The abstract simple graph of the drawing, its adjacency built from
+    the edge table's sorted edge pairs."""
+    edges = sorted((min(r.u, r.v), max(r.u, r.v)) for r in g.edges)
+    return simple_graph(g.map.true_vertices, edges)
 
 
 def distinct_vertex_is_triangulation(pmap: PlanarMap) -> bool:

@@ -50,6 +50,7 @@ from .oracles import (
     per_vertex_lambda3,
     rebuild_local_connectivity,
     separates,
+    simple_graph,
     split_network,
     split_network_menger,
     split_residual_cut,
@@ -67,16 +68,16 @@ def test_connectivity_families():
 
 
 def test_connectivity_basics():
-    k4 = SimpleGraph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    k4 = simple_graph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
     assert vertex_connectivity(k4) == 3          # complete: n-1
-    path = SimpleGraph((0, 1, 2), ((0, 1), (1, 2)))
+    path = simple_graph((0, 1, 2), ((0, 1), (1, 2)))
     assert vertex_connectivity(path) == 1
-    disconnected = SimpleGraph((0, 1, 2), ((0, 1),))
+    disconnected = simple_graph((0, 1, 2), ((0, 1),))
     with pytest.raises(OperationError) as exc:
         vertex_connectivity(disconnected)
     assert exc.value.code == "DISCONNECTED"
     with pytest.raises(OperationError) as exc:
-        vertex_connectivity(SimpleGraph((7,), ()))
+        vertex_connectivity(simple_graph((7,), ()))
     assert exc.value.code == "BAD_PARAMETER"
 
 
@@ -106,8 +107,7 @@ def _wheel_edges(hub, rim):
 
 
 def _graph(edges):
-    edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
-    return SimpleGraph(tuple(sorted({v for e in edges for v in e})), tuple(edges))
+    return simple_graph({v for e in edges for v in e}, edges)
 
 
 # odd-degree vertices above 9 with kappa < 3, which no family member or
@@ -440,8 +440,7 @@ def relabelled_connected_graphs(draw):
     assume(max(ids) - min(ids) >= n)
     edges = {(ids[i], ids[p]) for i, p in enumerate(parent, start=1)}
     edges |= {(ids[a], ids[b]) for a, b in extra}
-    return SimpleGraph(tuple(sorted(ids)),
-                       tuple(sorted((min(e), max(e)) for e in edges)))
+    return simple_graph(ids, edges)
 
 
 @settings(max_examples=150, deadline=None)
@@ -807,18 +806,22 @@ def test_degree_criteria_never_contradict_connectivity():
 
 
 def test_connectivity_at_least_handles_tiny_graphs():
-    k2 = SimpleGraph((0, 1), ((0, 1),))
+    k2 = simple_graph((0, 1), ((0, 1),))
     assert connectivity_at_least(k2, 1)
     assert not connectivity_at_least(k2, 2)
-    single = SimpleGraph((7,), ())
+    single = simple_graph((7,), ())
     assert not connectivity_at_least(single, 1)
+    # k <= 0 asks only for a vertex, which the empty graph lacks
+    empty = single.without([7])
+    assert connectivity_at_least(single, 0) and not connectivity_at_least(empty, 0)
+    assert single.is_connected() and not empty.is_connected()
 
 
 def test_connectivity_at_least_reads_disconnection_from_the_flow(monkeypatch):
     """A disconnected graph is below every positive k; the flow search that
     numbers its network says so, and no separate search runs first."""
     searches = _count_calls(monkeypatch, SimpleGraph, "is_connected")
-    two_edges = SimpleGraph((0, 1, 2, 3), ((0, 1), (2, 3)))
+    two_edges = simple_graph((0, 1, 2, 3), ((0, 1), (2, 3)))
     assert not connectivity_at_least(two_edges, 1)
     assert not connectivity_at_least(two_edges.without([0]), 2)
     assert connectivity_at_least(underlying(gen_XM(2)), 4)

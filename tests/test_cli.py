@@ -243,6 +243,14 @@ def test_fuzz_clean(capsys):
     assert "0 violations" in out
 
 
+def test_fuzz_reports_each_violation_and_fails(monkeypatch, capsys):
+    monkeypatch.setattr(analyze, "property_suite", lambda g: [f"n is {g.n}"])
+    assert main(["fuzz", "--count", "2", "--n", "6..8", "--seed", "5"]) == 1
+    assert capsys.readouterr().out == ("violation seed=5 n=8: n is 8\n"
+                                       "violation seed=6 n=6: n is 6\n"
+                                       "fuzz: 2 instances, 2 violations\n")
+
+
 def test_fuzz_bad_range(capsys):
     assert main(["fuzz", "--count", "1", "--n", "oops"]) == 2
 

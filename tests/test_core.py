@@ -329,6 +329,19 @@ def test_from_neighbors_rejects_a_loop_and_an_unmatched_entry(neighbors):
     assert exc.value.code == "BAD_PARAMETER"
 
 
+@pytest.mark.parametrize("neighbors", [[[1, 1], [0]], [[1, 2, 1], [0, 2], [0, 1]],
+                                       [[1], [0, 0]]],
+                         ids=["edge", "triangle", "second-end"])
+def test_plane_graph_rejects_a_neighbor_listed_twice(neighbors):
+    # the first two, where the other end lists the neighbor once, raised a
+    # bare KeyError: -1 from the dart that the repeat left unpaired
+    with pytest.raises(OperationError) as exc:
+        plane_graph(neighbors)
+    assert exc.value.code == "BAD_PARAMETER"
+    if neighbors[0].count(1) == 2:
+        assert str(exc.value) == "BAD_PARAMETER: vertex 0 lists neighbor 1 twice"
+
+
 def test_insert_edge_one_face_rejects_a_vertex_off_the_face():
     g = gen_XH(1)
     b = DrawingBuilder.from_graph(g)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import oneplane
+from oneplane import analyze
 
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -95,10 +96,17 @@ def test_one_call_site_creates_a_fake_vertex():
 def _callers(tree, callee: str) -> list:
     """The innermost function around each call to ``callee``, None for a
     call outside every function."""
+    return _enclosing(tree, lambda node: isinstance(node, ast.Call)
+                      and ast.unparse(node.func).split(".")[-1] == callee)
+
+
+def _enclosing(tree, match) -> list:
+    """The innermost function around each node ``match`` accepts, None for
+    a node outside every function."""
     out = []
 
     def visit(node, fn):
-        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == callee:
+        if match(node):
             out.append(fn)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             fn = getattr(node, "name", "<lambda>")
@@ -144,6 +152,26 @@ def test_one_compaction():
         calls |= {(path.name, fn) for fn in _callers(tree, "validate")}
     assert calls == {("build.py", "_compact"), ("interchange.py", "parse")}
     assert not {"adjacency", "has_edge"} & set(dir(oneplane.OnePlaneGraph))
+
+
+def test_a_simple_graph_is_its_adjacency():
+    # SimpleGraph keeps one table; underlying and map_graph each build it
+    # as one dict and nothing else, and only core.once's memo writes into
+    # an instance's __dict__
+    assert oneplane.SimpleGraph._fields == ("adjacency",)
+    for fn in (oneplane.underlying, analyze.map_graph):
+        tree = ast.parse(inspect.getsource(fn))
+        built = [type(node).__name__ for node in ast.walk(tree)
+                 if isinstance(node, (ast.Dict, ast.DictComp))
+                 or isinstance(node, ast.Call) and ast.unparse(node.func) in ("tuple", "sorted")]
+        assert built == ["DictComp"], fn.__name__
+    writes = []
+    for path in sorted(Path(oneplane.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        writes += [(path.name, fn) for fn in _enclosing(tree, lambda node: (
+            isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+            and ast.unparse(node.value).endswith("__dict__")))]
+    assert writes == [("core.py", "memo")]
 
 
 def test_one_ring_table_and_one_segment_link():

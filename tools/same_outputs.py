@@ -15,7 +15,10 @@ and the whole corpus runs in one fresh interpreter per tree:
   ``fuzz --count 5 --n 60..80 --seed 1401``;
 - κ and ``min_vertex_separator`` of the underlying graph of each drawing
   above, as is and with 1 to 4 random vertices removed (where the rest
-  stays connected).
+  stays connected);
+- ``check_color_identities`` on two deletions of XH(1) that are not its
+  skeleton (one crossing kept, or both edges of one pair removed), where
+  the check reports violations.
 
 A command's output is its stdout lines, then its stderr lines, then its
 exit code.  The one JSON object printed holds the commands run and, for
@@ -36,9 +39,11 @@ PROBE = """\
 import contextlib, io, json, random, sys
 from pathlib import Path
 from oneplane import analyze, interchange, maximality
+from oneplane.build import delete_edges
 from oneplane.cli import main
 from oneplane.core import underlying
-from oneplane.generators import fixture_path, gen_random_seed
+from oneplane.generators import fixture_path, gen_XH, gen_random_seed
+from oneplane.transform import skeleton
 
 out, drawings = [], []
 tmp = Path(sys.argv[1])
@@ -101,6 +106,14 @@ for name, g in drawings:
             print(f"separator {sorted(analyze.min_vertex_separator(h))}")
             return 0
         record(f"kappa {name}{label}", connectivity)
+
+g = gen_XH(1)
+for removed in ([b for _, _, b in g.crossing_pairs[1:]],
+                sorted([*skeleton(g).removed, g.crossing_pairs[0][1]])):
+    def identities(removed=removed):
+        print(analyze.check_color_identities(delete_edges(g, removed)))
+        return 0
+    record(f"color identities xh1 minus {removed}", identities)
 print(json.dumps(out))
 """
 
