@@ -29,7 +29,7 @@ from .core import (
     once,
     underlying,
 )
-from .transform import DualMap, dual, skeleton
+from .transform import dual, skeleton
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +55,7 @@ def connectivity_at_least(sg: SimpleGraph, k: int) -> bool:
         return sg.order > 0
     if sg.order < 2:
         return False
-    try:
-        return vertex_connectivity(sg) >= k
-    except OperationError as err:
-        # the BFS that numbers the vertices for the flows misses some
-        if err.code == "DISCONNECTED":
-            return False
-        raise
+    return vertex_connectivity(sg) >= k
 
 
 @once
@@ -270,32 +264,20 @@ def check_true_face_neighbors(g: OnePlaneGraph, k: int) -> list[str]:
     name = f"true-face-neighbors(k={k})"
     if not is_triangulation(g.map):
         return [f"{name}: planarization is not a triangulation"]
-    cls, fod, opposite = faces(g), g.map.face_of_dart, g.map.opposite
-    bad: list[str] = []
-    for f, walk in enumerate(g.map.face_walks):
-        if cls[f] is not FaceClass.TRUE:
-            continue
-        # the faces sharing a segment with f
-        true_adj = sorted({j for j in (fod[opposite[d]] for d in walk)
-                           if j != f and cls[j] is FaceClass.TRUE})
-        if len(true_adj) > 5 - k:
-            bad.append(f"{name}: true face {f} adjacent to true faces {true_adj}")
-    return bad
+    return [f"{name}: true face {f} adjacent to true faces {sorted(ws)}"
+            for f, ws in dual(g.map, faces(g), FaceClass.TRUE).adjacency.items()
+            if len(ws) > 5 - k]
 
 
-def check_blue_neighbors(dm: DualMap, k: int) -> list[str]:
-    """Blue dual vertices have at most 5-k distinct blue neighbors; holds
-    on the skeleton's dual when the drawing is in G_k, k in 3..5."""
+def check_blue_neighbors(sk: Subdrawing, k: int) -> list[str]:
+    """Blue faces of the skeleton ``sk`` (vertices of its dual) have at most
+    5-k distinct blue neighbors; holds when the drawing is in G_k, k in
+    3..5."""
     if not 3 <= k <= 5:
         raise OperationError("BAD_PARAMETER", f"k={k} out of range [3,5]")
-    bad: list[str] = []
-    for v in dm.vertices_of_color(FaceClass.BLUE):
-        blue = [w for w in dm.neighbor_sets[v]
-                if dm.colors[w] is FaceClass.BLUE]
-        if len(blue) > 5 - k:
-            bad.append(f"blue-neighbors(k={k}): blue vertex {v} has blue neighbors "
-                       f"{sorted(blue)}")
-    return bad
+    return [f"blue-neighbors(k={k}): blue vertex {v} has blue neighbors {sorted(ws)}"
+            for v, ws in dual(sk.graph.map, sk.colors, FaceClass.BLUE).adjacency.items()
+            if len(ws) > 5 - k]
 
 
 def check_crossing_share(g: OnePlaneGraph) -> list[str]:
@@ -321,20 +303,17 @@ def check_color_identities(sk: Subdrawing) -> list[str]:
     hold)."""
     bad: list[str] = []
     g = sk.source
-    dm = dual(sk)
     cls = faces(g)
     n_fake = cls.count(FaceClass.FAKE)
     n_true = cls.count(FaceClass.TRUE)
-    red = dm.vertices_of_color(FaceClass.RED)
-    blue = dm.vertices_of_color(FaceClass.BLUE)
+    red = dual(sk.graph.map, sk.colors, FaceClass.RED).adjacency
+    n_blue = sk.colors.count(FaceClass.BLUE)
 
     if 2 * len(red) > n_fake:
         bad.append(f"|V_rd|={len(red)} exceeds half of {n_fake} fake faces")
-    if len(blue) != n_true:
-        bad.append(f"|V_bl|={len(blue)} != |F_tr|={n_true}")
-    for v in red:
-        if not any(dm.colors[w] is FaceClass.RED for w in dm.neighbor_sets[v]):
-            bad.append(f"red vertex {v} has no red neighbor")
+    if n_blue != n_true:
+        bad.append(f"|V_bl|={n_blue} != |F_tr|={n_true}")
+    bad += [f"red vertex {v} has no red neighbor" for v, ws in red.items() if not ws]
 
     n = g.n
     cr = g.crossing_count
@@ -345,8 +324,8 @@ def check_color_identities(sk: Subdrawing) -> list[str]:
             bad.append(f"skeleton has {sk.graph.size} edges, expected {3 * n - 6}")
         if len(sk.colors) != 2 * n - 4:
             bad.append(f"skeleton has {len(sk.colors)} faces, expected {2 * n - 4}")
-        if len(dm.edges) != 3 * n - 6:
-            bad.append(f"dual has {len(dm.edges)} edges, expected {3 * n - 6}")
+        if sk.graph.map.n_segments != 3 * n - 6:
+            bad.append(f"dual has {sk.graph.map.n_segments} edges, expected {3 * n - 6}")
         if 2 * cr != len(red):
             bad.append(f"cr={cr} but |V_rd|={len(red)}")
         if g.size != 3 * n - 6 + cr:
@@ -467,7 +446,7 @@ def property_suite(g: OnePlaneGraph) -> list[str]:
     if k >= 3 and _in_g_k(k, n, kappa, immovable):
         bad += check_true_face_neighbors(g, k)
         if tri:
-            bad += check_blue_neighbors(dual(sk), k)
+            bad += check_blue_neighbors(sk, k)
 
     bad += check_face_adjacency(g)
     bad += check_crossing_cliques(g)

@@ -26,7 +26,6 @@ from .core import (
     FaceClass,
     OnePlaneGraph,
     OperationError,
-    PlanarMap,
     ValidationError,
     VertexKind,
     edge_rec,
@@ -128,6 +127,8 @@ class DrawingBuilder:
         return rot[(i + 1) % len(rot)]
 
     def face_walk_from(self, d0: int) -> list[int]:
+        if not 0 <= d0 < len(self.opposite):
+            raise OperationError("UNKNOWN_DART", f"no dart {d0}")
         walk = [d0]
         d = self.rotation_successor(self.opposite[d0])
         while d != d0:
@@ -308,9 +309,13 @@ class DrawingBuilder:
         """Insert a pair of crossing diagonals into a quadrangular face.
 
         first_diagonal 0 gives the (corner0, corner2) diagonal the smaller
-        edge id, 1 the (corner1, corner3) one.  Returns (edge id of the
-        first diagonal, edge id of the second, fake vertex id).
+        edge id, 1 the (corner1, corner3) one; any other value is
+        BAD_PARAMETER.  Returns (edge id of the first diagonal, edge id of
+        the second, fake vertex id).
         """
+        if first_diagonal not in (0, 1):
+            raise OperationError("BAD_PARAMETER",
+                                 f"first_diagonal {first_diagonal} is not 0 or 1")
         if err := self.quad_error(walk):
             raise err
         o = (0, 2, 1, 3) if first_diagonal == 0 else (1, 3, 0, 2)
@@ -386,10 +391,6 @@ class Subdrawing(_SubdrawingFields):
     """``source`` minus the edges ``removed``, their crossings smoothed:
     the validated ``graph``, and the id in ``source`` of each of its
     vertices, edges and darts.  Vertex and edge ids keep their order."""
-
-    @property
-    def map(self) -> PlanarMap:
-        return self.graph.map
 
     @cached_property
     def face_members(self) -> tuple[frozenset[int], ...]:

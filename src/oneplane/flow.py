@@ -43,7 +43,8 @@ def menger(sg: SimpleGraph):
     c >= ``best`` settled neighbors, or else when a fan of ``best`` such
     paths exists; only then does the capped s-t flow run, possibly
     lowering ``best``.  The second batch flows between non-adjacent
-    neighbors of s.  The BFS is also the connectivity test.
+    neighbors of s.  The BFS is also the connectivity test: a graph it
+    does not span has κ = 0, and the empty separator in place of N(s).
 
     Each search starts from the free paths the neighbor table lists and
     asks ``augment`` for the rest only: a fan of t holds t's edges to its
@@ -65,7 +66,7 @@ def menger(sg: SimpleGraph):
                 index[w] = len(order)
                 order.append(w)
     if len(order) < n:
-        raise OperationError("DISCONNECTED", "graph is not connected")
+        return 0, frozenset(), None     # the empty set separates
 
     nbrs = [[*sorted(map(index.__getitem__, adj[v])), i] for i, v in enumerate(order)]
     nb = adj[s]

@@ -359,7 +359,8 @@ def expected_stats(family: str, k: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def gen_random_seed(n: int, seed: int) -> OnePlaneGraph:
-    """Deterministic random drawing on exactly n vertices.
+    """Deterministic random drawing on exactly n vertices; a None seed is
+    BAD_PARAMETER.
 
     Either a stacked plane triangulation or a cycle filled with cone
     insertions, optionally with crossing diagonals in quadrangular faces.
@@ -368,6 +369,8 @@ def gen_random_seed(n: int, seed: int) -> OnePlaneGraph:
     """
     if n < 4:
         raise OperationError("BAD_PARAMETER", f"need n >= 4, got {n}")
+    if seed is None:
+        raise OperationError("BAD_PARAMETER", "a random drawing needs a seed")
     rng = random.Random(seed)
     if rng.random() < 0.5:
         base = [[2, 1], [0, 2], [1, 0]]        # triangle

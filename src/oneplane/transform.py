@@ -1,13 +1,11 @@
 """Derived objects of a drawing: the skeleton obtained by removing one edge
-from each crossing pair, and the colored dual of the skeleton."""
+from each crossing pair, and the part of a map's dual on the faces of one
+color."""
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import NamedTuple
-
 from .build import Subdrawing, delete_edges
-from .core import FaceClass, OnePlaneGraph, OperationError, once
+from .core import OnePlaneGraph, OperationError, PlanarMap, SimpleGraph
 
 
 def skeleton(g: OnePlaneGraph, removed=None) -> Subdrawing:
@@ -48,32 +46,12 @@ def skeleton(g: OnePlaneGraph, removed=None) -> Subdrawing:
 # Dual
 # ---------------------------------------------------------------------------
 
-class _DualMapFields(NamedTuple):
-    colors: tuple[FaceClass, ...]
-    edges: tuple[tuple[int, int], ...]
-
-
-class DualMap(_DualMapFields):
-    """Dual of a skeleton: one vertex per face (colored), one edge per
-    skeleton edge, multi-adjacency preserved."""
-
-    @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(len(self.colors))]
-        for a, b in self.edges:
-            if a != b:
-                adj[a].add(b)
-                adj[b].add(a)
-        return tuple(frozenset(s) for s in adj)
-
-    def vertices_of_color(self, color: FaceClass) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.colors) if c is color)
-
-
-@once
-def dual(s: Subdrawing) -> DualMap:
-    """The colored dual of a skeleton; dual degrees equal face boundary
-    lengths by construction (one dual edge per primal segment)."""
-    fod = s.graph.map.face_of_dart
-    edges = sorted((fod[d], fod[o]) for d, o in enumerate(s.graph.map.opposite) if d < o)
-    return DualMap(colors=s.colors, edges=tuple(edges))
+def dual(pmap: PlanarMap, colors, color) -> SimpleGraph:
+    """The subgraph of the map's dual induced by the faces of one color:
+    each face f with ``colors[f] is color``, in id order, to the other such
+    faces that share a segment with it.  Only those faces' walks are read;
+    a face on both sides of a segment is not its own neighbor."""
+    fod, opposite = pmap.face_of_dart, pmap.opposite
+    return SimpleGraph({f: frozenset(j for j in (fod[opposite[d]] for d in walk)
+                                     if j != f and colors[j] is color)
+                        for f, walk in enumerate(pmap.face_walks) if colors[f] is color})

@@ -379,6 +379,30 @@ def reference_near_optimal(g: OnePlaneGraph) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# The whole dual as a multi-edge list: the construction ``transform.dual``
+# replaced
+# ---------------------------------------------------------------------------
+
+def dual_edges(pmap: PlanarMap) -> list[tuple[int, int]]:
+    """The dual of a map, parallel edges and loops kept: one edge between
+    the faces on the two sides of each segment, sorted."""
+    fod = pmap.face_of_dart
+    return sorted((fod[d], fod[o]) for d, o in enumerate(pmap.opposite) if d < o)
+
+
+def dual_neighbors(pmap: PlanarMap, colors, color) -> dict[int, frozenset[int]]:
+    """``transform.dual`` from ``dual_edges``: the distinct neighbors of
+    every face, loops dropped, restricted to the faces of one color."""
+    adj: list[set[int]] = [set() for _ in pmap.face_walks]
+    for a, b in dual_edges(pmap):
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    return {f: frozenset(w for w in adj[f] if colors[w] is color)
+            for f, c in enumerate(colors) if c is color}
+
+
+# ---------------------------------------------------------------------------
 # Simple graphs as vertex and edge lists, and connectivity oracles on them
 # ---------------------------------------------------------------------------
 

@@ -241,7 +241,7 @@ def test_criterion_9_crossing_edge_counts():
 
 
 def test_criterion_10_regularity():
-    rep = regularity_checks(skeleton(gen_XH(2)).map)
+    rep = regularity_checks(skeleton(gen_XH(2)).graph.map)
     assert rep.is_56_regular and rep.kappa >= 5
     for k in (2, 3, 4):
         rep = regularity_checks(gen_M_triangulated(k).map)
@@ -255,7 +255,7 @@ def test_criterion_10_regularity():
     "no one-edge-per-crossing removal of XH^3 is (5,6)-regular; proven "
     "exhaustively by test_no_56_regular_skeleton_of_xh3_exists"))
 def test_criterion_10_xh3_skeleton_as_stated():
-    rep = regularity_checks(skeleton(gen_XH(3)).map)
+    rep = regularity_checks(skeleton(gen_XH(3)).graph.map)
     assert rep.is_56_regular
 
 
@@ -311,5 +311,5 @@ def test_strict_xfails_fail_by_their_values():
     exception in either one fails this test."""
     res = is_maximal(gen_XM(1))
     assert res.is_maximal is False and res.witness is not None
-    assert regularity_checks(skeleton(gen_XH(3)).map).is_56_regular is False
+    assert regularity_checks(skeleton(gen_XH(3)).graph.map).is_56_regular is False
     report("4*, 10*", "the xfailed expressions return False, they do not raise")

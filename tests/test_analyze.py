@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oneplane.core import SimpleGraph, OperationError, underlying
+from oneplane.core import FaceClass, SimpleGraph, OperationError, underlying
 from oneplane.build import delete_edges, plane_graph
 from oneplane import analyze, flow, transform
 from oneplane.analyze import (
@@ -28,7 +28,7 @@ from oneplane.analyze import (
     verify_bounds,
     vertex_connectivity,
 )
-from oneplane.transform import dual, skeleton
+from oneplane.transform import skeleton
 from oneplane.maximality import SaturationPolicy, saturate
 from oneplane.interchange import load
 from oneplane.generators import (
@@ -72,10 +72,10 @@ def test_connectivity_basics():
     assert vertex_connectivity(k4) == 3          # complete: n-1
     path = simple_graph((0, 1, 2), ((0, 1), (1, 2)))
     assert vertex_connectivity(path) == 1
+    # the empty set separates a disconnected graph
     disconnected = simple_graph((0, 1, 2), ((0, 1),))
-    with pytest.raises(OperationError) as exc:
-        vertex_connectivity(disconnected)
-    assert exc.value.code == "DISCONNECTED"
+    assert vertex_connectivity(disconnected) == 0
+    assert min_vertex_separator(disconnected) == frozenset()
     with pytest.raises(OperationError) as exc:
         vertex_connectivity(simple_graph((7,), ()))
     assert exc.value.code == "BAD_PARAMETER"
@@ -544,24 +544,24 @@ def test_is_triangulation_walks_each_map_once(monkeypatch):
 
 def test_is_triangulation_and_separating_cycle():
     sk = skeleton(gen_XM(1))
-    assert is_triangulation(sk.map)
+    assert is_triangulation(sk.graph.map)
     assert not is_triangulation(gen_M(2).map)
 
     p = skeleton(gen_XH(1))
-    sg = map_graph(p.map)
+    sg = map_graph(p.graph.map)
     deg5 = [v for v in sg.vertices if sg.degree(v) == 5]
     assert deg5
     s = sorted(sg.neighbors(deg5[0]))
-    assert is_separating_cycle(p.map, s)
-    assert not is_separating_cycle(p.map, [0])
-    assert not is_separating_cycle(p.map, [0, 1])
+    assert is_separating_cycle(p.graph.map, s)
+    assert not is_separating_cycle(p.graph.map, [0])
+    assert not is_separating_cycle(p.graph.map, [0, 1])
 
 
 def test_separating_cycle_agrees_with_cycle_walk():
     # every vertex subset of 3..5 vertices of the small maps, 3..4 of the
     # larger ones; both kinds of answer occur
-    cases = [(skeleton(gen_XH(1)).map, 5), (gen_M_triangulated(3).map, 5),
-             (gen_M(2).map, 5), (skeleton(gen_YH(1)).map, 4), (gen_XM(2).map, 4)]
+    cases = [(skeleton(gen_XH(1)).graph.map, 5), (gen_M_triangulated(3).map, 5),
+             (gen_M(2).map, 5), (skeleton(gen_YH(1)).graph.map, 4), (gen_XM(2).map, 4)]
     found = 0
     for pmap, top in cases:
         for r in range(3, top + 1):
@@ -574,7 +574,7 @@ def test_separating_cycle_agrees_with_cycle_walk():
 
 def test_separating_cycle_builds_one_map_graph(monkeypatch):
     # map_graph is memoised per map, so asking twice builds it once
-    pmap = skeleton(gen_XH(1)).map
+    pmap = skeleton(gen_XH(1)).graph.map
     built = _count_calls(monkeypatch, analyze, "SimpleGraph")
     assert is_separating_cycle(pmap, [0, 1, 2]) == is_separating_cycle(pmap, [3, 4, 5])
     assert len(built) == 1
@@ -589,7 +589,7 @@ def test_separating_cycle_rejects_an_unknown_vertex(subset):
 
 
 def test_regularity_checks():
-    rep = regularity_checks(skeleton(gen_XH(2)).map)
+    rep = regularity_checks(skeleton(gen_XH(2)).graph.map)
     assert rep.is_56_regular
     assert rep.kappa >= 5
 
@@ -631,12 +631,12 @@ def test_face_adjacency_and_crossing_cliques():
 def test_true_face_and_blue_neighbor_bounds():
     assert check_true_face_neighbors(gen_YH(1), 3) == []
     assert check_true_face_neighbors(gen_XH(1), 5) == []
-    assert check_blue_neighbors(dual(skeleton(gen_YH(1))), 3) == []
-    assert check_blue_neighbors(dual(skeleton(gen_XH(1))), 5) == []
+    assert check_blue_neighbors(skeleton(gen_YH(1)), 3) == []
+    assert check_blue_neighbors(skeleton(gen_XH(1)), 5) == []
     # YH(1) has κ = 3: its true faces come in adjacent runs
     assert check_true_face_neighbors(gen_YH(1), 4)[0] == \
         "true-face-neighbors(k=4): true face 2 adjacent to true faces [3, 13]"
-    assert check_blue_neighbors(dual(skeleton(gen_YH(1))), 5)[0] == \
+    assert check_blue_neighbors(skeleton(gen_YH(1)), 5)[0] == \
         "blue-neighbors(k=5): blue vertex 2 has blue neighbors [3, 12]"
     assert check_true_face_neighbors(gen_HH(1), 3) == \
         ["true-face-neighbors(k=3): planarization is not a triangulation"]
@@ -645,7 +645,7 @@ def test_true_face_and_blue_neighbor_bounds():
 @pytest.mark.parametrize("k", [2, 6])
 def test_neighbor_bounds_reject_k_outside_3_to_5(k):
     for run in (lambda: check_true_face_neighbors(gen_YH(1), k),
-                lambda: check_blue_neighbors(dual(skeleton(gen_YH(1))), k)):
+                lambda: check_blue_neighbors(skeleton(gen_YH(1)), k)):
         with pytest.raises(OperationError) as exc:
             run()
         assert exc.value.code == "BAD_PARAMETER"
@@ -683,17 +683,21 @@ def test_property_suite_runs_each_check_where_it_holds(monkeypatch, check):
 
 
 def test_property_suite_builds_one_dual(monkeypatch):
+    """One dual per (map, color) pair the checks read: the drawing's true
+    faces, and the skeleton's blue and red faces."""
     built = []
-    original = transform.DualMap
+    original = transform.dual
 
-    def counted(*args, **kwargs):
-        built.append(1)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(transform, "DualMap", counted)
+    def counted(pmap, colors, color):
+        built.append((pmap, color))
+        return original(pmap, colors, color)
+    monkeypatch.setattr(analyze, "dual", counted)
     g = gen_XH(1)
     assert is_triangulation(g.map)
     assert property_suite(g) == []
-    assert len(built) == 1
+    sk_map = built[1][0]
+    assert built == [(g.map, FaceClass.TRUE), (sk_map, FaceClass.BLUE), (sk_map, FaceClass.RED)]
+    assert sk_map is not g.map and sk_map == skeleton(g).graph.map
 
 
 def test_crossing_share():
@@ -799,8 +803,8 @@ def test_bounds_report_lines_are_exact():
 
 def test_degree_criteria_never_contradict_connectivity():
     # regularity_checks raises internally on contradiction; these must not
-    for pm in (skeleton(gen_XH(2)).map, gen_M_triangulated(2).map,
-               gen_M_triangulated(4).map, skeleton(gen_XM(3)).map):
+    for pm in (skeleton(gen_XH(2)).graph.map, gen_M_triangulated(2).map,
+               gen_M_triangulated(4).map, skeleton(gen_XM(3)).graph.map):
         if is_triangulation(pm):
             regularity_checks(pm)
 

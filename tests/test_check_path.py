@@ -54,10 +54,10 @@ def test_is_triangulation_agrees_with_distinct_vertex_oracle():
     where that stays connected: both ways, so neither side is vacuous."""
     seen = set()
     for g in _drawings():
-        maps = [g.map, skeleton(g).map]
+        maps = [g.map, skeleton(g).graph.map]
         sub = delete_edges(g, range(0, g.size, 3))
         if sub is not None:
-            maps.append(sub.map)
+            maps.append(sub.graph.map)
         for pmap in maps:
             seen.add(is_triangulation(pmap))
             assert is_triangulation(pmap) == distinct_vertex_is_triangulation(pmap)

@@ -1,11 +1,13 @@
 import argparse
 from functools import cached_property
+from itertools import combinations
 
 import pytest
 
 from oneplane.cli import main
 from oneplane.generators import FAMILIES, fixture_path, gen_random_seed, generate
 from oneplane import analyze, cli, flow, interchange, maximality
+from oneplane.build import DrawingBuilder, delete_edges
 from oneplane.core import PlanarMap, underlying
 
 
@@ -235,6 +237,38 @@ def test_stats(tmp_path, capsys):
     assert main(["stats", yh1]) == 0
     out = capsys.readouterr().out
     assert "n 20" in out and "crossings 6" in out and "kappa 3" in out
+
+
+def _two_crossed_triangles():
+    """Triangles 0,3,4 and 1,2,5, vertex-disjoint, where 0-3 crosses 1-5
+    and 3-4 crosses 1-2: a valid drawing whose graph is disconnected."""
+    b = DrawingBuilder.from_neighbors([[1, 2], [2, 0], [0, 1]])
+    inner, outer = b.face_walks()
+    b.cone(inner)                   # vertex 3
+    b.cone(outer)                   # vertex 4
+    b.cone(b.face_walks()[0])       # vertex 5, in the triangle 0,3,2
+    b.insert_edge_crossing(1, 5, b.edge_between(3, 0))
+    b.insert_edge_crossing(3, 4, b.edge_between(1, 2))
+    g = b.finish()
+    triangles = {frozenset(p) for t in ((0, 3, 4), (1, 2, 5)) for p in combinations(t, 2)}
+    return delete_edges(g, [e for e, r in enumerate(g.edges)
+                            if frozenset(r.ends) not in triangles]).graph
+
+
+def test_check_and_stats_give_a_disconnected_graph_kappa_0(tmp_path, capsys):
+    # both once printed "error: DISCONNECTED: graph is not connected" and
+    # exited 2, as if the input were malformed
+    g = _two_crossed_triangles()
+    assert (g.n, g.size, g.crossing_count, len(g.map.face_walks)) == (6, 6, 2, 4)
+    assert not underlying(g).is_connected()
+    path = tmp_path / "two.1pg"
+    interchange.dump(g, path)
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == \
+        "valid n=6 cr=2 E=6 faces=4 kappa=0 triangulated=False\n"
+    assert main(["stats", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == ["n 6", "crossings 2", "edges 6", "kappa 0"]
 
 
 def test_fuzz_clean(capsys):

@@ -1,5 +1,6 @@
 import copy
 import random
+import signal
 import sys
 import threading
 from itertools import chain
@@ -320,6 +321,27 @@ def test_cone_rejects_a_corner_outside_the_walk(corners):
         b.cone(walk, corners)
     assert exc.value.code == "BAD_PARAMETER"
     assert (b.kinds, b.rotations, b.edges) == before
+
+
+@pytest.mark.parametrize("d", [-1, 24, 99], ids=["minus-one", "dart-count", "past-the-end"])
+def test_face_walk_from_rejects_an_unknown_dart(d):
+    # -1 once walked forever, never meeting dart -1 again, and an id past
+    # the last dart raised a bare IndexError; the alarm stops a walk that
+    # does not end
+    b = DrawingBuilder.from_graph(gen_M(2))
+    assert len(b.opposite) == 24
+
+    def stop(signum, frame):
+        raise TimeoutError(f"face_walk_from({d}) did not return")
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(2)
+    try:
+        with pytest.raises(OperationError) as exc:
+            b.face_walk_from(d)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(exc.value) == f"UNKNOWN_DART: no dart {d}"
 
 
 @pytest.mark.parametrize("neighbors", [[[0]], [[1], []]], ids=["loop", "unmatched"])

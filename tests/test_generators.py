@@ -117,6 +117,16 @@ def test_tx_triangulate_c4():
     assert all(f.size == 3 for f in fake_faces)
 
 
+@pytest.mark.parametrize("first", [-1, 2, 7])
+def test_tx_triangulate_rejects_a_first_diagonal_outside_0_and_1(first):
+    # any value but 0 once chose the (corner1, corner3) diagonal, as 1 does
+    g = gen_M(2)
+    assert tx_triangulate(g, 0, 0) != tx_triangulate(g, 0, 1)
+    with pytest.raises(OperationError) as exc:
+        tx_triangulate(g, 0, first_diagonal=first)
+    assert str(exc.value) == f"BAD_PARAMETER: first_diagonal {first} is not 0 or 1"
+
+
 def test_k1_triangulate_triangle_makes_wheel_piece():
     tri = plane_graph([[2, 1], [0, 2], [1, 0]])
     out = k1_triangulate(tri, 0)
@@ -252,6 +262,10 @@ def test_random_seed_determinism_and_bounds():
     with pytest.raises(OperationError) as exc:
         gen_random_seed(3, 0)
     assert exc.value.code == "BAD_PARAMETER"
+    # a None seed once drew from the system's randomness: two calls differed
+    with pytest.raises(OperationError) as exc:
+        gen_random_seed(8, None)
+    assert str(exc.value) == "BAD_PARAMETER: a random drawing needs a seed"
 
 
 @settings(max_examples=25, deadline=None)

@@ -25,7 +25,6 @@ from oneplane.maximality import (
     is_maximal,
     min_redraw_crossings,
 )
-from oneplane.transform import dual, skeleton
 
 
 def _records():
@@ -48,7 +47,6 @@ def _records():
         "RegularityReport": regularity_checks(m),
         "BoundEntry": bounds.entries[0],
         "BoundReport": bounds,
-        "DualMap": dual(skeleton(g)),
     }
 
 

@@ -174,6 +174,25 @@ def test_a_simple_graph_is_its_adjacency():
     assert writes == [("core.py", "memo")]
 
 
+def test_the_neighbor_checks_read_one_dual():
+    # the faces of one color and their same-color neighbors come from
+    # transform.dual alone: the true-face, blue and red neighbor checks
+    # call it, none of them reads face_of_dart, and no record holds a
+    # whole dual
+    checks = {"check_true_face_neighbors", "check_blue_neighbors", "check_color_identities"}
+    tree = ast.parse(inspect.getsource(analyze))
+    assert set(_callers(tree, "dual")) == checks
+    assert not checks & set(_enclosing(tree, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "face_of_dart")))
+    assert list(inspect.signature(oneplane.dual).parameters) == ["pmap", "colors", "color"]
+    defined = set()
+    for path in sorted(Path(oneplane.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert not defined & {"DualMap", "_DualMapFields"}
+    assert not hasattr(oneplane.Subdrawing, "map")
+
+
 def test_one_ring_table_and_one_segment_link():
     # the ring families' rotations are written by one loop nest,
     # generators._ring_table, and DrawingBuilder._link alone pairs darts

@@ -1,17 +1,21 @@
 import pytest
 
 from oneplane.core import FaceClass, OperationError, faces
-from oneplane.build import plane_graph
+from oneplane.build import delete_edges, plane_graph
 from oneplane.transform import dual, skeleton
 from oneplane.analyze import is_triangulation
-from oneplane.interchange import parse
-from oneplane.generators import gen_HH, gen_M, gen_XH, gen_XM, gen_YH
+from oneplane.interchange import load, parse
+from oneplane.maximality import SaturationPolicy, saturate
+from oneplane.generators import (FAMILIES, fixture_path, gen_HH, gen_M, gen_random_seed,
+                                 gen_XH, gen_XM, gen_YH, generate)
+
+from .oracles import dual_edges, dual_neighbors
 
 
-def _degrees(dm):
+def _degrees(pmap):
     # each dual edge adds one to the degree of both its ends
-    deg = [0] * len(dm.colors)
-    for a, b in dm.edges:
+    deg = [0] * len(pmap.face_walks)
+    for a, b in dual_edges(pmap):
         deg[a] += 1
         deg[b] += 1
     return tuple(deg)
@@ -31,7 +35,7 @@ def test_skeleton_counts_xh1():
     assert sk.graph.size == 30               # 3n-6 with n=12
     assert len(sk.colors) == 20              # 2n-4
     assert sk.colors.count(FaceClass.BLUE) == 8
-    assert is_triangulation(sk.map)
+    assert is_triangulation(sk.graph.map)
     for color, members in zip(sk.colors, sk.face_members):
         if color is FaceClass.RED:
             assert len(members) >= 2
@@ -49,29 +53,75 @@ def test_skeleton_of_crossing_free_drawing_is_identity():
 
 def test_dual_xh1():
     sk = skeleton(gen_XH(1))
-    dm = dual(sk)
-    assert len(dm.colors) == 20
-    assert len(dm.vertices_of_color(FaceClass.RED)) == 12
-    assert len(dm.vertices_of_color(FaceClass.BLUE)) == 8
-    assert set(_degrees(dm)) == {3}
-    assert len(dm.edges) == 30
-    assert _degrees(dm) == tuple(map(len, sk.map.face_walks))
+    pmap = sk.graph.map
+    assert len(sk.colors) == 20
+    red, blue = (dual(pmap, sk.colors, c) for c in (FaceClass.RED, FaceClass.BLUE))
+    assert red.vertices == tuple(f for f, c in enumerate(sk.colors) if c is FaceClass.RED)
+    assert (red.order, blue.order) == (12, 8)
+    # κ = 6: no two blue faces touch, and the red faces pair up
+    assert blue.size == 0 and red.size == 6
+    assert set(_degrees(pmap)) == {3}
+    assert len(dual_edges(pmap)) == 30
+    assert _degrees(pmap) == tuple(map(len, pmap.face_walks))
 
 
 def test_dual_yh1():
     sk = skeleton(gen_YH(1))
-    dm = dual(sk)
-    assert len(dm.colors) == 36
-    assert len(dm.vertices_of_color(FaceClass.RED)) == 12
-    assert len(dm.vertices_of_color(FaceClass.BLUE)) == 24
-    assert _degrees(dm) == tuple(map(len, sk.map.face_walks))
+    pmap = sk.graph.map
+    assert len(sk.colors) == 36
+    assert dual(pmap, sk.colors, FaceClass.RED).order == 12
+    assert dual(pmap, sk.colors, FaceClass.BLUE).order == 24
+    assert _degrees(pmap) == tuple(map(len, pmap.face_walks))
 
 
 @pytest.mark.parametrize("gen,k", [(gen_XH, 1), (gen_XH, 2), (gen_YH, 1), (gen_XM, 2)])
 def test_every_red_vertex_has_a_red_neighbor(gen, k):
-    dm = dual(skeleton(gen(k)))
-    for v in dm.vertices_of_color(FaceClass.RED):
-        assert any(dm.colors[w] is FaceClass.RED for w in dm.neighbor_sets[v])
+    sk = skeleton(gen(k))
+    red = dual(sk.graph.map, sk.colors, FaceClass.RED)
+    assert red.order and all(red.adjacency.values())
+
+
+def _colored_maps():
+    """(name, map, colors) of every family member at k = 1..3, t1, t2 and
+    seeded saturations, with their face classes and their skeletons'
+    colors, and of the two non-skeleton deletions of XH(1)."""
+    drawings = [(f"{family}{k}", generate(family, k)) for family in FAMILIES
+                for k in (1, 2, 3)]
+    drawings += [(name, load(fixture_path(name))) for name in ("t1", "t2")]
+    drawings += [(f"seeded-{n}-{seed}", saturate(gen_random_seed(n, seed),
+                                                 SaturationPolicy.SEEDED, seed))
+                 for n, seed in ((8, 1), (11, 4), (14, 9))]
+    out = []
+    for name, g in drawings:
+        sk = skeleton(g)
+        out += [(name, g.map, faces(g)), (f"{name}-skeleton", sk.graph.map, sk.colors)]
+    g = gen_XH(1)
+    for name, cut in (("keeps-one-crossing", [b for _, _, b in g.crossing_pairs[1:]]),
+                      ("both-of-a-pair", [*skeleton(g).removed, g.crossing_pairs[0][1]])):
+        sub = delete_edges(g, cut)
+        out.append((f"xh1-{name}", sub.graph.map, sub.colors))
+    return out
+
+
+def test_dual_is_the_whole_dual_restricted_to_one_color():
+    # every class has faces with and without a neighbor of their own class,
+    # but a fake face, which shares its two segments at a crossing with
+    # other fake faces
+    seen = set()
+    for name, pmap, colors in _colored_maps():
+        for color in set(colors):
+            got = dual(pmap, colors, color).adjacency
+            assert got == dual_neighbors(pmap, colors, color), (name, color)
+            assert list(got) == sorted(got), (name, color)
+            seen |= {(color, bool(ws)) for ws in got.values()}
+    assert seen == {(c, b) for c in FaceClass for b in (True, False)} - {(FaceClass.FAKE, False)}
+
+
+def test_a_face_beside_a_bridge_is_not_its_own_neighbor():
+    # a path: one face, on both sides of every segment
+    sk = skeleton(plane_graph([[1], [0, 2], [1]]))
+    assert dual_edges(sk.graph.map) == [(0, 0), (0, 0)]
+    assert dual(sk.graph.map, sk.colors, FaceClass.BLUE).adjacency == {0: frozenset()}
 
 
 @pytest.mark.parametrize("gen,k", [(gen_XH, 1), (gen_YH, 1), (gen_XM, 3)])
@@ -165,10 +215,9 @@ def test_disconnecting_skeleton_is_an_operation_error(op):
 def test_dual_degrees_match_boundary_lengths():
     # double counting: dual degree equals primal face length
     for g in (gen_XH(1), gen_M(3), gen_XM(2)):
-        sk = skeleton(g)
-        dm = dual(sk)
-        assert _degrees(dm) == tuple(map(len, sk.map.face_walks))
-        assert sum(_degrees(dm)) == 2 * len(dm.edges)
+        pmap = skeleton(g).graph.map
+        assert _degrees(pmap) == tuple(map(len, pmap.face_walks))
+        assert sum(_degrees(pmap)) == 2 * len(dual_edges(pmap))
 
 
 def test_red_blue_partition_of_fake_true_faces():
